@@ -16,6 +16,11 @@ from typing import Dict, Iterator, Set
 
 from repro.core.domains import DOMAINS_PER_WORD, DomainGeometry
 
+_MASK32 = 0xFFFFFFFF
+
+#: log2(DOMAINS_PER_WORD): domain index → CTT word index shift.
+_WORD_SHIFT = DOMAINS_PER_WORD.bit_length() - 1
+
 
 class CoarseTaintTable:
     """Sparse bitmap of per-domain taint bits."""
@@ -23,6 +28,7 @@ class CoarseTaintTable:
     def __init__(self, geometry: DomainGeometry) -> None:
         self.geometry = geometry
         self._words: Dict[int, int] = {}
+        self._domain_shift = geometry.domain_size.bit_length() - 1
 
     # ------------------------------------------------------------- queries
 
@@ -41,8 +47,19 @@ class CoarseTaintTable:
         """True if any domain overlapped by the byte range is tainted.
 
         Wrap-aware: a range crossing the top of the 32-bit space checks
-        the wrapped-around domains too.
+        the wrapped-around domains too.  Ranges inside one domain (the
+        common case: every machine access is at most 4 bytes) take an
+        inline path of one dict probe plus a bit test.
         """
+        words = self._words
+        if not words:
+            return False
+        address &= _MASK32
+        shift = self._domain_shift
+        first = address >> shift
+        if length <= 1 or (address + length - 1) >> shift == first:
+            word = words.get(first >> _WORD_SHIFT, 0)
+            return bool(word >> (first & (DOMAINS_PER_WORD - 1)) & 1)
         for base in self.geometry.domain_bases_in_range(address, max(length, 1)):
             if self.is_domain_tainted(base):
                 return True

@@ -11,16 +11,24 @@ Every instruction is one little-endian 32-bit word:
     bits 15..0    imm16  (I/S/B/U formats; overlaps rs2 only in I/U)
     bits 25..0    imm26  (J format; rd occupies bits 29..26 instead)
 
-To keep decode trivial, formats that carry both ``rs2`` and a 16-bit
-immediate (S and B) narrow the immediate to 12 bits (bits 11..0),
-sign-extended.  The assembler range-checks accordingly via
+I-format immediates are sign-extended, except for the logical
+``andi``/``ori``/``xori``, whose immediate is zero-extended (0..0xFFFF,
+so ``lui`` + ``ori`` can build any 32-bit constant).  To keep decode
+trivial, formats that carry both ``rs2`` and a 16-bit immediate (S and
+B) narrow the immediate to 12 bits (bits 11..0), sign-extended.  The
+assembler range-checks accordingly via
 :meth:`repro.isa.instructions.Instruction.validate` plus the stricter
 12-bit check here.
 """
 
 from __future__ import annotations
 
-from repro.isa.instructions import Format, Instruction, Opcode
+from repro.isa.instructions import (
+    LOGICAL_IMM_OPCODES,
+    Format,
+    Instruction,
+    Opcode,
+)
 
 _MASK32 = 0xFFFFFFFF
 
@@ -100,7 +108,9 @@ def decode(word: int) -> Instruction:
     if fmt == Format.I:
         rd = (word >> 20) & 0xF
         rs1 = (word >> 16) & 0xF
-        imm = _sign_extend(word & 0xFFFF, 16)
+        imm = word & 0xFFFF
+        if opcode not in LOGICAL_IMM_OPCODES:
+            imm = _sign_extend(imm, 16)
         if opcode == Opcode.LTNT:
             return Instruction(opcode, rd=rd)
         return Instruction(opcode, rd=rd, rs1=rs1, imm=imm)

@@ -216,6 +216,10 @@ STORE_SIZES = {
     Opcode.SW: 4,
 }
 
+#: I-format logical immediates: zero-extended, so their immediate is an
+#: unsigned 16-bit field (0..0xFFFF) — the ``%lo`` half of ``li``/``la``.
+LOGICAL_IMM_OPCODES = frozenset({Opcode.ANDI, Opcode.ORI, Opcode.XORI})
+
 #: Conditional branch opcodes.
 BRANCH_OPCODES = frozenset(
     {Opcode.BEQ, Opcode.BNE, Opcode.BLT, Opcode.BGE, Opcode.BLTU, Opcode.BGEU}
@@ -334,6 +338,11 @@ class Instruction:
         if fmt == Format.J:
             if not -(1 << 25) <= self.imm < (1 << 25):
                 raise ValueError(f"J-format immediate {self.imm} out of range")
+        elif self.opcode in LOGICAL_IMM_OPCODES:
+            if not 0 <= self.imm < (1 << 16):
+                raise ValueError(
+                    f"{self.opcode.name} immediate {self.imm} out of range"
+                )
         elif fmt in (Format.I, Format.S, Format.B):
             if not -(1 << 15) <= self.imm < (1 << 15):
                 raise ValueError(

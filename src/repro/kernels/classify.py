@@ -172,8 +172,9 @@ def coarse_flags_window(
     """Per-access coarse verdicts for one window of memory accesses.
 
     Composes the primitives above — ragged domain expansion, CTT-word
-    gather, per-row OR — into the pure-CTT classification the streaming
-    pipeline's vector gate runs per micro-batch.  ``sizes`` should have
+    gather, per-row OR — into a windowed pure-CTT classification (the
+    streaming pipeline's vector gate is tested against it, verdict for
+    verdict, over random CTT states).  ``sizes`` should have
     the scalar ``max(size, 1)`` floor already applied (use
     :func:`effective_sizes`); the result matches the scalar CTC walk of
     ``check_memory`` verdict-for-verdict whenever the CTT is the ground

@@ -80,10 +80,11 @@ class PipelineConfig:
         gate_batch: committed instructions gated per flush.  ``None``
             resolves per backend: 1 for ``scalar`` (event-at-a-time,
             the classic P-LATCH cadence) and 16 for ``vector``
-            (windowed classification through ``repro.kernels``).
+            (batched CTT probes taken at batch entry).
         backend: gating backend — ``"scalar"``, ``"vector"``, or
             ``None`` to follow ``repro.kernels.resolve_backend`` (the
-            ``REPRO_KERNEL_BACKEND`` switch).
+            ``REPRO_KERNEL_BACKEND`` switch).  A pipeline resolves the
+            backend and gate batch once, at construction.
         sampling: the selective-tracing dial.
         analysis_cycles_per_event: monitor cost per queued event for
             the stall model (default: LBA-simple, 4.38 cycles).

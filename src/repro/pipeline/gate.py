@@ -13,15 +13,17 @@ Two backends compute the memory-operand verdict:
 
 * ``scalar`` — :meth:`repro.core.latch.LatchModule.check_step` per
   event, driving the CTC/TLB cost model exactly as the hardware would;
-* ``vector`` — batched pure-CTT classification through
-  :mod:`repro.kernels.classify` against a frozen :class:`CttIndex`.
+* ``vector`` — a batched pure-CTT probe: one
+  :meth:`~repro.core.ctt.CoarseTaintTable.any_domain_tainted` lookup per
+  memory operand, taken for the whole micro-batch at batch entry.
 
 Under the pipeline's immediate-clear discipline the CTC always resolves
 to the CTT bit and the TLB screen is a conservative refinement of it,
 so both backends produce the *same admission decisions*; only the cache
 cost counters differ (the vector path models a wider classification
-unit and leaves the CTC/TLB untouched).  The frozen index is
-invalidated on every coarse tag write.
+unit and leaves the CTC/TLB untouched).  The pipeline keeps the
+batch-entry verdicts sound across mid-batch drains by deferring pending
+retires, or by falling back to live checks when it cannot.
 """
 
 from __future__ import annotations
@@ -29,15 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-import numpy as np
-
-from repro.kernels.backend import observe_batch, record_dispatch
-from repro.kernels.classify import (
-    CttIndex,
-    as_index_array,
-    coarse_flags_window,
-    effective_sizes,
-)
 from repro.machine.events import StepEvent
 
 
@@ -65,18 +58,6 @@ class LatchGate:
         self.pending = pending
         self.backend = backend
         self.stats = GateStats()
-        self._ctt_index: Optional[CttIndex] = None
-
-    # -------------------------------------------------------------- index
-
-    def invalidate_index(self) -> None:
-        """Drop the frozen CTT view (called on every coarse tag write)."""
-        self._ctt_index = None
-
-    def _frozen_index(self) -> CttIndex:
-        if self._ctt_index is None:
-            self._ctt_index = CttIndex(self.latch.ctt)
-        return self._ctt_index
 
     # -------------------------------------------------------------- flags
 
@@ -89,46 +70,15 @@ class LatchGate:
         are computed live in :meth:`admit` via ``check_step`` so the
         CTC/TLB cost model sees each access at admission time.
         """
-        if self.backend != "vector" or not events:
+        if self.backend != "vector":
             return [None] * len(events)
-        addresses: List[int] = []
-        sizes: List[int] = []
-        counts: List[int] = []
-        for event in events:
-            accesses = event.memory_accesses
-            counts.append(len(accesses))
-            for access in accesses:
-                addresses.append(access.address)
-                sizes.append(access.size)
-        if not addresses:
-            return [False] * len(events)
-        flags = coarse_flags_window(
-            as_index_array(addresses),
-            effective_sizes(sizes),
-            self.latch.config.domain_size,
-            self._frozen_index(),
-        )
-        record_dispatch("vector")
-        observe_batch("classify", len(addresses))
-        out: List[Optional[bool]] = []
-        cursor = 0
-        for count in counts:
-            out.append(bool(np.any(flags[cursor:cursor + count])))
-            cursor += count
-        return out
-
-    def fresh_memory_flag(self, event: StepEvent) -> bool:
-        """Memory verdict against the *current* CTT (post-mutation).
-
-        Used when a mid-batch drain invalidated precomputed flags; the
-        rebuild is O(live CTT words) and the path is rare by
-        construction (see ``PipelineConfig.pending_capacity``).
-        """
-        self.invalidate_index()
-        flags = self.memory_flags([event])
-        if flags[0] is None:  # scalar backend: delegate to the live check
-            return self.latch.check_step(event).coarse_tainted
-        return flags[0]
+        tainted = self.latch.ctt.any_domain_tainted
+        return [
+            any(tainted(access.address, access.size)
+                for access in event.memory_accesses)
+            if event.reads or event.writes else False
+            for event in events
+        ]
 
     # -------------------------------------------------------------- admit
 

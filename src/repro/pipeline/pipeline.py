@@ -119,9 +119,12 @@ class StreamingPipeline(Observer):
             capacity=self.config.pending_capacity
         )
         self.sampler = WindowSampler(self.config.sampling)
+        # Resolved once: the backend and flush cadence stay fixed for
+        # the life of the pipeline, whatever the environment does later.
         self.gate = LatchGate(
             self.latch, self.pending, backend=self.config.resolved_backend
         )
+        self._gate_batch = self.config.resolved_gate_batch
         self.model = StallModel(
             self.config.analysis_cycles_per_event,
             self.config.queue_capacity,
@@ -164,7 +167,7 @@ class StreamingPipeline(Observer):
     def on_step(self, event: StepEvent) -> None:
         self.stats.instructions += 1
         self._batch.append(event)
-        if len(self._batch) >= self.config.resolved_gate_batch:
+        if len(self._batch) >= self._gate_batch:
             self.flush()
 
     def on_input(self, event: InputEvent) -> None:
@@ -182,7 +185,6 @@ class StreamingPipeline(Observer):
             self.latch.update_memory_tags(
                 event.address, b"\x01" * len(event.data), defer_clear=True
             )
-            self.gate.invalidate_index()
         self._enqueue_control(EventKind.INPUT, event)
 
     def on_output(self, event: OutputEvent) -> None:
@@ -333,7 +335,7 @@ class StreamingPipeline(Observer):
             )
         with maybe_span(
             "pipeline.run",
-            backend=self.config.resolved_backend,
+            backend=self.gate.backend,
             queue_capacity=self.config.queue_capacity,
         ):
             executed = self.cpu.run(max_steps)
@@ -360,7 +362,7 @@ class StreamingPipeline(Observer):
 
         with maybe_span(
             "pipeline.replay_trace",
-            backend=self.config.resolved_backend,
+            backend=self.gate.backend,
             queue_capacity=self.config.queue_capacity,
         ):
             return replay_events(source, self)
@@ -380,7 +382,6 @@ class StreamingPipeline(Observer):
             defer_clear=False,
             clean_oracle=self.engine.shadow.region_clean,
         )
-        self.gate.invalidate_index()
 
     # ------------------------------------------------------------- export
 

@@ -1,5 +1,9 @@
 """Coarse Taint Table tests."""
 
+import random
+
+import pytest
+
 from repro.core.ctt import CoarseTaintTable
 from repro.core.domains import DomainGeometry
 
@@ -68,6 +72,64 @@ class TestBits:
         table.set_domain(0)
         table.clear_all()
         assert table.tainted_domain_count() == 0
+
+
+def _walk(table, address, length):
+    """The generic wrap-aware walk ``any_domain_tainted`` short-cuts."""
+    return any(
+        table.is_domain_tainted(base)
+        for base in table.geometry.domain_bases_in_range(
+            address, max(length, 1)
+        )
+    )
+
+
+class TestAnyDomainTaintedFastPath:
+    @pytest.mark.parametrize("domain_size", [1, 8, 64, 128])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_generic_walk(self, domain_size, seed):
+        rng = random.Random(seed)
+        table = make_table(domain_size)
+        span = table.geometry.word_span
+        top = 1 << 32
+        for _ in range(400):
+            address = rng.choice((
+                rng.randrange(top),
+                rng.randrange(4 * span),
+                top - rng.randrange(1, 2 * span),
+                rng.randrange(top, 2 * top),       # unmasked alias
+                rng.randrange(64) * domain_size - rng.randrange(2),
+            ))
+            length = rng.choice((
+                rng.randrange(-3, 1), 1, 2, 4, domain_size,
+                domain_size + 1, rng.randrange(3 * span),
+            ))
+            table.clear_all()
+            if rng.random() < 0.8:
+                for word in {
+                    table.geometry.word_index(address),
+                    table.geometry.word_index(address + max(length, 1) - 1),
+                    0,
+                    table.geometry.total_words - 1,
+                }:
+                    bits = rng.getrandbits(32) & rng.getrandbits(32)
+                    table.set_word(word, bits)
+            assert table.any_domain_tainted(address, length) == _walk(
+                table, address, length
+            ), (hex(address), length)
+
+    def test_wrapping_range_sees_low_domains(self):
+        table = make_table()
+        table.set_domain(0)
+        assert table.any_domain_tainted(0xFFFFFFFE, 4)
+        assert not table.any_domain_tainted(0xFFFFFFFE, 2)
+
+    def test_nonpositive_length_checks_one_domain(self):
+        table = make_table()
+        table.set_domain(0x100)
+        assert table.any_domain_tainted(0x100, 0)
+        assert table.any_domain_tainted(0x13F, -4)
+        assert not table.any_domain_tainted(0xFF, 0)
 
 
 class TestPageSummaries:

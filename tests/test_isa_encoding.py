@@ -10,7 +10,15 @@ from repro.isa.encoding import (
     encode,
     encode_program,
 )
-from repro.isa.instructions import Format, Instruction, OPCODE_FORMAT, Opcode
+from repro.isa.assembler import assemble
+from repro.isa.instructions import (
+    LOGICAL_IMM_OPCODES,
+    OPCODE_FORMAT,
+    Format,
+    Instruction,
+    Opcode,
+)
+from repro.workloads import attacks, programs
 
 _REG = st.integers(min_value=0, max_value=15)
 
@@ -25,6 +33,8 @@ def _instruction_strategy():
         if fmt == Format.I:
             if opcode == Opcode.LTNT:
                 return Instruction(opcode, rd=rd)
+            if opcode in LOGICAL_IMM_OPCODES:
+                return Instruction(opcode, rd=rd, rs1=rs1, imm=imm16 & 0xFFFF)
             return Instruction(opcode, rd=rd, rs1=rs1, imm=imm16)
         if fmt in (Format.S, Format.B):
             return Instruction(opcode, rs1=rs1, rs2=rs2, imm=imm12)
@@ -89,6 +99,117 @@ class TestRoundTrip:
     def test_jal_offset_scaling(self):
         decoded = decode(encode(Instruction(Opcode.JAL, rd=1, imm=-1024)))
         assert decoded.imm == -1024
+
+
+#: One line per real mnemonic (every opcode the assembler can emit),
+#: with ``{imm}``-style holes the property test fills in.
+_EVERY_MNEMONIC = """
+    add  r1, r2, r3
+    sub  r1, r2, r3
+    and  r1, r2, r3
+    or   r1, r2, r3
+    xor  r1, r2, r3
+    sll  r1, r2, r3
+    srl  r1, r2, r3
+    sra  r1, r2, r3
+    slt  r1, r2, r3
+    sltu r1, r2, r3
+    mul  r1, r2, r3
+    div  r1, r2, r3
+    rem  r1, r2, r3
+    addi r4, r5, {simm}
+    andi r4, r5, {uimm}
+    ori  r4, r5, {uimm}
+    xori r4, r5, {uimm}
+    slli r4, r5, 3
+    srli r4, r5, 3
+    srai r4, r5, 3
+    slti r4, r5, {simm}
+    lui  r6, {uimm}
+    lb   r7, {simm}(r8)
+    lbu  r7, {simm}(r8)
+    lh   r7, {simm}(r8)
+    lhu  r7, {simm}(r8)
+    lw   r7, {simm}(r8)
+    sb   r7, {disp}(r8)
+    sh   r7, {disp}(r8)
+    sw   r7, {disp}(r8)
+    jalr r1, {simm}(r2)
+    stnt r9, r10
+    strf r11
+    ltnt r12
+    nop
+    syscall
+    beq  r1, r2, _start
+    bne  r1, r2, _start
+    blt  r1, r2, _start
+    bge  r1, r2, _start
+    bltu r1, r2, _start
+    bgeu r1, r2, _start
+    jal  r1, _start
+    mv   r3, r4
+    halt
+"""
+
+
+def _roundtrips(program):
+    for instruction in program.instructions:
+        assert decode(encode(instruction)) == instruction, str(instruction)
+
+
+class TestAssemblerRoundTrip:
+    """decode(encode(i)) == i for every instruction the assembler emits."""
+
+    @given(
+        st.lists(
+            st.integers(min_value=-(1 << 31), max_value=(1 << 32) - 1),
+            min_size=1, max_size=8,
+        ),
+        st.integers(min_value=-(1 << 15), max_value=(1 << 15) - 1),
+        st.integers(min_value=0, max_value=0xFFFF),
+        st.integers(min_value=-(1 << 11), max_value=(1 << 11) - 1),
+    )
+    def test_li_over_the_full_32_bit_range(self, values, simm, uimm, disp):
+        lines = ["    .data", "sym: .word 0", "    .text", "_start:"]
+        lines += [f"    li   r{1 + i % 15}, {v}" for i, v in enumerate(values)]
+        lines.append("    la   r2, sym")
+        lines.append(_EVERY_MNEMONIC.format(simm=simm, uimm=uimm, disp=disp))
+        program = assemble("\n".join(lines))
+        emitted = {i.opcode for i in program.instructions}
+        assert emitted == set(Opcode)
+        _roundtrips(program)
+
+    @pytest.mark.parametrize("value", [0x8000, 0xC350, 0xFFFF, 0xFFFFFFFF,
+                                       4294967294, -1, -32768])
+    def test_li_low_half_at_or_above_0x8000(self, value):
+        _roundtrips(assemble(f"_start:\n    li r14, {value}\n    halt\n"))
+
+    @pytest.mark.parametrize("build", [
+        programs.file_filter,
+        programs.checksum,
+        programs.substitution_cipher,
+        programs.echo_server,
+        lambda: programs.phased_compute(clean_iterations=50000),
+        attacks.buffer_overflow,
+        attacks.data_leak,
+    ], ids=["file_filter", "checksum", "cipher", "echo_server",
+            "phased_50000", "overflow", "leak"])
+    def test_shipped_programs(self, build):
+        _roundtrips(build().program)
+
+    def test_logical_immediates_zero_extend(self):
+        for opcode in LOGICAL_IMM_OPCODES:
+            word = encode(Instruction(opcode, rd=1, rs1=2, imm=0xFFFF))
+            assert decode(word).imm == 0xFFFF
+        assert decode(encode(
+            Instruction(Opcode.ADDI, rd=1, rs1=2, imm=-1)
+        )).imm == -1
+
+    def test_negative_logical_immediate_rejected(self):
+        with pytest.raises(ValueError):
+            encode(Instruction(Opcode.ORI, rd=1, rs1=1, imm=-1))
+        with pytest.raises(ValueError):
+            encode(Instruction(Opcode.ANDI, rd=1, rs1=1, imm=0x10000))
 
 
 class TestErrors:

@@ -5,11 +5,26 @@ with a final taint state *byte-identical* to an always-on DIFT tracker,
 for every scenario, both gating backends, and adversarial queue shapes.
 """
 
+import random
+from dataclasses import asdict
+from pathlib import Path
+
 import pytest
 
+from repro.check.corpus import load_corpus
+from repro.core.latch import LatchConfig, LatchModule
 from repro.dift.engine import DIFTEngine
 from repro.dift.policy import leak_detection_policy
+from repro.isa.instructions import Instruction, Opcode
+from repro.kernels.classify import (
+    CttIndex,
+    as_index_array,
+    coarse_flags_window,
+    effective_sizes,
+)
+from repro.machine.events import MemoryAccess, Observer, StepEvent
 from repro.pipeline import PipelineConfig, StreamingPipeline
+from repro.pipeline.gate import LatchGate
 from repro.platch.functional import PLatchSystem
 from repro.workloads import attacks, programs
 
@@ -25,6 +40,8 @@ SCENARIOS = [
 ]
 
 BACKENDS = ["scalar", "vector"]
+
+ROOT = Path(__file__).resolve().parent.parent
 
 #: (queue_capacity, gate_batch) shapes that stress distinct regimes:
 #: deep queue + backend-default batching, shallow queue + small batches,
@@ -121,17 +138,172 @@ def test_gate_suppresses_the_clean_majority():
     assert pipeline.stats.drained == pipeline.stats.enqueued
 
 
-def test_frozen_index_invalidated_by_coarse_tag_writes():
-    """The vector gate's frozen CTT view must not outlive a tag write."""
-    pipeline = run_pipeline(lambda: programs.file_filter(), None,
-                            backend="vector")
-    gate = pipeline.gate
-    index = gate._frozen_index()
-    assert gate._ctt_index is index
-    pipeline.latch.update_memory_tags(0x9000, b"\x01\x01")
-    pipeline.gate.invalidate_index()  # what the tag-write hook does
-    assert gate._ctt_index is None
-    assert gate._frozen_index() is not index
+# ------------------------------------------------ vector gate vs numpy oracle
+
+
+def oracle_memory_flags(ctt, domain_size, events):
+    """Per-event coarse verdicts through the numpy replay kernels.
+
+    Ragged domain expansion, a ``CttIndex`` gather of the CTT as it
+    stands now, and a per-event OR: an independent route to the verdicts
+    the vector gate's CTT probe must produce.
+    """
+    addresses, sizes, counts = [], [], []
+    for event in events:
+        accesses = event.memory_accesses
+        counts.append(len(accesses))
+        for access in accesses:
+            addresses.append(access.address)
+            sizes.append(access.size)
+    if not addresses:
+        return [False] * len(events)
+    flags = coarse_flags_window(
+        as_index_array(addresses), effective_sizes(sizes), domain_size,
+        CttIndex(ctt),
+    )
+    out, cursor = [], 0
+    for count in counts:
+        out.append(bool(flags[cursor:cursor + count].any()))
+        cursor += count
+    return out
+
+
+class OracleGate(LatchGate):
+    """A vector gate whose verdicts come from the numpy oracle."""
+
+    def memory_flags(self, events):
+        return oracle_memory_flags(
+            self.latch.ctt, self.latch.config.domain_size, events
+        )
+
+
+class _Collector(Observer):
+    def __init__(self):
+        self.steps = []
+
+    def on_step(self, event):
+        self.steps.append(event)
+
+
+def _corpus_steps():
+    """Committed steps of every regression-corpus program.
+
+    The corpus holds the fuzzer's wrap-around reproducers, so these
+    include accesses that straddle the top of the 32-bit space.
+    """
+    runs = []
+    for check_program in load_corpus(ROOT / "tests" / "corpus"):
+        cpu = check_program.make_cpu()
+        collector = _Collector()
+        cpu.attach(collector)
+        cpu.run(10_000)
+        runs.append((check_program.config, collector.steps))
+    return runs
+
+
+def _random_steps(rng, domain_size, count):
+    """Synthetic steps: multi-domain, zero-size, and wrapping accesses."""
+    word_span = domain_size * 32
+    steps = []
+    for index in range(count):
+        accesses = []
+        for _ in range(rng.choice((0, 1, 1, 1, 2, 3))):
+            address = rng.choice((
+                rng.randrange(0, 4 * word_span),
+                (1 << 32) - rng.randrange(1, 2 * word_span),
+                rng.randrange(1 << 32),
+            ))
+            size = rng.choice((
+                0, 1, 2, 4, domain_size, rng.randrange(-2, 3 * word_span),
+            ))
+            accesses.append(MemoryAccess(address, size, rng.random() < 0.5))
+        steps.append(StepEvent(
+            index, 0, Instruction(Opcode.NOP),
+            reads=tuple(a for a in accesses if not a.is_write),
+            writes=tuple(a for a in accesses if a.is_write),
+        ))
+    return steps
+
+
+def _randomise_ctt(rng, ctt, steps):
+    """Seed CTT words around the accessed addresses (or leave it empty)."""
+    ctt.clear_all()
+    if rng.random() < 0.2:
+        return
+    geometry = ctt.geometry
+    words = set()
+    for step in steps:
+        for access in step.memory_accesses:
+            words.update(geometry.words_in_range(
+                access.address, max(access.size, 1)
+            ))
+    words.update((0, geometry.total_words - 1))
+    for word_index in words:
+        if rng.random() < 0.5:
+            ctt.set_word(word_index, rng.getrandbits(32) & rng.getrandbits(32))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_vector_gate_flags_match_numpy_oracle(seed):
+    """The CTT probe agrees with the numpy kernels on every verdict."""
+    rng = random.Random(seed)
+    runs = _corpus_steps() + [
+        (LatchConfig(domain_size=size), _random_steps(rng, size, 200))
+        for size in (8, 64)
+    ]
+    for config, steps in runs:
+        latch = LatchModule(config)
+        gate = LatchGate(latch, pending=None, backend="vector")
+        for start in range(0, len(steps), 16):
+            batch = steps[start:start + 16]
+            _randomise_ctt(rng, latch.ctt, batch)
+            assert gate.memory_flags(batch) == oracle_memory_flags(
+                latch.ctt, config.domain_size, batch
+            )
+
+
+@pytest.mark.parametrize(
+    "name,build,policy", SCENARIOS, ids=[s[0] for s in SCENARIOS]
+)
+def test_oracle_gate_runs_identically(name, build, policy):
+    """Swapping in the numpy oracle gate changes no count anywhere."""
+    probe = run_pipeline(build, policy, backend="vector")
+
+    scenario = build()
+    cpu = scenario.make_cpu()
+    oracle = StreamingPipeline(
+        cpu, policy=policy() if policy else None,
+        config=PipelineConfig(backend="vector"),
+    )
+    oracle.gate = OracleGate(oracle.latch, oracle.pending, "vector")
+    try:
+        cpu.run(300_000)
+    except Exception:
+        pass
+    oracle.finish()
+
+    assert asdict(probe.gate.stats) == asdict(oracle.gate.stats)
+    assert asdict(probe.stats) == asdict(oracle.stats)
+    assert signature(probe.engine) == signature(oracle.engine)
+
+
+def test_backend_and_cadence_resolved_once(monkeypatch):
+    """A mid-run REPRO_KERNEL_BACKEND change does not reach the pipeline."""
+    monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
+    build = lambda: programs.file_filter()
+    reference = run_pipeline(build, None, backend="vector", gate_batch=16)
+
+    cpu = build().make_cpu()
+    pipeline = StreamingPipeline(cpu, config=PipelineConfig(backend=None))
+    assert pipeline.gate.backend == "vector"
+    cpu.run(500)
+    monkeypatch.setenv("REPRO_KERNEL_BACKEND", "scalar")
+    cpu.run(300_000)
+    pipeline.finish()
+
+    assert pipeline.gate.backend == "vector"
+    assert pipeline.stats.batches == reference.stats.batches
+    assert asdict(pipeline.stats) == asdict(reference.stats)
 
 
 def test_wrapper_is_bit_identical_to_raw_pipeline():

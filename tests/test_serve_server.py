@@ -63,6 +63,28 @@ class TestBitIdentity:
         )
         assert result.halted
 
+    def test_wide_li_immediates_stream_bit_identically(self):
+        # 50000 = 0xC350: the ``li`` low half needs the unsigned ``ori``
+        # immediate, which the wire encoding must carry unchanged.
+        factory = lambda: programs.phased_compute(
+            clean_iterations=50000
+        ).make_cpu()
+        events = record_trace(factory)
+        reference = local_reference(factory)
+        unthrottled = ServeConfig(
+            default_limits=TenantLimits(rate=1e9, burst=1e9)
+        )
+        with running_server(unthrottled) as (_server, (host, port)):
+            with ServeClient(host, port, tenant="wide") as client:
+                result = client.check_trace(events)
+        assert canonical_json(result.signature) == canonical_json(
+            reference["signature"]
+        )
+        assert canonical_json(result.stats) == canonical_json(
+            reference["stats"]
+        )
+        assert result.halted
+
     def test_batch_size_does_not_change_the_verdict(self, traces):
         events, reference = traces["checksum"]
         results = []
