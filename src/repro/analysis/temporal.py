@@ -14,11 +14,9 @@ Two measurements over an :class:`~repro.workloads.trace.EpochStream`
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
-import numpy as np
-
-from repro.kernels import duration_profile, record_dispatch, resolve_backend
+from repro.kernels import duration_profile
 from repro.workloads.trace import EpochStream
 
 #: Figure 5's epoch-length categories (instructions).
@@ -33,30 +31,16 @@ def tainted_instruction_fraction(stream: EpochStream) -> float:
 def epoch_duration_profile(
     stream: EpochStream,
     thresholds: Sequence[int] = FIG5_THRESHOLDS,
-    backend: Optional[str] = None,
 ) -> Dict[int, float]:
     """Percentage of instructions inside taint-free epochs ≥ threshold.
 
     Returns ``{threshold: percent_of_all_instructions}`` — the Figure 5
-    series for one benchmark.  ``backend`` selects the per-threshold
-    masked sums (``"scalar"``) or the single sort-and-suffix-sum kernel
-    (``"vector"``); the int64 sums are exact either way, so the floats
-    are bit-identical.
+    series for one benchmark, read off one sort-and-suffix-sum kernel.
     """
     total = stream.total_instructions
     if total == 0:
         return {threshold: 0.0 for threshold in thresholds}
-    choice = resolve_backend(backend)
-    record_dispatch(choice)
-    free_lengths = stream.taint_free_lengths()
-    if choice == "vector":
-        return duration_profile(free_lengths, total, thresholds)
-    return {
-        threshold: float(
-            free_lengths[free_lengths >= threshold].sum() / total * 100.0
-        )
-        for threshold in thresholds
-    }
+    return duration_profile(stream.taint_free_lengths(), total, thresholds)
 
 
 def mean_taint_free_epoch(stream: EpochStream) -> float:

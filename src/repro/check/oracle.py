@@ -20,10 +20,11 @@ after every committed instruction on the core-mirror and H-LATCH paths
 introduces it rather than at the end of the run.
 
 The ``stream`` path runs the program through the full
-:class:`repro.pipeline.StreamingPipeline` once per gating backend
-(scalar and vector), honouring any ``REPRO_PIPELINE_*`` environment
-knobs; with sampling inactive it must reproduce the reference
-signature, and the coarse-vs-precise invariants must hold either way.
+:class:`repro.pipeline.StreamingPipeline` once per gate cadence
+(:data:`STREAM_GATE_BATCHES`: event-at-a-time and batched), honouring
+any other ``REPRO_PIPELINE_*`` environment knobs; with sampling
+inactive it must reproduce the reference signature, and the
+coarse-vs-precise invariants must hold either way.
 
 The ``columnar`` path is the object-vs-columnar differential: the
 recorded ``.ltrace`` event container must replay to the reference
@@ -53,6 +54,10 @@ MAX_STEPS = 200_000
 
 #: Paths the oracle exercises (``check_program``'s default).
 ALL_PATHS = ("core", "slatch", "hlatch", "kernels", "stream", "columnar")
+
+#: Gate cadences the ``stream`` path runs: the served/``PLatchSystem``
+#: event-at-a-time cadence and the ``PipelineConfig`` default batch.
+STREAM_GATE_BATCHES = (1, 16)
 
 
 @dataclass(frozen=True)
@@ -317,21 +322,21 @@ def run_hlatch(cp: CheckProgram) -> CheckedHLatchMonitor:
 # ---------------------------------------------------------------- streaming
 
 
-def run_stream(cp: CheckProgram, backend: Optional[str] = None):
-    """Run ``cp`` under the streaming pipeline (one gating backend).
+def run_stream(cp: CheckProgram, gate_batch: Optional[int] = None):
+    """Run ``cp`` under the streaming pipeline (one gate cadence).
 
     The configuration comes from :meth:`repro.pipeline.PipelineConfig.
     from_env`, so ``REPRO_PIPELINE_*`` knobs (queue shape, sampling)
     apply to oracle runs and corpus replays exactly as they would to a
     production run — a shrunk reproducer stays faithful under either
-    execution mode.
+    execution mode.  ``gate_batch``, when given, overrides the cadence.
     """
     from repro.pipeline import StreamingPipeline
     from repro.pipeline.config import PipelineConfig
 
     config = PipelineConfig.from_env()
-    if backend is not None:
-        config = config.replace(backend=backend)
+    if gate_batch is not None:
+        config = config.replace(gate_batch=gate_batch)
     cpu = cp.make_cpu()
     pipeline = StreamingPipeline(cpu, latch_config=cp.config, config=config)
     _run(cpu)
@@ -353,7 +358,7 @@ def check_kernel_replay(
     Bulk-loads the final precise state into fresh modules and replays
     every access through ``check_memory`` (scalar reference semantics)
     and :func:`repro.kernels.replay.replay_check_memory` (the vector
-    backend).  Flags and every mutated counter must match bit for bit,
+    kernel).  Flags and every mutated counter must match bit for bit,
     and both must be sound against the final shadow.
     """
     from repro.kernels.replay import replay_check_memory
@@ -646,21 +651,22 @@ def check_program(
         )
 
     if "stream" in paths:
-        for backend in ("scalar", "vector"):
-            pipeline = run_stream(cp, backend=backend)
+        for gate_batch in STREAM_GATE_BATCHES:
+            path = f"stream-b{gate_batch}"
+            pipeline = run_stream(cp, gate_batch=gate_batch)
             report.runs += 1
             if not pipeline.sampler.active:
                 # Sampling deliberately trades coverage, so the final
                 # state may legitimately under-approximate the
                 # reference; the invariant check below still applies.
-                check_signature(pipeline.engine, f"stream-{backend}")
+                check_signature(pipeline.engine, path)
             try:
                 pipeline.latch.check_invariants(pipeline.engine.shadow)
             except InvariantViolation as violation:
                 report.violations.append(
                     SoundnessViolation(
                         kind="invariant",
-                        path=f"stream-{backend}",
+                        path=path,
                         detail=str(violation),
                         program=cp.name,
                     )

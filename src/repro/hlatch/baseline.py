@@ -9,9 +9,8 @@ cache and reports its miss rate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-from repro.kernels import record_dispatch, replay_taint_cache, resolve_backend
+from repro.kernels import replay_taint_cache
 from repro.obs.spans import maybe_span
 from repro.hlatch.taint_cache import (
     CONVENTIONAL_TAINT_CACHE,
@@ -56,29 +55,15 @@ class ConventionalTaintCache:
 def run_baseline(
     trace: AccessTrace,
     config: TaintCacheConfig = CONVENTIONAL_TAINT_CACHE,
-    backend: Optional[str] = None,
 ) -> BaselineReport:
-    """Replay ``trace`` through a conventional taint cache.
-
-    ``backend`` selects the scalar loop or the batch kernels (identical
-    counters); None defers to ``REPRO_KERNEL_BACKEND`` / the default.
-    """
-    choice = resolve_backend(backend)
-    record_dispatch(choice)
+    """Replay ``trace`` through a conventional taint cache (batch kernel)."""
     system = ConventionalTaintCache(config)
     addresses = trace.addresses
-    sizes = trace.sizes
-    writes = trace.is_write
-    with maybe_span("hlatch.baseline_replay", backend=choice,
-                    workload=trace.name, accesses=int(len(addresses))):
-        if choice == "vector":
-            replay_taint_cache(system.cache, addresses, sizes, writes)
-        else:
-            for index in range(len(addresses)):
-                system.access(
-                    int(addresses[index]), int(sizes[index]),
-                    bool(writes[index])
-                )
+    with maybe_span("hlatch.baseline_replay", workload=trace.name,
+                    accesses=int(len(addresses))):
+        replay_taint_cache(
+            system.cache, addresses, trace.sizes, trace.is_write
+        )
     stats = system.stats
     return BaselineReport(
         name=trace.name, accesses=stats.accesses, misses=stats.misses

@@ -15,10 +15,10 @@ H-LATCH's hardware can compute the masked AND of the remaining tags.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.core.latch import CheckLevel, LatchConfig, LatchModule
-from repro.kernels import record_dispatch, replay_hlatch_window, resolve_backend
+from repro.kernels import replay_hlatch_window
 from repro.dift.tags import ShadowMemory
 from repro.obs.spans import maybe_span
 from repro.obs import MetricsRegistry, StatsSnapshot
@@ -181,29 +181,12 @@ def run_hlatch(
     trace: AccessTrace,
     latch_config: LatchConfig = HLATCH_LATCH_CONFIG,
     tcache_config: TaintCacheConfig = HLATCH_TAINT_CACHE,
-    backend: Optional[str] = None,
 ) -> HLatchReport:
-    """Replay an access trace through the H-LATCH stack.
-
-    ``backend`` selects the replay implementation (``"scalar"`` per-access
-    loop or ``"vector"`` batch kernels — bit-identical counters either
-    way); None defers to ``REPRO_KERNEL_BACKEND`` / the default.
-    """
-    choice = resolve_backend(backend)
-    record_dispatch(choice)
+    """Replay an access trace through the H-LATCH stack (batch kernels)."""
     system = HLatchSystem(latch_config, tcache_config)
     system.load_taint(trace.layout)
     addresses = trace.addresses
-    sizes = trace.sizes
-    writes = trace.is_write
-    with maybe_span("hlatch.replay", backend=choice, workload=trace.name,
+    with maybe_span("hlatch.replay", workload=trace.name,
                     accesses=int(len(addresses))):
-        if choice == "vector":
-            replay_hlatch_window(system, addresses, sizes, writes)
-        else:
-            for index in range(len(addresses)):
-                system.access(
-                    int(addresses[index]), int(sizes[index]),
-                    bool(writes[index])
-                )
+        replay_hlatch_window(system, addresses, trace.sizes, trace.is_write)
     return system.report(trace.name)

@@ -17,24 +17,20 @@ analogue of HardTaint's trace-buffer batching):
 * :mod:`~repro.kernels.replay` — window replay over the real model
   objects (``run_hlatch`` / ``run_baseline`` / ``measure_hw_rates``).
 
-Backend selection (``backend=`` argument > ``REPRO_KERNEL_BACKEND`` >
-``"vector"``) lives in :mod:`~repro.kernels.backend`.  The scalar code
-remains the executable reference; the two backends must produce
-bit-identical :class:`~repro.obs.StatsSnapshot` payloads
+The kernels are the only replay path.  The per-access loops they
+replaced live on as test oracles (``tests/kernel_oracles.py``), and the
+kernels must reproduce them as bit-identical
+:class:`~repro.obs.StatsSnapshot` payloads
 (``tests/test_kernels_equivalence.py`` enforces the contract, and
-``docs/KERNELS.md`` documents the batch model).
+``docs/KERNELS.md`` documents the batch model).  Per-kernel metrics live
+in :mod:`~repro.kernels.backend`.
 """
 
 from repro.kernels.backend import (
-    BACKEND_ENV_VAR,
-    BACKENDS,
-    DEFAULT_BACKEND,
     KERNEL_NAMES,
     kernel_registry,
     publish_metrics,
-    record_dispatch,
     reset_kernel_metrics,
-    resolve_backend,
 )
 from repro.kernels.classify import (
     CttIndex,
@@ -60,9 +56,6 @@ from repro.kernels.replay import (
 )
 
 __all__ = [
-    "BACKEND_ENV_VAR",
-    "BACKENDS",
-    "DEFAULT_BACKEND",
     "KERNEL_NAMES",
     "CttIndex",
     "LruState",
@@ -74,12 +67,10 @@ __all__ = [
     "epoch_stream_from_trace",
     "kernel_registry",
     "publish_metrics",
-    "record_dispatch",
     "replay_check_memory",
     "replay_hlatch_window",
     "replay_taint_cache",
     "reset_kernel_metrics",
-    "resolve_backend",
     "run_boundaries",
     "segment_epochs",
     "simulate_lru",

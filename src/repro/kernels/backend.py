@@ -1,48 +1,24 @@
-"""Kernel backend selection and observability.
+"""Kernel observability: per-kernel call, item and batch-size metrics.
 
-Every batch kernel in :mod:`repro.kernels` has two implementations:
+Every batch kernel in :mod:`repro.kernels` is a numpy implementation
+over whole :class:`~repro.workloads.trace.AccessTrace` windows.  The
+per-access Python loops they replaced survive only as test oracles
+(``tests/kernel_oracles.py``); ``tests/test_kernels_equivalence.py``
+requires the kernels to reproduce them **bit-identically**, because the
+runner's result cache keys on snapshot content.
 
-* ``scalar`` — the original per-access Python code, kept as the
-  executable reference semantics;
-* ``vector`` — numpy batch kernels over whole
-  :class:`~repro.workloads.trace.AccessTrace` windows.
-
-The two are required to produce **bit-identical**
-:class:`~repro.obs.StatsSnapshot` payloads (the runner's result cache
-keys on snapshot content, so any divergence would poison cached cells);
-``tests/test_kernels_equivalence.py`` enforces the contract.
-
-Selection order, mirroring the rest of the repo's knob conventions:
-
-1. an explicit ``backend=`` argument (``"scalar"`` / ``"vector"``);
-2. the ``REPRO_KERNEL_BACKEND`` environment variable;
-3. the auto-selected default, ``"vector"`` (numpy is a hard dependency
-   of the package, so the batch path is always available).
-
-Kernel-level metrics (dispatch counts, per-kernel call counters, batch
-size histograms) live in a dedicated module registry — deliberately
-*not* the registries that job snapshots are built from, because the two
-backends do different amounts of kernel work and snapshots must stay
-backend-independent.  ``publish_metrics`` copies the catalog into any
-external registry for inspection (see ``docs/OBSERVABILITY.md``).
+Kernel-level metrics (per-kernel call counters, batch size histograms)
+live in a dedicated module registry — deliberately *not* the registries
+that job snapshots are built from, so snapshots stay independent of how
+the kernels batch their work.  ``publish_metrics`` copies the catalog
+into any external registry for inspection (see
+``docs/OBSERVABILITY.md``).
 """
 
 from __future__ import annotations
 
-import os
-from typing import Optional
-
 from repro.obs import MetricsRegistry
 from repro.obs.spans import emit_event
-
-#: Recognised backend names, in documentation order.
-BACKENDS = ("scalar", "vector")
-
-#: Environment variable overriding the auto-selected backend.
-BACKEND_ENV_VAR = "REPRO_KERNEL_BACKEND"
-
-#: Backend used when neither an argument nor the environment chooses.
-DEFAULT_BACKEND = "vector"
 
 #: Kernels instrumented in the module registry (metric name stems).
 KERNEL_NAMES = (
@@ -54,39 +30,6 @@ KERNEL_NAMES = (
 )
 
 
-def resolve_backend(backend: Optional[str] = None) -> str:
-    """Resolve the active kernel backend name.
-
-    Args:
-        backend: explicit choice, or None/"auto" to consult
-            :data:`BACKEND_ENV_VAR` and fall back to
-            :data:`DEFAULT_BACKEND`.
-
-    Raises:
-        ValueError: unrecognised backend name (the message names the
-            environment variable when that is where the value came from).
-    """
-    if backend is None or backend == "auto":
-        raw = os.environ.get(BACKEND_ENV_VAR)
-        if raw is None or raw.strip() == "":
-            return DEFAULT_BACKEND
-        value = raw.strip().lower()
-        if value == "auto":
-            return DEFAULT_BACKEND
-        if value not in BACKENDS:
-            raise ValueError(
-                f"{BACKEND_ENV_VAR} must be one of {BACKENDS} (or 'auto'), "
-                f"got {raw!r}"
-            )
-        return value
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"kernel backend must be one of {BACKENDS} (or 'auto'), "
-            f"got {backend!r}"
-        )
-    return backend
-
-
 # ----------------------------------------------------------------- metrics
 
 _registry = MetricsRegistry()
@@ -94,12 +37,6 @@ _registry = MetricsRegistry()
 
 def _register_catalog(registry: MetricsRegistry) -> None:
     """Eagerly register the full kernels catalog (zero-valued metrics)."""
-    for name in BACKENDS:
-        registry.counter(
-            f"kernels.dispatch.{name}", unit="calls",
-            description=f"Backend-routed entry points served by the "
-                        f"{name} implementation",
-        )
     for name in KERNEL_NAMES:
         registry.counter(
             f"kernels.{name}.calls", unit="calls",
@@ -122,11 +59,6 @@ _register_catalog(_registry)
 def kernel_registry() -> MetricsRegistry:
     """The module-level registry holding kernel counters/histograms."""
     return _registry
-
-
-def record_dispatch(backend: str) -> None:
-    """Count one backend-routed entry point resolution."""
-    _registry.counter(f"kernels.dispatch.{backend}").inc()
 
 
 def observe_batch(kernel: str, batch_size: int) -> None:

@@ -193,11 +193,9 @@ def domains_from_extents(
 ) -> np.ndarray:
     """Sorted unique domain indices overlapping any ``(start, length)``.
 
-    Vector twin of :meth:`repro.workloads.trace.TaintLayout.
-    tainted_domains` — identical output array, including its treatment
-    of zero-length extents (a zero-length extent at a domain-interior
-    offset still marks its domain, exactly as the scalar ``range(first,
-    last + 1)`` does).
+    Backs :meth:`repro.workloads.trace.TaintLayout.tainted_domains`.
+    Zero-length extents follow the per-extent ``range(first, last + 1)``
+    loop: one at a domain-interior offset still marks its domain.
     """
     if not len(extents):
         return np.empty(0, dtype=np.int64)

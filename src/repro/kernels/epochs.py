@@ -2,11 +2,10 @@
 
 Two batch operations behind the temporal analyses:
 
-* :func:`duration_profile` — the Figure 5 series.  The scalar code
-  masks and sums the taint-free lengths once per threshold; the kernel
-  sorts once and reads every threshold's suffix sum off one cumulative
-  array.  Sums are exact int64 either way, so the resulting floats are
-  bit-identical.
+* :func:`duration_profile` — the Figure 5 series.  The kernel sorts
+  once and reads every threshold's suffix sum off one cumulative array;
+  the sums are exact int64, so the floats are bit-identical to masking
+  and summing once per threshold.
 * :func:`segment_epochs` / :func:`epoch_stream_from_trace` — derive an
   :class:`~repro.workloads.trace.EpochStream` from a replayed
   :class:`~repro.workloads.trace.AccessTrace` window by run-length
@@ -17,11 +16,11 @@ Two batch operations behind the temporal analyses:
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
-from repro.kernels.backend import observe_batch, record_dispatch, resolve_backend
+from repro.kernels.backend import observe_batch
 from repro.kernels.lru import compress_runs
 
 
@@ -32,9 +31,8 @@ def duration_profile(
 ) -> Dict[int, float]:
     """Percentage of all instructions inside taint-free epochs ≥ threshold.
 
-    Exact twin of the per-threshold masked sums in
-    :func:`repro.analysis.temporal.epoch_duration_profile`; the caller
-    guarantees ``total_instructions > 0``.
+    Exact twin of per-threshold masked sums; the caller guarantees
+    ``total_instructions > 0``.
     """
     free_lengths = np.asarray(free_lengths, dtype=np.int64)
     observe_batch("epoch_profile", len(free_lengths))
@@ -71,43 +69,13 @@ def segment_epochs(active_flags, gap_before, tainted_flags):
     return lengths, tainted_counts
 
 
-def _segment_epochs_scalar(active_flags, gap_before, tainted_flags):
-    """Reference per-access segmentation (the executable semantics)."""
-    lengths = []
-    tainted_counts = []
-    previous: Optional[bool] = None
-    for index in range(len(active_flags)):
-        flag = bool(active_flags[index])
-        if flag != previous:
-            lengths.append(0)
-            tainted_counts.append(0)
-            previous = flag
-        lengths[-1] += 1 + int(gap_before[index])
-        tainted_counts[-1] += int(bool(tainted_flags[index]))
-    return (
-        np.array(lengths, dtype=np.int64),
-        np.array(tainted_counts, dtype=np.int64),
-    )
-
-
-def epoch_stream_from_trace(trace, backend: Optional[str] = None):
-    """Derive an :class:`~repro.workloads.trace.EpochStream` from a window.
-
-    The backend-routed public entry point: ``"vector"`` uses
-    :func:`segment_epochs`, ``"scalar"`` the per-access reference loop.
-    """
+def epoch_stream_from_trace(trace):
+    """Derive an :class:`~repro.workloads.trace.EpochStream` from a window."""
     from repro.workloads.trace import EpochStream
 
-    choice = resolve_backend(backend)
-    record_dispatch(choice)
-    if choice == "vector":
-        lengths, tainted_counts = segment_epochs(
-            trace.active_epoch, trace.gap_before, trace.tainted
-        )
-    else:
-        lengths, tainted_counts = _segment_epochs_scalar(
-            trace.active_epoch, trace.gap_before, trace.tainted
-        )
+    lengths, tainted_counts = segment_epochs(
+        trace.active_epoch, trace.gap_before, trace.tainted
+    )
     return EpochStream(
         name=trace.name, lengths=lengths, tainted_counts=tainted_counts
     )

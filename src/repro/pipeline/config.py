@@ -26,7 +26,6 @@ DEFAULT_ANALYSIS_CYCLES = 4.38
 ENV_QUEUE_CAPACITY = "REPRO_PIPELINE_QUEUE_CAPACITY"
 ENV_DRAIN_BATCH = "REPRO_PIPELINE_DRAIN_BATCH"
 ENV_GATE_BATCH = "REPRO_PIPELINE_GATE_BATCH"
-ENV_BACKEND = "REPRO_PIPELINE_BACKEND"
 ENV_SAMPLE_RATE = "REPRO_PIPELINE_SAMPLE_RATE"
 ENV_SAMPLE_WINDOW = "REPRO_PIPELINE_SAMPLE_WINDOW"
 ENV_SAMPLE_SEED = "REPRO_PIPELINE_SAMPLE_SEED"
@@ -77,14 +76,9 @@ class PipelineConfig:
             immediate partial drain (the producer stall of Figure 11).
         drain_batch: events the monitor stage processes per automatic
             drain episode.
-        gate_batch: committed instructions gated per flush.  ``None``
-            resolves per backend: 1 for ``scalar`` (event-at-a-time,
-            the classic P-LATCH cadence) and 16 for ``vector``
-            (batched CTT probes taken at batch entry).
-        backend: gating backend — ``"scalar"``, ``"vector"``, or
-            ``None`` to follow ``repro.kernels.resolve_backend`` (the
-            ``REPRO_KERNEL_BACKEND`` switch).  A pipeline resolves the
-            backend and gate batch once, at construction.
+        gate_batch: committed instructions gated per flush; the CTT
+            verdicts of a batch are probed at batch entry.  1 is the
+            classic event-at-a-time P-LATCH cadence.
         sampling: the selective-tracing dial.
         analysis_cycles_per_event: monitor cost per queued event for
             the stall model (default: LBA-simple, 4.38 cycles).
@@ -101,8 +95,7 @@ class PipelineConfig:
 
     queue_capacity: int = 256
     drain_batch: int = 64
-    gate_batch: Optional[int] = None
-    backend: Optional[str] = None
+    gate_batch: int = 16
     sampling: SamplingConfig = field(default_factory=SamplingConfig)
     analysis_cycles_per_event: float = DEFAULT_ANALYSIS_CYCLES
     model_epoch: int = 1000
@@ -113,8 +106,8 @@ class PipelineConfig:
             raise ValueError("queue_capacity must be >= 1")
         if self.drain_batch < 1:
             raise ValueError("drain_batch must be >= 1")
-        if self.gate_batch is not None and self.gate_batch < 1:
-            raise ValueError("gate_batch must be >= 1 (or None)")
+        if self.gate_batch < 1:
+            raise ValueError("gate_batch must be >= 1")
         if self.analysis_cycles_per_event <= 0:
             raise ValueError("analysis_cycles_per_event must be positive")
         if self.model_epoch < 1:
@@ -127,21 +120,7 @@ class PipelineConfig:
                 f"got {self.hist_mode!r}"
             )
 
-    # ------------------------------------------------------------ resolved
-
-    @property
-    def resolved_backend(self) -> str:
-        """The concrete gating backend ("scalar" or "vector")."""
-        from repro.kernels.backend import resolve_backend
-
-        return resolve_backend(self.backend)
-
-    @property
-    def resolved_gate_batch(self) -> int:
-        """The concrete gate batch (backend-dependent default)."""
-        if self.gate_batch is not None:
-            return self.gate_batch
-        return 1 if self.resolved_backend == "scalar" else 16
+    # ------------------------------------------------------------ derived
 
     @property
     def pending_capacity(self) -> int:
@@ -154,7 +133,7 @@ class PipelineConfig:
         """
         return max(
             4 * self.queue_capacity,
-            self.queue_capacity + 2 * self.resolved_gate_batch + 8,
+            self.queue_capacity + 2 * self.gate_batch + 8,
         )
 
     def lba_parameters(self):
@@ -181,16 +160,29 @@ class PipelineConfig:
 
         Unset variables fall back to the dataclass defaults; explicit
         ``overrides`` win over the environment (the CLI flag path).
+
+        Raises:
+            ValueError: a variable does not parse as its type; the
+                message names the variable.
         """
         env = os.environ if env is None else env
 
-        def _int(name: str):
+        def _parse(name: str, kind, noun: str):
             raw = env.get(name)
-            return int(raw) if raw not in (None, "") else None
+            if raw in (None, ""):
+                return None
+            try:
+                return kind(raw)
+            except ValueError:
+                raise ValueError(
+                    f"{name} must be {noun}, got {raw!r}"
+                ) from None
+
+        def _int(name: str):
+            return _parse(name, int, "an integer")
 
         def _float(name: str):
-            raw = env.get(name)
-            return float(raw) if raw not in (None, "") else None
+            return _parse(name, float, "a number")
 
         values = {}
         for key, reader, var in (
@@ -202,9 +194,6 @@ class PipelineConfig:
             parsed = reader(var)
             if parsed is not None:
                 values[key] = parsed
-        backend = env.get(ENV_BACKEND)
-        if backend:
-            values["backend"] = backend
         hist_mode = env.get(ENV_HIST_MODE)
         if hist_mode:
             values["hist_mode"] = hist_mode

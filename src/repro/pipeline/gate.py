@@ -9,21 +9,20 @@ An instruction must reach the precise monitor iff any of:
 * a written register is currently marked tainted (the instruction
   changes taint state by overwriting it).
 
-Two backends compute the memory-operand verdict:
+The memory-operand verdict is the CTT bit itself: one
+:meth:`~repro.core.ctt.CoarseTaintTable.any_domain_tainted` probe per
+memory operand.  The CTC and the TLB taint bits only cache that bit —
+under the pipeline's immediate-clear discipline the CTC always resolves
+to it and the TLB screen is a conservative refinement of it — so the
+gate skips them and leaves their cost counters untouched; S-LATCH and
+H-LATCH replay (``measure_hw_rates``, ``run_hlatch``) measure those
+structures.  The P-LATCH stall model charges only analysis cycles per
+queued event.
 
-* ``scalar`` — :meth:`repro.core.latch.LatchModule.check_step` per
-  event, driving the CTC/TLB cost model exactly as the hardware would;
-* ``vector`` — a batched pure-CTT probe: one
-  :meth:`~repro.core.ctt.CoarseTaintTable.any_domain_tainted` lookup per
-  memory operand, taken for the whole micro-batch at batch entry.
-
-Under the pipeline's immediate-clear discipline the CTC always resolves
-to the CTT bit and the TLB screen is a conservative refinement of it,
-so both backends produce the *same admission decisions*; only the cache
-cost counters differ (the vector path models a wider classification
-unit and leaves the CTC/TLB untouched).  The pipeline keeps the
-batch-entry verdicts sound across mid-batch drains by deferring pending
-retires, or by falling back to live checks when it cannot.
+Verdicts are taken for a whole micro-batch at batch entry
+(:meth:`LatchGate.memory_flags`).  The pipeline keeps them sound across
+mid-batch drains by deferring pending retires, or, when it cannot, asks
+:meth:`LatchGate.admit` for live verdicts instead.
 """
 
 from __future__ import annotations
@@ -53,25 +52,15 @@ class GateStats:
 class LatchGate:
     """Stage 2 of the pipeline: coarse classification of step events."""
 
-    def __init__(self, latch, pending, backend: str) -> None:
+    def __init__(self, latch, pending) -> None:
         self.latch = latch
         self.pending = pending
-        self.backend = backend
         self.stats = GateStats()
 
     # -------------------------------------------------------------- flags
 
-    def memory_flags(
-        self, events: Sequence[StepEvent]
-    ) -> List[Optional[bool]]:
-        """Precomputed memory verdict per event (vector backend only).
-
-        The scalar backend returns ``None`` placeholders — its verdicts
-        are computed live in :meth:`admit` via ``check_step`` so the
-        CTC/TLB cost model sees each access at admission time.
-        """
-        if self.backend != "vector":
-            return [None] * len(events)
+    def memory_flags(self, events: Sequence[StepEvent]) -> List[bool]:
+        """The CTT verdict per event, probed now (at batch entry)."""
         tainted = self.latch.ctt.any_domain_tainted
         return [
             any(tainted(access.address, access.size)
@@ -85,23 +74,20 @@ class LatchGate:
     def admit(
         self, event: StepEvent, memory_flag: Optional[bool] = None
     ) -> bool:
-        """Decide one step event; updates the per-reason accounting."""
+        """Decide one step event; updates the per-reason accounting.
+
+        ``memory_flag`` is the event's batch-entry verdict from
+        :meth:`memory_flags`; ``None`` probes the CTT live instead.
+        """
         self.stats.steps += 1
-        if memory_flag is None:
-            check = self.latch.check_step(event)
-            register_hit = check.register_tainted
-            memory_hit = any(
-                result.coarse_tainted for result in check.memory_results
-            )
-        else:
-            register_hit = bool(event.regs_read) and self.latch.trf.any_tainted(
-                event.regs_read
-            )
-            memory_hit = memory_flag
-        if register_hit:
+        if bool(event.regs_read) and self.latch.trf.any_tainted(
+            event.regs_read
+        ):
             self.stats.register_hits += 1
             return True
-        if memory_hit:
+        if memory_flag is None:
+            memory_flag = self.memory_flags((event,))[0]
+        if memory_flag:
             self.stats.memory_hits += 1
             return True
         for access in event.memory_accesses:

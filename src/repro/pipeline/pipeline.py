@@ -9,10 +9,9 @@ into stages that each do one thing:
    the queue as ordered control events, so the asynchronous consumer
    replays sources, sinks, and stores in exact commit order.
 2. **Gate** — :class:`repro.pipeline.gate.LatchGate` runs the coarse
-   LATCH classification (scalar ``check_step`` or windowed
-   ``repro.kernels`` classification) plus the pending-update guard;
-   provably taint-free instructions are suppressed here and never
-   reach the queue.
+   LATCH classification (one CTT probe per memory operand, taken at
+   batch entry) plus the pending-update guard; provably taint-free
+   instructions are suppressed here and never reach the queue.
 3. **Sample** — an optional :class:`WindowSampler` drops whole windows
    of would-be-monitored events (the HardTaint coverage/overhead dial).
 4. **Queue** — a :class:`BoundedEventQueue` with real backpressure: a
@@ -90,7 +89,7 @@ class StreamingPipeline(Observer):
             a remote trace replays bit-identically to a local run.
         policy: DIFT policy for the monitor core.
         latch_config: LATCH structural parameters.
-        config: pipeline shape (queue, batching, backend, sampling).
+        config: pipeline shape (queue, batching, sampling).
         registry: obs registry to publish into (one is created if
             omitted); the queue-occupancy histogram records into it
             during the run.
@@ -119,12 +118,8 @@ class StreamingPipeline(Observer):
             capacity=self.config.pending_capacity
         )
         self.sampler = WindowSampler(self.config.sampling)
-        # Resolved once: the backend and flush cadence stay fixed for
-        # the life of the pipeline, whatever the environment does later.
-        self.gate = LatchGate(
-            self.latch, self.pending, backend=self.config.resolved_backend
-        )
-        self._gate_batch = self.config.resolved_gate_batch
+        self.gate = LatchGate(self.latch, self.pending)
+        self._gate_batch = self.config.gate_batch
         self.model = StallModel(
             self.config.analysis_cycles_per_event,
             self.config.queue_capacity,
@@ -278,7 +273,7 @@ class StreamingPipeline(Observer):
 
         Draining an empty queue is a *true* no-op: no TRF resync, no
         occupancy sample, no metric movement.  That makes repeated
-        ``finish()`` calls idempotent under both gate backends — the
+        ``finish()`` calls idempotent at every gate cadence — the
         multi-tenant disconnect path drains once when the client
         vanishes and again at teardown without skewing per-tenant
         metrics or state.
@@ -334,9 +329,7 @@ class StreamingPipeline(Observer):
                 "on_step/on_input/on_output instead"
             )
         with maybe_span(
-            "pipeline.run",
-            backend=self.gate.backend,
-            queue_capacity=self.config.queue_capacity,
+            "pipeline.run", queue_capacity=self.config.queue_capacity
         ):
             executed = self.cpu.run(max_steps)
             self.finish()
@@ -362,7 +355,6 @@ class StreamingPipeline(Observer):
 
         with maybe_span(
             "pipeline.replay_trace",
-            backend=self.gate.backend,
             queue_capacity=self.config.queue_capacity,
         ):
             return replay_events(source, self)

@@ -8,15 +8,16 @@ DIFT, with real backpressure, stall accounting, and a sampling dial —
 and this module keeps the long-standing whole-run API as a thin wrapper
 configured for the classic cadence:
 
-* scalar gating backend (``check_step`` per event, driving the CTC/TLB
-  cost model at admission time);
 * event-at-a-time gate batches (``gate_batch=1``);
 * sampling disabled.
 
-Under that configuration the wrapper reproduces the original
-event-at-a-time P-LATCH loop decision for decision, so the long-standing
-differential tests in ``tests/test_platch_functional.py`` pin the
-pipeline to the seed behaviour.  See docs/PIPELINE.md for the pipeline
+The gate probes the CTT directly, as every pipeline does, so the CTC
+and TLB taint-bit cost counters stay at zero; S-LATCH and H-LATCH
+replay measure those structures.  Under that configuration the wrapper
+reproduces the original event-at-a-time P-LATCH loop decision for
+decision, so the long-standing differential tests in
+``tests/test_platch_functional.py`` pin the pipeline to the seed
+behaviour.  See docs/PIPELINE.md for the pipeline
 architecture and the knobs the wrapper deliberately does not expose.
 """
 
@@ -78,7 +79,6 @@ class PLatchSystem(StreamingPipeline):
                 queue_capacity=queue_capacity,
                 drain_batch=drain_batch,
                 gate_batch=1,
-                backend="scalar",
                 sampling=SamplingConfig(),
             ),
         )

@@ -30,15 +30,13 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.kernels import resolve_backend
 from repro.obs.snapshot import SNAPSHOT_VERSION, StatsSnapshot
 from repro.workloads.profiles import get_profile
 from repro.workloads.storage import _FORMAT_VERSION as TRACE_FORMAT_VERSION
 
 #: Bumped whenever the key payload layout (not the results) changes.
-#: v2: the resolved kernel backend entered the payload, so flipping
-#: ``REPRO_KERNEL_BACKEND`` can never serve a stale cached snapshot.
-JOB_KEY_VERSION = 2
+#: v3: the kernel-backend field left the payload (one replay path).
+JOB_KEY_VERSION = 3
 
 #: Experiment kinds the worker knows how to execute.  ``chaos`` is the
 #: fault-injection kind used by the fault-tolerance tests and docs;
@@ -146,10 +144,6 @@ class JobSpec:
             "snapshot_version": SNAPSHOT_VERSION,
             "package_version": _package_version(),
             "profile": self._profile_fingerprint(),
-            # The backend that would execute this job right now.  The two
-            # backends are required to produce identical snapshots, but the
-            # cache must not *depend* on that invariant to stay correct.
-            "kernel_backend": resolve_backend(None),
             "spec": self.to_dict(),
         }
         blob = json.dumps(payload, sort_keys=True)

@@ -178,8 +178,8 @@ def local_reference(
 
     Returns the same ``{"signature": ..., "stats": ...}`` shape a
     served stream produces, computed by attaching a
-    :class:`repro.platch.PLatchSystem` (scalar gate, batch 1 — the
-    served default) to a fresh local CPU.
+    :class:`repro.platch.PLatchSystem` (gate batch 1 — the served
+    default) to a fresh local CPU.
     """
     from repro.machine.cpu import ExecutionError
     from repro.platch.functional import PLatchSystem

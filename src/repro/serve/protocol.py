@@ -98,6 +98,19 @@ class ProtocolError(Exception):
     """Malformed frame or message."""
 
 
+def wire_value(kind, key: str, value):
+    """``kind(value)`` for one request field; a bad value is a protocol error.
+
+    Booleans must be real JSON booleans, since ``bool("false")`` is True.
+    """
+    if kind is bool and not isinstance(value, bool):
+        raise ProtocolError(f"{key} must be a JSON boolean, got {value!r}")
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as error:
+        raise ProtocolError(f"bad {key}: {error}") from error
+
+
 # ------------------------------------------------------------------ frames
 
 

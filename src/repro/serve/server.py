@@ -50,6 +50,7 @@ from repro.serve.protocol import (
     ProtocolError,
     encode_frame,
     error_message,
+    wire_value,
 )
 from repro.serve.session import JobRunner, StreamSession
 from repro.serve.tenant import TenantDirectory, TenantLimits, TenantNameError
@@ -641,7 +642,8 @@ class TaintServer:
         try:
             session = self._session_for(message, sessions)
             return session.query(
-                int(message.get("address", -1)), int(message.get("size", 0))
+                wire_value(int, "address", message.get("address", -1)),
+                wire_value(int, "size", message.get("size", 0)),
             )
         except ProtocolError as error:
             return error_message(str(error), code="query")

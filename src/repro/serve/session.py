@@ -36,44 +36,51 @@ from repro.serve.protocol import (
     ProtocolError,
     canonical_signature,
     decode_batch,
+    wire_value,
 )
 
 #: Job executions are bounded regardless of what the client asks for.
 MAX_JOB_STEPS = 2_000_000
 
 
+def _knobs(overrides, what: str):
+    if overrides is None:
+        return ()
+    if not isinstance(overrides, dict):
+        raise ProtocolError(f"{what} overrides must be an object")
+    return overrides.items()
+
+
 def pipeline_config_from_wire(overrides: Optional[Dict]) -> PipelineConfig:
     """Build a :class:`PipelineConfig` from a request's override dict.
 
     Only whitelisted structural knobs are honoured; anything else is a
-    protocol error (clients must not smuggle arbitrary kwargs).  The
-    default is the classic P-LATCH cadence — scalar gate, batch 1 —
-    which is exactly :class:`repro.platch.PLatchSystem`'s shape, so an
-    unconfigured served check is bit-comparable to the local wrapper.
+    protocol error (clients must not smuggle arbitrary kwargs), and so
+    is a value that does not coerce to its knob's type.  The default is
+    the classic P-LATCH cadence — gate batch 1 — which is exactly
+    :class:`repro.platch.PLatchSystem`'s shape, so an unconfigured
+    served check is bit-comparable to the local wrapper.
     """
     # Served pipelines default to bounded histograms: sessions are
     # long-lived, so per-sample occupancy storage would grow without
     # bound (clients can still ask for "exact" explicitly).
-    values: Dict = {"gate_batch": 1, "backend": "scalar",
-                    "hist_mode": "bounded"}
+    values: Dict = {"gate_batch": 1, "hist_mode": "bounded"}
     sampling: Dict = {}
-    for key, value in (overrides or {}).items():
+    for key, value in _knobs(overrides, "pipeline"):
         if key in ("queue_capacity", "drain_batch", "gate_batch",
                    "model_epoch"):
-            values[key] = int(value)
-        elif key in ("backend", "hist_mode"):
-            values[key] = str(value)
-        elif key in ("sample_rate",):
-            sampling["rate"] = float(value)
-        elif key in ("sample_window",):
-            sampling["window"] = int(value)
-        elif key in ("sample_seed",):
-            sampling["seed"] = int(value)
+            values[key] = wire_value(int, key, value)
+        elif key == "hist_mode":
+            values[key] = wire_value(str, key, value)
+        elif key == "sample_rate":
+            sampling["rate"] = wire_value(float, key, value)
+        elif key in ("sample_window", "sample_seed"):
+            sampling[key[len("sample_"):]] = wire_value(int, key, value)
         else:
             raise ProtocolError(f"unknown pipeline knob: {key!r}")
-    if sampling:
-        values["sampling"] = SamplingConfig(**sampling)
     try:
+        if sampling:
+            values["sampling"] = SamplingConfig(**sampling)
         return PipelineConfig(**values)
     except ValueError as error:
         raise ProtocolError(f"bad pipeline config: {error}") from error
@@ -86,13 +93,33 @@ def latch_config_from_wire(overrides: Optional[Dict]) -> LatchConfig:
         "use_tlb_bits", "ctc_miss_penalty_cycles",
     }
     values: Dict = {}
-    for key, value in (overrides or {}).items():
+    for key, value in _knobs(overrides, "latch"):
         if key not in allowed:
             raise ProtocolError(f"unknown latch knob: {key!r}")
-        values[key] = bool(value) if key == "use_tlb_bits" else int(value)
+        values[key] = wire_value(
+            bool if key == "use_tlb_bits" else int, key, value
+        )
     try:
         return LatchConfig(**values)
     except (TypeError, ValueError) as error:
+        raise ProtocolError(f"bad latch config: {error}") from error
+
+
+def _wire_pipeline(
+    cpu, pipeline_overrides, latch_overrides, registry
+) -> StreamingPipeline:
+    """A pipeline built from a request's ``pipeline``/``latch`` overrides.
+
+    Every bad override — unknown knob, wrong type, or a value the LATCH
+    structures reject at construction — is a :class:`ProtocolError`.
+    """
+    latch_config = latch_config_from_wire(latch_overrides)
+    config = pipeline_config_from_wire(pipeline_overrides)
+    try:
+        return StreamingPipeline(
+            cpu, latch_config=latch_config, config=config, registry=registry
+        )
+    except ValueError as error:
         raise ProtocolError(f"bad latch config: {error}") from error
 
 
@@ -128,13 +155,10 @@ class StreamSession:
         self.stream_id = stream_id
         self.slot = slot
         self.controller = controller
-        self.config = pipeline_config_from_wire(pipeline_overrides)
-        self.pipeline = StreamingPipeline(
-            cpu=None,
-            latch_config=latch_config_from_wire(latch_overrides),
-            config=self.config,
-            registry=tenant.obs,
+        self.pipeline = _wire_pipeline(
+            None, pipeline_overrides, latch_overrides, tenant.obs
         )
+        self.config = self.pipeline.config
         self.events_fed = 0
         self.halted = False
         self.retries = 0
@@ -286,14 +310,13 @@ class JobRunner:
                 raise
             except Exception as error:
                 raise ProtocolError(f"bad job file: {error}") from error
-        max_steps = min(int(job.get("max_steps", MAX_JOB_STEPS)),
-                        MAX_JOB_STEPS)
+        max_steps = min(
+            wire_value(int, "max_steps", job.get("max_steps", MAX_JOB_STEPS)),
+            MAX_JOB_STEPS,
+        )
         cpu = CPU(program, devices=devices)
-        pipeline = StreamingPipeline(
-            cpu,
-            latch_config=latch_config_from_wire(job.get("latch")),
-            config=pipeline_config_from_wire(job.get("pipeline")),
-            registry=self.tenant.obs,
+        pipeline = _wire_pipeline(
+            cpu, job.get("pipeline"), job.get("latch"), self.tenant.obs
         )
         try:
             executed = cpu.run(max_steps)
@@ -328,11 +351,8 @@ class JobRunner:
             blob = base64.b64decode(str(job["trace"]), validate=True)
         except Exception as error:
             raise ProtocolError(f"bad trace encoding: {error}") from error
-        pipeline = StreamingPipeline(
-            None,
-            latch_config=latch_config_from_wire(job.get("latch")),
-            config=pipeline_config_from_wire(job.get("pipeline")),
-            registry=self.tenant.obs,
+        pipeline = _wire_pipeline(
+            None, job.get("pipeline"), job.get("latch"), self.tenant.obs
         )
         try:
             from repro.trace.format import ColumnarFile

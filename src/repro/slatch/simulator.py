@@ -27,7 +27,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.core.latch import LatchConfig, LatchModule
-from repro.kernels import record_dispatch, replay_check_memory, resolve_backend
+from repro.kernels import replay_check_memory
 from repro.obs.spans import maybe_span
 from repro.slatch.costs import SLatchCostModel
 from repro.workloads.profiles import WorkloadProfile
@@ -152,7 +152,6 @@ def measure_hw_rates(
     trace: AccessTrace,
     latch_config: Optional[LatchConfig] = None,
     latch: Optional[LatchModule] = None,
-    backend: Optional[str] = None,
 ) -> HwRates:
     """Measure hardware-mode FP and CTC-miss rates from an access trace.
 
@@ -163,12 +162,8 @@ def measure_hw_rates(
     A caller that wants the measurement module's counters afterwards
     (e.g. ``repro-stats`` publishing ``ctc.hit_rate``) can pass its own
     ``latch``; it is bulk-loaded and replayed exactly as the internally
-    constructed one would be.  ``backend`` picks the scalar loop or the
-    batch replay kernels (identical counters); None defers to
-    ``REPRO_KERNEL_BACKEND`` / the default.
+    constructed one would be.
     """
-    choice = resolve_backend(backend)
-    record_dispatch(choice)
     if latch is None:
         latch = LatchModule(latch_config)
     latch.bulk_load_from_shadow(trace.layout.to_shadow())
@@ -180,13 +175,9 @@ def measure_hw_rates(
     if hw_instructions == 0:
         return HwRates(0.0, 0.0)
 
-    with maybe_span("slatch.hw_replay", backend=choice,
-                    workload=trace.name, accesses=int(len(addresses))):
-        if choice == "vector":
-            replay_check_memory(latch, addresses, sizes)
-        else:
-            for index in range(len(addresses)):
-                latch.check_memory(int(addresses[index]), int(sizes[index]))
+    with maybe_span("slatch.hw_replay", workload=trace.name,
+                    accesses=int(len(addresses))):
+        replay_check_memory(latch, addresses, sizes)
     fp = latch.stats.sent_to_precise
     misses = latch.ctc.stats.misses
     return HwRates(

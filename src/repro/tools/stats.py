@@ -146,10 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="events classified per gating batch",
     )
     platch.add_argument(
-        "--backend", choices=["scalar", "vector"], default=None,
-        help="gating backend for the coarse classification stage",
-    )
-    platch.add_argument(
         "--sample-rate", type=float, default=None,
         help="fraction of admitted windows to monitor (0 < rate <= 1)",
     )
@@ -185,8 +181,6 @@ def _platch_config(args):
         overrides["queue_capacity"] = args.queue_capacity
     if args.gate_batch is not None:
         overrides["gate_batch"] = args.gate_batch
-    if args.backend is not None:
-        overrides["backend"] = args.backend
     config = PipelineConfig.from_env(**overrides)
 
     sampling = {}
@@ -243,9 +237,8 @@ def run_program(args) -> StatsSnapshot:
                 tracer.close()
         snapshot = pipeline.snapshot()
         snapshot.meta.update({
-            "backend": config.resolved_backend,
             "queue_capacity": config.queue_capacity,
-            "gate_batch": config.resolved_gate_batch,
+            "gate_batch": config.gate_batch,
             "sample_rate": config.sampling.rate,
             "sample_window": config.sampling.window,
             "sample_seed": config.sampling.seed,

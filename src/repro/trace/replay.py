@@ -47,7 +47,7 @@ from repro.hlatch.taint_cache import (
     PreciseTaintCache,
     TaintCacheConfig,
 )
-from repro.kernels import classify, record_dispatch
+from repro.kernels import classify
 from repro.kernels import ctc as ctc_kernel
 from repro.kernels import tcache as tcache_kernel
 from repro.kernels import tlb as tlb_kernel
@@ -402,7 +402,6 @@ def replay_columnar(
     count, mapped bytes) — wall-clock timings stay out of it so the
     result snapshot is machine-independent.
     """
-    record_dispatch("vector")
     opened_here = not isinstance(source, ColumnarAccessTrace)
     trace = source if not opened_here else ColumnarAccessTrace(source)
     try:
@@ -476,7 +475,6 @@ def replay_baseline_columnar(
     plan: Optional[Sequence[Tuple[int, int]]] = None,
 ) -> BaselineReport:
     """Columnar, sharded equivalent of :func:`repro.hlatch.run_baseline`."""
-    record_dispatch("vector")
     opened_here = not isinstance(source, ColumnarAccessTrace)
     trace = source if not opened_here else ColumnarAccessTrace(source)
     try:
@@ -627,7 +625,6 @@ def replay_columnar_pooled(
             ShardPartial.from_wire(result.snapshot.meta["trace_shard"])
         )
 
-    record_dispatch("vector")
     system = _loaded_system(layout, latch_config, tcache_config)
     merge_started = time.perf_counter()
     merge_partials(partials, system)

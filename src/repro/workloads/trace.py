@@ -123,42 +123,19 @@ class TaintLayout:
     extents: List[Tuple[int, int]] = field(default_factory=list)
     accessed_pages: Set[int] = field(default_factory=set)
 
-    def tainted_pages(self, backend: str = None) -> Set[int]:
+    def tainted_pages(self) -> Set[int]:
         """Pages containing at least one tainted byte."""
-        from repro.kernels import domains_from_extents, record_dispatch, resolve_backend
-
-        choice = resolve_backend(backend)
-        record_dispatch(choice)
-        if choice == "vector":
-            return set(domains_from_extents(self.extents, PAGE_SIZE).tolist())
-        pages: Set[int] = set()
-        for start, length in self.extents:
-            pages.update(range(start // PAGE_SIZE, (start + length - 1) // PAGE_SIZE + 1))
-        return pages
+        return set(self.tainted_domains(PAGE_SIZE).tolist())
 
     def tainted_byte_count(self) -> int:
         """Total tainted bytes."""
         return sum(length for _, length in self.extents)
 
-    def tainted_domains(self, domain_size: int, backend: str = None) -> np.ndarray:
-        """Sorted unique indices of domains containing tainted bytes.
+    def tainted_domains(self, domain_size: int) -> np.ndarray:
+        """Sorted unique indices of domains containing tainted bytes."""
+        from repro.kernels import domains_from_extents
 
-        ``backend`` routes between the per-extent set loop (``"scalar"``)
-        and :func:`repro.kernels.domains_from_extents` (``"vector"``,
-        identical output); None defers to ``REPRO_KERNEL_BACKEND``.
-        """
-        from repro.kernels import domains_from_extents, record_dispatch, resolve_backend
-
-        choice = resolve_backend(backend)
-        record_dispatch(choice)
-        if choice == "vector":
-            return domains_from_extents(self.extents, domain_size)
-        indices: Set[int] = set()
-        for start, length in self.extents:
-            first = start // domain_size
-            last = (start + length - 1) // domain_size
-            indices.update(range(first, last + 1))
-        return np.fromiter(sorted(indices), dtype=np.int64, count=len(indices))
+        return domains_from_extents(self.extents, domain_size)
 
     def bytes_tainted(self, addresses: np.ndarray) -> np.ndarray:
         """Vectorised precise taint status of the byte at each address."""

@@ -2,16 +2,17 @@
 
 Run from the repository root::
 
-    PYTHONPATH=src python tests/golden/regen.py
+    PYTHONPATH=src:. python tests/golden/regen.py
 
 Produces, per pinned workload:
 
 * ``<name>_w2000_s0.npz``  — a 2 000-access :class:`AccessTrace` window,
 * ``<name>_epochs_s0.npz`` — a 100 k-instruction :class:`EpochStream`,
 
-plus ``expected.json`` (the replay results both kernel backends must
-reproduce exactly) and ``corrupt.npz`` (a deliberately truncated archive
-that must raise :class:`StorageFormatError`).
+plus ``expected.json`` (the replay results the kernels and their
+per-access oracles must both reproduce exactly) and ``corrupt.npz``
+(a deliberately truncated archive that must raise
+:class:`StorageFormatError`).
 
 The fixtures are committed; regenerate them only when the workload
 generator or the snapshot format changes *intentionally*, and say so in
@@ -23,29 +24,15 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.analysis.temporal import epoch_duration_profile
-from repro.hlatch.baseline import run_baseline
-from repro.hlatch.system import HLatchSystem
 from repro.workloads import WorkloadGenerator, get_profile
 from repro.workloads.storage import save_access_trace, save_epoch_stream
+from tests import kernel_oracles
 
 GOLDEN_DIR = Path(__file__).parent
 WORKLOADS = ("gcc", "curl")
 TRACE_WINDOW = 2_000
 EPOCH_SCALE = 100_000
 SEED = 0
-
-
-def _hlatch_snapshot_dict(trace):
-    system = HLatchSystem()
-    system.load_taint(trace.layout)
-    for index in range(trace.access_count):
-        system.access(
-            int(trace.addresses[index]),
-            int(trace.sizes[index]),
-            bool(trace.is_write[index]),
-        )
-    return system.snapshot().to_dict()
 
 
 def main() -> None:
@@ -56,17 +43,17 @@ def main() -> None:
         stream = generator.epoch_stream(EPOCH_SCALE)
         save_access_trace(trace, GOLDEN_DIR / f"{name}_w{TRACE_WINDOW}_s{SEED}.npz")
         save_epoch_stream(stream, GOLDEN_DIR / f"{name}_epochs_s{SEED}.npz")
-        baseline = run_baseline(trace, backend="scalar")
+        baseline = kernel_oracles.run_baseline(trace)
         expected[name] = {
-            "hlatch_snapshot": _hlatch_snapshot_dict(trace),
+            "hlatch_snapshot": kernel_oracles.hlatch_snapshot(trace).to_dict(),
             "baseline": {
                 "accesses": baseline.accesses,
                 "misses": baseline.misses,
             },
             "epoch_profile": {
                 str(threshold): value
-                for threshold, value in epoch_duration_profile(
-                    stream, backend="scalar"
+                for threshold, value in kernel_oracles.epoch_duration_profile(
+                    stream
                 ).items()
             },
         }

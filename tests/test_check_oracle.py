@@ -3,8 +3,8 @@
 Covers the tentpole acceptance criteria: the oracle replays the
 committed regression corpus plus a batch of freshly generated seeded
 programs across byte-precise DIFT, the core mirror (both clear
-disciplines), S-LATCH, H-LATCH, and both kernel replay backends with
-zero violations — and the mutation self-test proves the harness can
+disciplines), S-LATCH, H-LATCH, and the per-access and batch kernel
+replays with zero violations — and the mutation self-test proves the harness can
 detect and shrink a planted soundness bug.
 """
 
@@ -111,12 +111,14 @@ class TestCorpusRoundTrip:
 
 class TestStreamPath:
     def test_stream_path_runs_both_backends(self):
-        from repro.check.oracle import ALL_PATHS
+        """The stream path runs both gate cadences (1 and 16)."""
+        from repro.check.oracle import ALL_PATHS, STREAM_GATE_BATCHES
 
         assert "stream" in ALL_PATHS
+        assert STREAM_GATE_BATCHES == (1, 16)
         report = check_program(generate_program(2), paths=("stream",))
         assert report.ok, "\n".join(str(v) for v in report.violations)
-        assert report.runs == 3  # reference + scalar + vector
+        assert report.runs == 3  # reference + cadence 1 + cadence 16
 
     def test_env_knobs_reach_the_stream_runs(self, monkeypatch):
         from repro.check.oracle import run_stream
@@ -124,7 +126,7 @@ class TestStreamPath:
         monkeypatch.setenv("REPRO_PIPELINE_QUEUE_CAPACITY", "4")
         monkeypatch.setenv("REPRO_PIPELINE_DRAIN_BATCH", "64")
         monkeypatch.setenv("REPRO_PIPELINE_MODEL_EPOCH", "1")
-        pipeline = run_stream(generate_program(2), backend="scalar")
+        pipeline = run_stream(generate_program(2), gate_batch=1)
         assert pipeline.config.queue_capacity == 4
         assert pipeline.config.drain_batch == 64
         # Exact replay still holds under oracle-driven runs.
@@ -152,7 +154,7 @@ class TestStreamPath:
             stream_obs=registry,
         )
         snapshot = registry.snapshot()
-        assert snapshot.get("pipeline.runs") == 4  # 2 programs x 2 backends
+        assert snapshot.get("pipeline.runs") == 4  # 2 programs x 2 cadences
         assert snapshot.get("pipeline.instructions") > 0
         assert "pipeline.queue.stall_cycles" in snapshot
         assert "pipeline.model.predicted_stall_cycles" in snapshot

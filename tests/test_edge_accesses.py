@@ -1,9 +1,10 @@
-"""Zero-length and page-wrapping accesses, memory → LATCH, both backends.
+"""Zero-length and page-wrapping accesses, memory → LATCH, both paths.
 
 The machine's :class:`~repro.machine.memory.PagedMemory` wraps at the
 top of the 32-bit space and accepts zero-length transfers; the coarse
-structures must agree on both conventions, and the scalar and vector
-kernel backends must produce identical flags *and* counters for them.
+structures must agree on both conventions, and per-access
+``check_memory`` and the batch ``replay_check_memory`` kernel must
+produce identical flags *and* counters for them.
 """
 
 import numpy as np

@@ -13,8 +13,10 @@ for provenance).  These tests serve two purposes:
   exercised against genuine zip corruption rather than a synthetic
   monkeypatched error.
 
-Both kernel backends replay every golden trace and must match the
-golden snapshot *and* each other byte for byte.
+Every golden trace replays twice — ``vector`` through the product
+kernels, ``scalar`` through the per-access oracles in
+``tests/kernel_oracles.py`` — and both must match the golden snapshot
+byte for byte.
 """
 
 from __future__ import annotations
@@ -34,9 +36,11 @@ from repro.workloads.storage import (
     load_epoch_stream,
 )
 
+from tests import kernel_oracles
+
 GOLDEN_DIR = Path(__file__).parent / "golden"
 WORKLOADS = ("gcc", "curl")
-BACKENDS = ("scalar", "vector")
+REPLAYS = ("scalar", "vector")
 
 EXPECTED = json.loads((GOLDEN_DIR / "expected.json").read_text())
 
@@ -45,46 +49,44 @@ def _trace_path(name):
     return GOLDEN_DIR / f"{name}_w2000_s0.npz"
 
 
-def _replay_snapshot(trace, backend):
+def _replay_snapshot(trace, replay_path):
+    if replay_path == "scalar":
+        return kernel_oracles.hlatch_snapshot(trace)
     system = HLatchSystem()
     system.load_taint(trace.layout)
-    if backend == "vector":
-        replay_hlatch_window(
-            system, trace.addresses, trace.sizes, trace.is_write
-        )
-    else:
-        for index in range(trace.access_count):
-            system.access(
-                int(trace.addresses[index]),
-                int(trace.sizes[index]),
-                bool(trace.is_write[index]),
-            )
+    replay_hlatch_window(system, trace.addresses, trace.sizes, trace.is_write)
     return system.snapshot()
 
 
 class TestGoldenReplay:
     @pytest.mark.parametrize("name", WORKLOADS)
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_hlatch_snapshot_matches_golden(self, name, backend):
+    @pytest.mark.parametrize("replay_path", REPLAYS)
+    def test_hlatch_snapshot_matches_golden(self, name, replay_path):
         trace = load_access_trace(_trace_path(name))
-        snapshot = _replay_snapshot(trace, backend)
+        snapshot = _replay_snapshot(trace, replay_path)
         golden = EXPECTED[name]["hlatch_snapshot"]
         assert snapshot.to_dict()["metrics"] == golden["metrics"]
 
     @pytest.mark.parametrize("name", WORKLOADS)
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_baseline_matches_golden(self, name, backend):
+    @pytest.mark.parametrize("replay_path", REPLAYS)
+    def test_baseline_matches_golden(self, name, replay_path):
         trace = load_access_trace(_trace_path(name))
-        report = run_baseline(trace, backend=backend)
+        if replay_path == "scalar":
+            report = kernel_oracles.run_baseline(trace)
+        else:
+            report = run_baseline(trace)
         golden = EXPECTED[name]["baseline"]
         assert report.accesses == golden["accesses"]
         assert report.misses == golden["misses"]
 
     @pytest.mark.parametrize("name", WORKLOADS)
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_epoch_profile_matches_golden(self, name, backend):
+    @pytest.mark.parametrize("replay_path", REPLAYS)
+    def test_epoch_profile_matches_golden(self, name, replay_path):
         stream = load_epoch_stream(GOLDEN_DIR / f"{name}_epochs_s0.npz")
-        profile = epoch_duration_profile(stream, backend=backend)
+        if replay_path == "scalar":
+            profile = kernel_oracles.epoch_duration_profile(stream)
+        else:
+            profile = epoch_duration_profile(stream)
         golden = EXPECTED[name]["epoch_profile"]
         # The golden floats were serialised through json, so comparing
         # their round-trips checks exact bit patterns, not tolerances.

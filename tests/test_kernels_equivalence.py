@@ -1,18 +1,18 @@
 """Differential conformance harness for :mod:`repro.kernels`.
 
-The scalar per-access loops are the executable specification; the
-vector backend is required to reproduce their published counters *byte
-for byte* — every equivalence assertion here compares serialised
-:class:`~repro.obs.StatsSnapshot` JSON (or exact numpy arrays), never
-tolerances.  Hypothesis drives adversarial windows at the shapes the
+The per-access loops in ``tests/kernel_oracles.py`` are the executable
+specification; the batch kernels are required to reproduce their
+published counters *byte for byte* — every equivalence assertion here
+compares serialised :class:`~repro.obs.StatsSnapshot` JSON (or exact
+numpy arrays), never tolerances.  Hypothesis drives adversarial windows at the shapes the
 kernels special-case: empty windows, single-access windows, operands
 straddling domain/page/line boundaries, and all-tainted / taint-free
 taint layouts, across small and paper-scale LATCH geometries.
 
 The suite-level test at the bottom replays the Table 1–4/6/7 runner
-suites at tiny scale under both ``REPRO_KERNEL_BACKEND`` settings and
-asserts identical job snapshots — the acceptance criterion the CI tier
-enforces.
+suites at tiny scale on the kernels and again with the oracles swapped
+in, and asserts identical job snapshots — the acceptance criterion the
+CI tier enforces.
 """
 
 from __future__ import annotations
@@ -32,17 +32,14 @@ from repro.hlatch.taint_cache import (
     CONVENTIONAL_TAINT_CACHE,
     HLATCH_TAINT_CACHE,
 )
-from repro.kernels import (
-    BACKEND_ENV_VAR,
-    epoch_stream_from_trace,
-    replay_hlatch_window,
-    resolve_backend,
-)
+from repro.kernels import epoch_stream_from_trace, replay_hlatch_window
 from repro.runner.specs import suite_jobs
 from repro.runner.worker import execute_job
 from repro.slatch.simulator import measure_hw_rates
 from repro.workloads.suites import EXPERIMENT_SUITES
 from repro.workloads.trace import AccessTrace, EpochStream, TaintLayout
+
+from tests import kernel_oracles
 
 #: Address space exercised by the strategies: four pages.
 SPAN = 4 * 4096
@@ -127,21 +124,11 @@ def windows(draw):
     )
 
 
-def _hlatch_snapshot(trace, latch_config, tcache_config, backend):
-    """Replay a window through a fresh stack; freeze its counters."""
+def _hlatch_snapshot(trace, latch_config, tcache_config):
+    """Replay a window through a fresh stack's kernels; freeze counters."""
     system = HLatchSystem(latch_config, tcache_config)
     system.load_taint(trace.layout)
-    if backend == "vector":
-        replay_hlatch_window(
-            system, trace.addresses, trace.sizes, trace.is_write
-        )
-    else:
-        for index in range(trace.access_count):
-            system.access(
-                int(trace.addresses[index]),
-                int(trace.sizes[index]),
-                bool(trace.is_write[index]),
-            )
+    replay_hlatch_window(system, trace.addresses, trace.sizes, trace.is_write)
     return system.snapshot()
 
 
@@ -150,11 +137,11 @@ def assert_window_equivalent(
     latch_config=None,
     tcache_config=HLATCH_TAINT_CACHE,
 ):
-    """The core oracle: scalar and vector snapshots are byte-identical."""
+    """The core check: oracle and kernel snapshots are byte-identical."""
     latch_config = latch_config or LatchConfig()
-    scalar = _hlatch_snapshot(trace, latch_config, tcache_config, "scalar")
-    vector = _hlatch_snapshot(trace, latch_config, tcache_config, "vector")
-    assert scalar.to_json() == vector.to_json()
+    oracle = kernel_oracles.hlatch_snapshot(trace, latch_config, tcache_config)
+    kernel = _hlatch_snapshot(trace, latch_config, tcache_config)
+    assert oracle.to_json() == kernel.to_json()
 
 
 def _trace(addresses, sizes=None, writes=None, extents=()):
@@ -178,7 +165,7 @@ def _trace(addresses, sizes=None, writes=None, extents=()):
 
 
 class TestHLatchEquivalence:
-    """Vector replay of the full H-LATCH stack matches the scalar loop."""
+    """Kernel replay of the full H-LATCH stack matches the oracle loop."""
 
     @settings(max_examples=60, deadline=None)
     @given(trace=windows(), latch_config=LATCH_CONFIGS,
@@ -189,13 +176,13 @@ class TestHLatchEquivalence:
         assert_window_equivalent(trace, latch_config, tcache_config)
 
     def test_run_hlatch_backend_switch(self):
+        """``run_hlatch`` equals the per-access loop that used to sit
+        behind the retired backend switch."""
         trace = _trace(
             [0, 64, 4095, 8192, 64, 0], sizes=[4, 8, 4, 1, 2, 0],
             extents=[(32, 64), (4090, 16)],
         )
-        scalar = run_hlatch(trace, backend="scalar")
-        vector = run_hlatch(trace, backend="vector")
-        assert scalar == vector
+        assert run_hlatch(trace) == kernel_oracles.run_hlatch(trace)
 
 
 class TestEdgeWindows:
@@ -246,29 +233,26 @@ class TestEdgeWindows:
 
 
 class TestConsumerEquivalence:
-    """Every backend-routed consumer API agrees across backends."""
+    """Every kernel-backed consumer API agrees with its oracle."""
 
     @settings(max_examples=40, deadline=None)
     @given(trace=windows())
     def test_baseline_reports_equal(self, trace):
-        assert run_baseline(trace, backend="scalar") == run_baseline(
-            trace, backend="vector"
-        )
+        assert run_baseline(trace) == kernel_oracles.run_baseline(trace)
 
     @settings(max_examples=40, deadline=None)
     @given(trace=windows(), latch_config=LATCH_CONFIGS)
     def test_hw_rates_equal(self, trace, latch_config):
-        scalar = measure_hw_rates(trace, latch_config, backend="scalar")
-        vector = measure_hw_rates(trace, latch_config, backend="vector")
-        assert scalar == vector
+        oracle = kernel_oracles.measure_hw_rates(trace, latch_config)
+        assert measure_hw_rates(trace, latch_config) == oracle
 
     @settings(max_examples=40, deadline=None)
     @given(trace=windows())
     def test_epoch_stream_from_trace_equal(self, trace):
-        scalar = epoch_stream_from_trace(trace, backend="scalar")
-        vector = epoch_stream_from_trace(trace, backend="vector")
-        assert np.array_equal(scalar.lengths, vector.lengths)
-        assert np.array_equal(scalar.tainted_counts, vector.tainted_counts)
+        oracle = kernel_oracles.epoch_stream_from_trace(trace)
+        kernel = epoch_stream_from_trace(trace)
+        assert np.array_equal(oracle.lengths, kernel.lengths)
+        assert np.array_equal(oracle.tainted_counts, kernel.tainted_counts)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -285,10 +269,10 @@ class TestConsumerEquivalence:
                 [l if t else 0 for l, t in epochs], dtype=np.int64
             ),
         )
-        scalar = epoch_duration_profile(stream, backend="scalar")
-        vector = epoch_duration_profile(stream, backend="vector")
+        oracle = kernel_oracles.epoch_duration_profile(stream)
+        kernel = epoch_duration_profile(stream)
         # json round-trip compares the exact float bit patterns.
-        assert json.dumps(scalar) == json.dumps(vector)
+        assert json.dumps(oracle) == json.dumps(kernel)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -302,41 +286,10 @@ class TestConsumerEquivalence:
     def test_layout_domains_and_pages_equal(self, extents, domain_size):
         layout = TaintLayout(extents=extents)
         assert np.array_equal(
-            layout.tainted_domains(domain_size, backend="scalar"),
-            layout.tainted_domains(domain_size, backend="vector"),
+            kernel_oracles.domains_from_extents(extents, domain_size),
+            layout.tainted_domains(domain_size),
         )
-        assert layout.tainted_pages(backend="scalar") == layout.tainted_pages(
-            backend="vector"
-        )
-
-
-class TestBackendResolution:
-    """Precedence: explicit argument > environment > package default."""
-
-    def test_default_is_vector(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        assert resolve_backend(None) == "vector"
-
-    def test_env_overrides_default(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "scalar")
-        assert resolve_backend(None) == "scalar"
-
-    def test_argument_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "scalar")
-        assert resolve_backend("vector") == "vector"
-
-    def test_auto_defers(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "scalar")
-        assert resolve_backend("auto") == "scalar"
-
-    def test_invalid_env_names_the_variable(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "simd")
-        with pytest.raises(ValueError, match=BACKEND_ENV_VAR):
-            resolve_backend(None)
-
-    def test_invalid_argument_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_backend("gpu")
+        assert kernel_oracles.tainted_pages(layout) == layout.tainted_pages()
 
 
 #: Tiny scales keep the whole six-suite sweep in CI-smoke territory.
@@ -344,10 +297,9 @@ SUITE_EPOCH_SCALE = 20_000
 SUITE_TRACE_WINDOW = 1_500
 
 
-def _suite_snapshots(suite, monkeypatch, backend):
-    """Execute a suite's first two workloads under one backend."""
+def _suite_snapshots(suite):
+    """Execute a suite's first two workloads in process."""
     names = EXPERIMENT_SUITES[suite][0][1][:2]
-    monkeypatch.setenv(BACKEND_ENV_VAR, backend)
     snapshots = {}
     for spec in suite_jobs(
         suite,
@@ -365,11 +317,12 @@ def _suite_snapshots(suite, monkeypatch, backend):
 )
 def test_table_suite_snapshots_backend_independent(suite, monkeypatch):
     """The acceptance criterion: every table suite's job snapshots are
-    identical whichever backend ``REPRO_KERNEL_BACKEND`` selects."""
-    scalar = _suite_snapshots(suite, monkeypatch, "scalar")
-    vector = _suite_snapshots(suite, monkeypatch, "vector")
-    assert scalar.keys() == vector.keys()
-    for job_id in scalar:
-        assert json.dumps(scalar[job_id], sort_keys=True) == json.dumps(
-            vector[job_id], sort_keys=True
-        ), f"{suite}:{job_id} diverged between backends"
+    identical whether the kernels or the per-access oracles replay."""
+    kernel = _suite_snapshots(suite)
+    kernel_oracles.install_oracle_kernels(monkeypatch)
+    oracle = _suite_snapshots(suite)
+    assert oracle.keys() == kernel.keys()
+    for job_id in oracle:
+        assert json.dumps(oracle[job_id], sort_keys=True) == json.dumps(
+            kernel[job_id], sort_keys=True
+        ), f"{suite}:{job_id} diverged between kernels and oracles"

@@ -2,7 +2,13 @@
 
 The acceptance bar for ``repro.pipeline``: the streaming path must end
 with a final taint state *byte-identical* to an always-on DIFT tracker,
-for every scenario, both gating backends, and adversarial queue shapes.
+for every scenario, gate, and adversarial queue shape.
+
+Tests parametrised over ``GATES`` run two gates: ``vector`` is the
+product CTT probe at the configured cadence, and ``scalar`` is
+:class:`CheckStepGate` — the retired live ``check_step`` gate, kept
+here as a test oracle and run event-at-a-time unless a shape says
+otherwise.
 """
 
 import random
@@ -12,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro.check.corpus import load_corpus
+from repro.check.generator import generate_program
 from repro.core.latch import LatchConfig, LatchModule
 from repro.dift.engine import DIFTEngine
 from repro.dift.policy import leak_detection_policy
@@ -39,13 +46,13 @@ SCENARIOS = [
     ("leak", lambda: attacks.data_leak(leak=True), leak_detection_policy),
 ]
 
-BACKENDS = ["scalar", "vector"]
+GATES = ["scalar", "vector"]
 
 ROOT = Path(__file__).resolve().parent.parent
 
 #: (queue_capacity, gate_batch) shapes that stress distinct regimes:
-#: deep queue + backend-default batching, shallow queue + small batches,
-#: and a queue *smaller* than the gate batch (mid-batch drains).
+#: deep queue + the gate's default batching, shallow queue + small
+#: batches, and a queue *smaller* than the gate batch (mid-batch drains).
 QUEUE_SHAPES = [(256, None), (8, 4), (4, 32)]
 
 
@@ -61,14 +68,44 @@ def run_reference(build, policy_factory):
     return engine
 
 
-def run_pipeline(build, policy_factory=None, **config_kwargs):
-    scenario = build()
-    cpu = scenario.make_cpu()
+class CheckStepGate(LatchGate):
+    """The retired scalar gate, kept as a test oracle.
+
+    No batch-entry verdicts: every event is decided live by
+    :meth:`repro.core.latch.LatchModule.check_step`, which walks the TLB
+    taint bits and the CTC exactly as the hardware would.
+    """
+
+    def memory_flags(self, events):
+        return [None] * len(events)
+
+    def admit(self, event, memory_flag=None):
+        check = self.latch.check_step(event)
+        return super().admit(event, any(
+            result.coarse_tainted for result in check.memory_results
+        ))
+
+
+def attach_pipeline(cpu, policy_factory=None, gate="vector",
+                    latch_config=None, **config_kwargs):
+    """A pipeline on ``cpu`` gated by ``gate`` (one of ``GATES``)."""
+    if gate == "scalar":
+        config_kwargs.setdefault("gate_batch", 1)
     pipeline = StreamingPipeline(
         cpu,
         policy=policy_factory() if policy_factory else None,
+        latch_config=latch_config,
         config=PipelineConfig(**config_kwargs),
     )
+    if gate == "scalar":
+        pipeline.gate = CheckStepGate(pipeline.latch, pipeline.pending)
+    return pipeline
+
+
+def run_pipeline(build, policy_factory=None, gate="vector", **config_kwargs):
+    scenario = build()
+    cpu = scenario.make_cpu()
+    pipeline = attach_pipeline(cpu, policy_factory, gate, **config_kwargs)
     try:
         cpu.run(300_000)
     except Exception:
@@ -87,10 +124,10 @@ def signature(engine):
 @pytest.mark.parametrize(
     "name,build,policy", SCENARIOS, ids=[s[0] for s in SCENARIOS]
 )
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_streaming_matches_always_on_reference(name, build, policy, backend):
+@pytest.mark.parametrize("gate", GATES)
+def test_streaming_matches_always_on_reference(name, build, policy, gate):
     reference = run_reference(build, policy)
-    pipeline = run_pipeline(build, policy, backend=backend)
+    pipeline = run_pipeline(build, policy, gate)
     assert signature(pipeline.engine) == signature(reference)
 
 
@@ -99,35 +136,76 @@ def test_streaming_matches_always_on_reference(name, build, policy, backend):
     [SCENARIOS[0], SCENARIOS[3], SCENARIOS[5]],
     ids=["file-filter", "echo", "overflow"],
 )
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("gate", GATES)
 @pytest.mark.parametrize(
     "queue_capacity,gate_batch", QUEUE_SHAPES,
     ids=[f"q{q}b{b}" for q, b in QUEUE_SHAPES],
 )
 def test_queue_shapes_stay_lossless(
-    name, build, policy, backend, queue_capacity, gate_batch
+    name, build, policy, gate, queue_capacity, gate_batch
 ):
     reference = run_reference(build, policy)
+    shape = {} if gate_batch is None else {"gate_batch": gate_batch}
     pipeline = run_pipeline(
-        build, policy,
-        backend=backend,
-        queue_capacity=queue_capacity,
-        gate_batch=gate_batch,
+        build, policy, gate, queue_capacity=queue_capacity, **shape
     )
     assert signature(pipeline.engine) == signature(reference)
+
+
+def assert_identical_runs(oracle, probe):
+    """Per-reason gate stats, pipeline stats, stalls and final state."""
+    assert asdict(oracle.gate.stats) == asdict(probe.gate.stats)
+    assert asdict(oracle.stats) == asdict(probe.stats)
+    assert oracle.model.stall_cycles == probe.model.stall_cycles
+    assert signature(oracle.engine) == signature(probe.engine)
 
 
 @pytest.mark.parametrize(
     "name,build,policy", SCENARIOS, ids=[s[0] for s in SCENARIOS]
 )
 def test_backends_make_identical_admission_decisions(name, build, policy):
-    """Scalar and vector gating agree event-for-event, not just finally."""
-    scalar = run_pipeline(build, policy, backend="scalar")
-    vector = run_pipeline(build, policy, backend="vector")
-    assert scalar.stats.enqueued == vector.stats.enqueued
-    assert scalar.stats.suppressed == vector.stats.suppressed
-    assert scalar.stats.control_events == vector.stats.control_events
-    assert signature(scalar.engine) == signature(vector.engine)
+    """The check_step oracle gate and the CTT probe agree event-for-event
+    at batch 1 (the served and ``PLatchSystem`` cadence)."""
+    oracle = run_pipeline(build, policy, "scalar")
+    probe = run_pipeline(build, policy, "vector", gate_batch=1)
+    assert_identical_runs(oracle, probe)
+
+
+@pytest.mark.parametrize(
+    "name,build,policy", SCENARIOS, ids=[s[0] for s in SCENARIOS]
+)
+def test_gate_cadences_make_identical_admission_decisions(name, build, policy):
+    """Batch-entry verdicts (cadence 16) admit exactly what live
+    event-at-a-time verdicts (cadence 1) admit."""
+    single = run_pipeline(build, policy, gate_batch=1)
+    batched = run_pipeline(build, policy, gate_batch=16)
+    assert single.stats.enqueued == batched.stats.enqueued
+    assert single.stats.suppressed == batched.stats.suppressed
+    assert single.stats.control_events == batched.stats.control_events
+    assert signature(single.engine) == signature(batched.engine)
+
+
+def _check_program_runs(check_program):
+    runs = []
+    for gate in GATES:
+        cpu = check_program.make_cpu()
+        pipeline = attach_pipeline(
+            cpu, gate=gate, latch_config=check_program.config, gate_batch=1
+        )
+        cpu.run(200_000)
+        pipeline.finish()
+        runs.append(pipeline)
+    return runs
+
+
+def test_check_step_gate_matches_probe_on_corpus_and_generated_programs():
+    """Per-reason agreement at batch 1 on the regression corpus (wrap
+    straddles, CTC eviction) and on 100 generated programs."""
+    check_programs = load_corpus(ROOT / "tests" / "corpus")
+    check_programs += [generate_program(seed) for seed in range(100)]
+    for check_program in check_programs:
+        oracle, probe = _check_program_runs(check_program)
+        assert_identical_runs(oracle, probe)
 
 
 def test_gate_suppresses_the_clean_majority():
@@ -253,7 +331,7 @@ def test_vector_gate_flags_match_numpy_oracle(seed):
     ]
     for config, steps in runs:
         latch = LatchModule(config)
-        gate = LatchGate(latch, pending=None, backend="vector")
+        gate = LatchGate(latch, pending=None)
         for start in range(0, len(steps), 16):
             batch = steps[start:start + 16]
             _randomise_ctt(rng, latch.ctt, batch)
@@ -267,15 +345,12 @@ def test_vector_gate_flags_match_numpy_oracle(seed):
 )
 def test_oracle_gate_runs_identically(name, build, policy):
     """Swapping in the numpy oracle gate changes no count anywhere."""
-    probe = run_pipeline(build, policy, backend="vector")
+    probe = run_pipeline(build, policy)
 
     scenario = build()
     cpu = scenario.make_cpu()
-    oracle = StreamingPipeline(
-        cpu, policy=policy() if policy else None,
-        config=PipelineConfig(backend="vector"),
-    )
-    oracle.gate = OracleGate(oracle.latch, oracle.pending, "vector")
+    oracle = attach_pipeline(cpu, policy)
+    oracle.gate = OracleGate(oracle.latch, oracle.pending)
     try:
         cpu.run(300_000)
     except Exception:
@@ -287,27 +362,8 @@ def test_oracle_gate_runs_identically(name, build, policy):
     assert signature(probe.engine) == signature(oracle.engine)
 
 
-def test_backend_and_cadence_resolved_once(monkeypatch):
-    """A mid-run REPRO_KERNEL_BACKEND change does not reach the pipeline."""
-    monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
-    build = lambda: programs.file_filter()
-    reference = run_pipeline(build, None, backend="vector", gate_batch=16)
-
-    cpu = build().make_cpu()
-    pipeline = StreamingPipeline(cpu, config=PipelineConfig(backend=None))
-    assert pipeline.gate.backend == "vector"
-    cpu.run(500)
-    monkeypatch.setenv("REPRO_KERNEL_BACKEND", "scalar")
-    cpu.run(300_000)
-    pipeline.finish()
-
-    assert pipeline.gate.backend == "vector"
-    assert pipeline.stats.batches == reference.stats.batches
-    assert asdict(pipeline.stats) == asdict(reference.stats)
-
-
 def test_wrapper_is_bit_identical_to_raw_pipeline():
-    """PLatchSystem == StreamingPipeline(scalar, gate_batch=1) exactly."""
+    """PLatchSystem == StreamingPipeline(gate_batch=1) exactly."""
     build = lambda: programs.echo_server()
     wrapped_cpu = build().make_cpu()
     wrapped = PLatchSystem(wrapped_cpu, queue_capacity=32, drain_batch=8)
@@ -316,7 +372,7 @@ def test_wrapper_is_bit_identical_to_raw_pipeline():
 
     pipeline = run_pipeline(
         build, None,
-        queue_capacity=32, drain_batch=8, gate_batch=1, backend="scalar",
+        queue_capacity=32, drain_batch=8, gate_batch=1,
     )
     assert signature(wrapped.engine) == signature(pipeline.engine)
     assert wrapped.stats.enqueued == pipeline.stats.enqueued
@@ -340,3 +396,22 @@ def test_publish_metrics_exposes_pipeline_series():
     # The downstream stages publish into the same registry.
     assert snapshot.get("dift.instructions") == pipeline.stats.drained
     assert "ctc.hit_rate" in snapshot
+
+
+@pytest.mark.parametrize("variable,value", [
+    ("REPRO_PIPELINE_QUEUE_CAPACITY", "8k"),
+    ("REPRO_PIPELINE_SAMPLE_RATE", "half"),
+])
+def test_env_parse_errors_name_the_variable(variable, value):
+    with pytest.raises(ValueError, match=f"{variable} must be .*{value!r}"):
+        PipelineConfig.from_env({variable: value})
+
+
+def test_env_values_parse():
+    config = PipelineConfig.from_env({
+        "REPRO_PIPELINE_QUEUE_CAPACITY": "8",
+        "REPRO_PIPELINE_SAMPLE_RATE": "0.5",
+    })
+    assert config.queue_capacity == 8
+    assert config.sampling.rate == 0.5
+    assert config.gate_batch == 16

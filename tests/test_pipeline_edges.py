@@ -17,7 +17,12 @@ from repro.platch.functional import PLatchSystem
 from repro.platch.pending import PendingUpdateTracker
 from repro.workloads import programs
 
-from tests.test_pipeline import run_pipeline, run_reference, signature
+from tests.test_pipeline import (
+    attach_pipeline,
+    run_pipeline,
+    run_reference,
+    signature,
+)
 
 #: A taint source mid-stream: 8 tainted bytes land in ``buf``, a clean
 #: store clears byte 0, an *untainted* read then overwrites bytes 0-3,
@@ -121,8 +126,8 @@ class TestZeroEventPrograms:
 
 
 class TestMidStreamTaintSources:
-    @pytest.mark.parametrize("backend", ["scalar", "vector"])
-    def test_ordering_with_lazy_drain(self, backend):
+    @pytest.mark.parametrize("gate", ["scalar", "vector"])
+    def test_ordering_with_lazy_drain(self, gate):
         """Drains happen only at halt, yet ordering is preserved."""
         reference_cpu = _midstream_cpu()
         reference = DIFTEngine()
@@ -130,9 +135,9 @@ class TestMidStreamTaintSources:
         reference_cpu.run(10_000)
 
         cpu = _midstream_cpu()
-        pipeline = StreamingPipeline(cpu, config=PipelineConfig(
-            queue_capacity=256, drain_batch=10_000, backend=backend,
-        ))
+        pipeline = attach_pipeline(
+            cpu, gate=gate, queue_capacity=256, drain_batch=10_000,
+        )
         cpu.run(10_000)
         pipeline.finish()
         assert signature(pipeline.engine) == signature(reference)
@@ -163,7 +168,6 @@ class TestPendingFallback:
         cpu = scenario.make_cpu()
         pipeline = StreamingPipeline(cpu, config=PipelineConfig(
             queue_capacity=256, drain_batch=10_000, gate_batch=32,
-            backend="vector",
         ))
         tiny = PendingUpdateTracker(capacity=2)
         pipeline.pending = tiny
@@ -199,15 +203,14 @@ class TestIdempotentTeardown:
     empty drain logged a phantom occupancy sample and TRF resync).
     """
 
-    @pytest.mark.parametrize("backend", ["scalar", "vector"])
-    def test_double_finish_is_a_true_noop(self, backend):
+    @pytest.mark.parametrize("gate", ["scalar", "vector"])
+    def test_double_finish_is_a_true_noop(self, gate):
         from repro.obs import MetricsRegistry
 
         cpu = programs.file_filter().make_cpu()
-        pipeline = StreamingPipeline(cpu, config=PipelineConfig(
-            gate_batch=1 if backend == "scalar" else 32,
-            backend=backend,
-        ))
+        pipeline = attach_pipeline(
+            cpu, gate=gate, gate_batch=1 if gate == "scalar" else 32,
+        )
         cpu.run(300_000)
         pipeline.finish()
 
@@ -228,13 +231,12 @@ class TestIdempotentTeardown:
         pipeline.finish()
         assert state() == before
 
-    @pytest.mark.parametrize("backend", ["scalar", "vector"])
-    def test_empty_drain_records_no_occupancy_sample(self, backend):
+    @pytest.mark.parametrize("gate", ["scalar", "vector"])
+    def test_empty_drain_records_no_occupancy_sample(self, gate):
         cpu = programs.checksum().make_cpu()
-        pipeline = StreamingPipeline(cpu, config=PipelineConfig(
-            gate_batch=1 if backend == "scalar" else 32,
-            backend=backend,
-        ))
+        pipeline = attach_pipeline(
+            cpu, gate=gate, gate_batch=1 if gate == "scalar" else 32,
+        )
         cpu.run(300_000)
         pipeline.finish()
         samples = len(pipeline._queue_instruments.occupancy.values())
@@ -291,7 +293,7 @@ class TestDetachedPipeline:
         )
 
         detached = StreamingPipeline(cpu=None, config=PipelineConfig(
-            gate_batch=1, backend="scalar",
+            gate_batch=1,
         ))
         for kind, payload in recorded:
             if kind == "step":

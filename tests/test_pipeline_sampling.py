@@ -14,19 +14,26 @@ contract these tests pin down:
 
 import pytest
 
-from repro.pipeline import PipelineConfig, SamplingConfig, StreamingPipeline
+from repro.pipeline import SamplingConfig
 from repro.workloads import programs
 
-from tests.test_pipeline import run_pipeline, run_reference, signature
+from tests.test_pipeline import (
+    attach_pipeline,
+    run_pipeline,
+    run_reference,
+    signature,
+)
 
 
-def run_sampled(build, rate, window=32, seed=0, **config_kwargs):
+def run_sampled(build, rate, window=32, seed=0, gate="vector",
+                **config_kwargs):
     scenario = build()
     cpu = scenario.make_cpu()
-    pipeline = StreamingPipeline(cpu, config=PipelineConfig(
+    pipeline = attach_pipeline(
+        cpu, gate=gate,
         sampling=SamplingConfig(rate=rate, window=window, seed=seed),
         **config_kwargs,
-    ))
+    )
     cpu.run(300_000)
     pipeline.finish()
     return pipeline
@@ -58,15 +65,15 @@ class TestFullRate:
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("backend", ["scalar", "vector"])
-    def test_fixed_seed_replays_identical_coverage(self, backend):
+    @pytest.mark.parametrize("gate", ["scalar", "vector"])
+    def test_fixed_seed_replays_identical_coverage(self, gate):
         first = run_sampled(
             lambda: programs.echo_server(), rate=0.3, window=32, seed=9,
-            backend=backend,
+            gate=gate,
         )
         second = run_sampled(
             lambda: programs.echo_server(), rate=0.3, window=32, seed=9,
-            backend=backend,
+            gate=gate,
         )
         assert first.stats.enqueued == second.stats.enqueued
         assert first.stats.sampled_out == second.stats.sampled_out

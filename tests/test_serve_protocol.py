@@ -198,3 +198,42 @@ class TestCanonicalSignature:
 
     def test_canonical_json_is_stable(self):
         assert canonical_json({"b": 1, "a": [2, 3]}) == '{"a":[2,3],"b":1}'
+
+
+class TestWireConfig:
+    def test_wire_booleans_must_be_json_booleans(self):
+        from repro.serve.session import latch_config_from_wire
+
+        for value in (False, True):
+            config = latch_config_from_wire({"use_tlb_bits": value})
+            assert config.use_tlb_bits is value
+        for bad in ("false", "true", 0, 1, None, [], {}):
+            with pytest.raises(ProtocolError, match="JSON boolean"):
+                latch_config_from_wire({"use_tlb_bits": bad})
+
+    def test_backend_wire_knob_is_unknown(self):
+        from repro.serve.session import pipeline_config_from_wire
+
+        for value in ("scalar", "vector"):
+            with pytest.raises(ProtocolError, match="unknown pipeline knob"):
+                pipeline_config_from_wire({"backend": value})
+
+    @pytest.mark.parametrize("overrides", [
+        {"queue_capacity": "abc"},
+        {"queue_capacity": None},
+        {"sample_window": "wide"},
+        {"sample_rate": 0.0},
+        {"gate_batch": float("inf")},
+    ])
+    def test_bad_pipeline_values_are_protocol_errors(self, overrides):
+        from repro.serve.session import pipeline_config_from_wire
+
+        with pytest.raises(ProtocolError):
+            pipeline_config_from_wire(overrides)
+
+    def test_served_default_is_event_at_a_time(self):
+        from repro.serve.session import pipeline_config_from_wire
+
+        config = pipeline_config_from_wire(None)
+        assert config.gate_batch == 1
+        assert config.hist_mode == "bounded"

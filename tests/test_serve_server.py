@@ -475,6 +475,72 @@ class TestQueriesAndProtocol:
                 assert client._recv()["code"] == "events"
                 assert client.ping()
 
+    #: Stream opens whose overrides must be refused with ``code="config"``:
+    #: values that do not coerce, non-object override blocks, removed or
+    #: unknown knobs, and values the LATCH structures reject when built.
+    BAD_OPENS = (
+        {"pipeline": {"queue_capacity": "abc"}},
+        {"pipeline": {"queue_capacity": None}},
+        {"pipeline": {"sample_rate": "fast"}},
+        {"pipeline": {"sample_rate": 7.0}},
+        {"pipeline": {"gate_batch": 1e999}},
+        {"pipeline": ["queue_capacity"]},
+        {"pipeline": {"backend": "scalar"}},
+        {"latch": {"domain_size": "big"}},
+        {"latch": {"domain_size": 3}},
+        {"latch": {"ctc_entries": 0}},
+        {"latch": {"use_tlb_bits": "false"}},
+        {"latch": "tiny"},
+    )
+
+    def test_malformed_opens_answer_errors_and_release_slots(self, traces):
+        events, reference = traces["checksum"]
+        unthrottled = ServeConfig(
+            default_limits=TenantLimits(rate=1e9, burst=1e9)
+        )
+        with running_server(unthrottled) as (server, (host, port)):
+            with ServeClient(host, port, tenant="bad") as client:
+                for index in range(100):
+                    bad = self.BAD_OPENS[index % len(self.BAD_OPENS)]
+                    client._send({"type": "stream_open", **bad})
+                    reply = client._recv()
+                    assert reply["type"] == "error", (bad, reply)
+                    assert reply["code"] == "config", (bad, reply)
+                assert len(server.inflight) == 0
+                # The same connection still serves a bit-identical stream.
+                result = client.check_trace(events)
+            assert _wait_until(lambda: len(server.inflight) == 0)
+        assert canonical_json(result.signature) == canonical_json(
+            reference["signature"]
+        )
+        assert canonical_json(result.stats) == canonical_json(
+            reference["stats"]
+        )
+
+    def test_malformed_query_and_job_fields_answer_errors(self, traces):
+        events, _ = traces["checksum"]
+        with running_server() as (server, (host, port)):
+            with ServeClient(host, port, tenant="bad") as client:
+                stream, _ = client.open_stream()
+                client.send_events(stream, events[:10])
+                client._send({"type": "query", "stream": stream,
+                              "address": "abc", "size": 1})
+                assert client._recv()["code"] == "query"
+                client._send({"type": "query", "stream": stream,
+                              "address": 0, "size": None})
+                assert client._recv()["code"] == "query"
+                client.close_stream(stream)
+                for job in (
+                    {"source": "_start: halt", "max_steps": "lots"},
+                    {"source": "_start: halt",
+                     "pipeline": {"drain_batch": "x"}},
+                    {"source": "_start: halt", "latch": {"domain_size": 5}},
+                ):
+                    client._send({"type": "submit", "job": job})
+                    assert client._recv()["code"] == "job", job
+                assert client.ping()
+            assert _wait_until(lambda: len(server.inflight) == 0)
+
     def test_invalid_tenant_name_refused_at_hello(self):
         with running_server() as (_server, (host, port)):
             with pytest.raises(ServeError):

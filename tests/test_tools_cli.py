@@ -274,12 +274,11 @@ class TestStats:
             [str(stats_source_file), "--monitor", "platch",
              "--format", "json", "--file", f"in.txt={payload_file}",
              "--queue-capacity", "8", "--gate-batch", "4",
-             "--backend", "scalar",
              "--sample-rate", "1.0", "--sample-seed", "7"]
         ) == 0
         snapshot = StatsSnapshot.from_json(capsys.readouterr().out)
         assert snapshot.meta["monitor"] == "platch"
-        assert snapshot.meta["backend"] == "scalar"
+        assert "backend" not in snapshot.meta
         assert snapshot.meta["queue_capacity"] == 8
         assert snapshot.meta["gate_batch"] == 4
         assert snapshot.meta["sample_seed"] == 7

@@ -12,8 +12,9 @@ Coverage:
 
 * seeded random shard plans over the golden gcc/curl windows, including
   empty shards, single-access shards, and cut points at 0/1/n-1/n;
-* scalar-backend and vector-backend object replays as the references —
-  the columnar result must match both;
+* the kernel object replay (``vector``) and the per-access oracle
+  (``scalar``, ``tests/kernel_oracles.py``) as the references — the
+  columnar result must match both;
 * the 32-bit wrap-around reproducers from ``tests/corpus/`` (address
   masking straddles shard boundaries there);
 * the planner's partition/snapping invariants and the
@@ -55,6 +56,8 @@ from repro.trace.shard import (
     resolve_shard_count,
 )
 from repro.workloads.storage import load_access_trace
+
+from tests import kernel_oracles
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 CORPUS_DIR = Path(__file__).parent / "corpus"
@@ -156,20 +159,26 @@ class TestShardedEqualsScalar:
         ), f"seed={seed} plan={plan}"
 
     @pytest.mark.parametrize("name", WORKLOADS)
-    @pytest.mark.parametrize("backend", ("scalar", "vector"))
-    def test_report_matches_both_object_backends(self, name, backend):
+    @pytest.mark.parametrize("replay_path", ("scalar", "vector"))
+    def test_report_matches_both_object_backends(self, name, replay_path):
         trace = _golden(name)
-        object_report = run_hlatch(trace, backend=backend)
+        if replay_path == "scalar":
+            object_report = kernel_oracles.run_hlatch(trace)
+        else:
+            object_report = run_hlatch(trace)
         columnar = replay_columnar(
             columnar_trace_bytes(trace), shards=5, baseline_config=None
         )
         assert columnar.hlatch == object_report
 
     @pytest.mark.parametrize("name", WORKLOADS)
-    @pytest.mark.parametrize("backend", ("scalar", "vector"))
-    def test_baseline_matches_both_object_backends(self, name, backend):
+    @pytest.mark.parametrize("replay_path", ("scalar", "vector"))
+    def test_baseline_matches_both_object_backends(self, name, replay_path):
         trace = _golden(name)
-        object_report = run_baseline(trace, backend=backend)
+        if replay_path == "scalar":
+            object_report = kernel_oracles.run_baseline(trace)
+        else:
+            object_report = run_baseline(trace)
         columnar = replay_baseline_columnar(
             columnar_trace_bytes(trace), shards=7
         )
