@@ -22,7 +22,7 @@ from repro.analysis import (
 )
 from repro.hlatch import run_baseline, run_hlatch
 from repro.machine import TraceRecorder
-from repro.platch import PLatchSystem
+from repro.pipeline import PipelineConfig, StreamingPipeline
 from repro.workloads.programs import echo_server
 
 
@@ -86,12 +86,12 @@ def main() -> None:
     trusted = [rng.randrange(100) < 50 for _ in range(60)]
     scenario = echo_server(requests=payloads, trusted_flags=trusted)
     cpu2 = scenario.make_cpu()
-    platch = PLatchSystem(cpu2)
+    platch = StreamingPipeline(cpu2, config=PipelineConfig(gate_batch=1))
     cpu2.run(5_000_000)
     platch.drain_all()
-    counters = platch.counters
-    print(f"  instructions: {counters.instructions}, enqueued to monitor: "
-          f"{counters.enqueued} ({counters.enqueue_fraction:.1%})")
+    stats = platch.stats
+    print(f"  instructions: {stats.instructions}, enqueued to monitor: "
+          f"{stats.enqueued} ({stats.enqueue_fraction:.1%})")
     print(f"  monitor found the same taint: "
           f"{platch.engine.shadow.tainted_byte_count == engine.shadow.tainted_byte_count}")
 

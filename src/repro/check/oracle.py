@@ -55,8 +55,8 @@ MAX_STEPS = 200_000
 #: Paths the oracle exercises (``check_program``'s default).
 ALL_PATHS = ("core", "slatch", "hlatch", "kernels", "stream", "columnar")
 
-#: Gate cadences the ``stream`` path runs: the served/``PLatchSystem``
-#: event-at-a-time cadence and the ``PipelineConfig`` default batch.
+#: Gate cadences the ``stream`` path runs: the served event-at-a-time
+#: cadence and the ``PipelineConfig`` default batch.
 STREAM_GATE_BATCHES = (1, 16)
 
 

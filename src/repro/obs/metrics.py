@@ -12,10 +12,11 @@ counts:
   nothing runs until a snapshot is taken.
 * :class:`Histogram` — a value distribution with exact count/sum/min/
   max and, in the default ``exact`` mode, exact percentiles (epoch
-  durations, queue occupancy).  The ``bounded`` mode swaps the retained
-  value list for fixed log-spaced buckets plus P²-algorithm streaming
-  quantile estimators, so a histogram that lives for the whole lifetime
-  of a long-running server uses O(1) memory per metric.
+  durations).  The ``bounded`` mode swaps the retained value list for
+  fixed log-spaced buckets plus P²-algorithm streaming quantile
+  estimators, so a histogram that lives for the whole lifetime of a
+  long-running server — or a queue's occupancy — uses O(1) memory per
+  metric.
 * :class:`Timer` — a context manager recording wall-clock durations
   into a histogram of seconds.
 

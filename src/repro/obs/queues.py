@@ -1,12 +1,11 @@
 """Shared queue instrumentation.
 
-Both queue implementations in the tree — the *measured* FIFO inside
+Both queues in the tree — the *measured* FIFO inside
 :class:`repro.pipeline.StreamingPipeline` and the *modelled* backlog of
 :class:`repro.platch.queue_sim.TwoCoreQueueSimulator` — expose the same
 observable surface: an occupancy histogram plus depth/stall counters
 published under one name prefix.  :class:`QueueInstruments` packages
-that surface so the two stay in lockstep (the model-validation tests
-compare them row for row).
+that surface so the two stay in lockstep.
 """
 
 from __future__ import annotations
@@ -23,11 +22,9 @@ class QueueInstruments:
         prefix: metric-name prefix, e.g. ``"pipeline.queue"``.
         occupancy_description: catalog description for the occupancy
             histogram (the one metric recorded *during* the run rather
-            than published afterwards).
-        mode: histogram storage mode — ``"exact"`` (default) keeps the
-            raw samples for model-validation replays, ``"bounded"``
-            uses the O(1) streaming representation for long-running
-            services.
+            than published afterwards).  It is a ``bounded`` histogram:
+            O(1) memory however long the queue runs (see
+            docs/OBSERVABILITY.md).
     """
 
     def __init__(
@@ -35,14 +32,13 @@ class QueueInstruments:
         registry,
         prefix: str,
         occupancy_description: str = "Queue entries in use",
-        mode: str = "exact",
     ) -> None:
         self.registry = registry
         self.prefix = prefix
         self.occupancy = registry.histogram(
             f"{prefix}.occupancy", unit="entries",
             description=occupancy_description,
-            mode=mode,
+            mode="bounded",
         )
 
     def record_occupancy(self, entries: float) -> None:
@@ -62,23 +58,18 @@ class QueueInstruments:
 
         Only the keywords actually passed are published, so callers
         with no notion of (say) stall cycles do not mint empty metrics.
-        ``registry`` redirects the publication (and a replay of the
-        occupancy samples) somewhere other than the recording registry.
+        ``registry`` redirects the publication (and a copy of the
+        occupancy histogram) somewhere other than the recording registry.
         """
         registry = self.registry if registry is None else registry
         if registry is not self.registry:
             target = registry.histogram(
                 f"{self.prefix}.occupancy", unit="entries",
                 description=self.occupancy.description,
-                mode=self.occupancy.mode,
+                mode="bounded",
             )
-            target.reset()  # replay, don't accumulate: stays idempotent
-            if self.occupancy.mode == "bounded":
-                # Bounded histograms have no raw values to replay;
-                # copy the streaming state wholesale instead.
-                target.merge_from(self.occupancy)
-            else:
-                target.record_many(self.occupancy.values())
+            target.reset()  # copy, don't accumulate: stays idempotent
+            target.merge_from(self.occupancy)
         if depth is not None:
             registry.gauge(
                 f"{self.prefix}.depth", unit="entries",

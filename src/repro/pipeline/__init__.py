@@ -10,13 +10,12 @@ This package *is* that runtime shape for the reproduction:
   obs/span instrumentation (docs/PIPELINE.md is the architecture doc);
 * :class:`PipelineConfig` / :class:`SamplingConfig` — every knob, also
   settable through ``REPRO_PIPELINE_*`` environment variables;
-* :func:`validate_against_model` — replays the measured event stream
-  through :class:`repro.platch.queue_sim.TwoCoreQueueSimulator`, so
-  the paper's queue-saturation analysis validates against measurement.
+* :class:`StallModel` — the P-LATCH queue model, a Lindley backlog
+  recursion the pipeline steps per committed instruction and
+  :class:`repro.platch.queue_sim.TwoCoreQueueSimulator` per epoch.
 
-The long-standing whole-run API, :class:`repro.platch.PLatchSystem`,
-is now a thin wrapper over :class:`StreamingPipeline` configured for
-the classic event-at-a-time cadence.
+``gate_batch=1`` gives the classic event-at-a-time P-LATCH cadence,
+which served streams use by default.
 
 Usage::
 
@@ -27,7 +26,7 @@ Usage::
     ))
     pipeline.run()
     print(pipeline.stats.enqueue_fraction)
-    print(pipeline.validate_model().predicted_stall_cycles)
+    print(pipeline.model.stall_cycles)
 """
 
 from repro.pipeline.config import PipelineConfig, SamplingConfig
@@ -37,14 +36,12 @@ from repro.pipeline.model import StallModel
 from repro.pipeline.pipeline import PipelineStats, StreamingPipeline
 from repro.pipeline.queue import BoundedEventQueue
 from repro.pipeline.sampling import WindowSampler
-from repro.pipeline.validate import ModelValidation, validate_against_model
 
 __all__ = [
     "BoundedEventQueue",
     "EventKind",
     "GateStats",
     "LatchGate",
-    "ModelValidation",
     "PipelineConfig",
     "PipelineEvent",
     "PipelineStats",
@@ -52,5 +49,4 @@ __all__ = [
     "StallModel",
     "StreamingPipeline",
     "WindowSampler",
-    "validate_against_model",
 ]

@@ -29,8 +29,6 @@ ENV_GATE_BATCH = "REPRO_PIPELINE_GATE_BATCH"
 ENV_SAMPLE_RATE = "REPRO_PIPELINE_SAMPLE_RATE"
 ENV_SAMPLE_WINDOW = "REPRO_PIPELINE_SAMPLE_WINDOW"
 ENV_SAMPLE_SEED = "REPRO_PIPELINE_SAMPLE_SEED"
-ENV_MODEL_EPOCH = "REPRO_PIPELINE_MODEL_EPOCH"
-ENV_HIST_MODE = "REPRO_PIPELINE_HIST_MODE"
 
 
 @dataclass(frozen=True)
@@ -82,15 +80,6 @@ class PipelineConfig:
         sampling: the selective-tracing dial.
         analysis_cycles_per_event: monitor cost per queued event for
             the stall model (default: LBA-simple, 4.38 cycles).
-        model_epoch: instructions per epoch when aggregating the
-            measured event stream for ``repro.platch.queue_sim``
-            validation.  1 makes the analytic replay *exact*; larger
-            epochs trade accuracy for memory (see docs/PIPELINE.md).
-        hist_mode: storage mode for the queue-occupancy histogram —
-            ``"exact"`` keeps every sample (model-validation replays
-            need the raw values), ``"bounded"`` switches to the O(1)
-            streaming representation for long-running services (see
-            docs/OBSERVABILITY.md).
     """
 
     queue_capacity: int = 256
@@ -98,8 +87,6 @@ class PipelineConfig:
     gate_batch: int = 16
     sampling: SamplingConfig = field(default_factory=SamplingConfig)
     analysis_cycles_per_event: float = DEFAULT_ANALYSIS_CYCLES
-    model_epoch: int = 1000
-    hist_mode: str = "exact"
 
     def __post_init__(self) -> None:
         if self.queue_capacity < 1:
@@ -110,15 +97,6 @@ class PipelineConfig:
             raise ValueError("gate_batch must be >= 1")
         if self.analysis_cycles_per_event <= 0:
             raise ValueError("analysis_cycles_per_event must be positive")
-        if self.model_epoch < 1:
-            raise ValueError("model_epoch must be >= 1")
-        from repro.obs.metrics import HISTOGRAM_MODES
-
-        if self.hist_mode not in HISTOGRAM_MODES:
-            raise ValueError(
-                f"hist_mode must be one of {HISTOGRAM_MODES}, "
-                f"got {self.hist_mode!r}"
-            )
 
     # ------------------------------------------------------------ derived
 
@@ -134,20 +112,6 @@ class PipelineConfig:
         return max(
             4 * self.queue_capacity,
             self.queue_capacity + 2 * self.gate_batch + 8,
-        )
-
-    def lba_parameters(self):
-        """This pipeline as a :class:`repro.platch.lba.LbaParameters`.
-
-        ``analysis_cycles_per_event = 1 + mean_overhead`` for one event
-        per instruction, so the inverse is ``mean_overhead = cycles - 1``.
-        """
-        from repro.platch.lba import LbaParameters
-
-        return LbaParameters(
-            name=f"pipeline-q{self.queue_capacity}",
-            mean_overhead=self.analysis_cycles_per_event - 1.0,
-            queue_entries=self.queue_capacity,
         )
 
     # ----------------------------------------------------------------- env
@@ -189,14 +153,10 @@ class PipelineConfig:
             ("queue_capacity", _int, ENV_QUEUE_CAPACITY),
             ("drain_batch", _int, ENV_DRAIN_BATCH),
             ("gate_batch", _int, ENV_GATE_BATCH),
-            ("model_epoch", _int, ENV_MODEL_EPOCH),
         ):
             parsed = reader(var)
             if parsed is not None:
                 values[key] = parsed
-        hist_mode = env.get(ENV_HIST_MODE)
-        if hist_mode:
-            values["hist_mode"] = hist_mode
 
         sampling_values = {}
         rate = _float(ENV_SAMPLE_RATE)

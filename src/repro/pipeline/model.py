@@ -1,118 +1,52 @@
-"""Inline producer-stall accounting — the measured twin of the model.
+"""The P-LATCH queue model: one Lindley backlog recursion.
 
-The pipeline charges queue pressure with exactly the Lindley backlog
-recursion :class:`repro.platch.queue_sim.TwoCoreQueueSimulator` uses,
-but advanced one *committed instruction* at a time as the run executes:
+A producer (the monitored core) hands events to a bounded FIFO; the
+consumer (the monitor core) spends ``analysis_cycles`` on each one.
+Every call to :meth:`StallModel.commit` advances the recursion by one
+step of ``cycles`` producer cycles carrying ``events`` events:
 
-* each committed instruction adds ``events x analysis_cycles`` of
-  monitor work to the backlog and drains one producer cycle;
+* the step adds ``events x analysis_cycles`` of monitor work to the
+  backlog and drains ``cycles`` of it;
 * backlog is clamped at zero (idle monitor) and at the queue's cycle
   capacity — the excess above capacity is producer stall time.
 
-Because both sides run the identical recursion, replaying this model's
-recorded epoch stream through ``TwoCoreQueueSimulator`` reproduces the
-measured stall cycles *bit for bit* at ``epoch == 1``, and within a
-documented discretisation tolerance at coarser epochs (the validation
-contract in :mod:`repro.pipeline.validate`).
+This is the only copy of the recursion in the tree.  The streaming
+pipeline steps it once per committed instruction (``cycles=1``), and
+:class:`repro.platch.queue_sim.TwoCoreQueueSimulator` (Figure 15)
+steps it once per epoch (``cycles`` = epoch length).
 """
 
 from __future__ import annotations
 
-from typing import List
-
-import numpy as np
-
-from repro.workloads.trace import EpochStream
-
 
 class StallModel:
-    """Per-instruction Lindley recursion with epoch aggregation."""
+    """Lindley recursion over a bounded monitor queue."""
 
     def __init__(
-        self,
-        analysis_cycles_per_event: float,
-        queue_entries: int,
-        epoch: int,
+        self, analysis_cycles_per_event: float, queue_entries: int
     ) -> None:
         self.analysis = float(analysis_cycles_per_event)
         self.queue_entries = queue_entries
         self.capacity_cycles = queue_entries * self.analysis
-        self.epoch = epoch
         self.backlog = 0.0
         self.stall_cycles = 0.0
-        self._epoch_lengths: List[int] = []
-        self._epoch_events: List[int] = []
-        self._window_length = 0
-        self._window_events = 0
 
-    # ------------------------------------------------------------ advance
+    def commit(self, events: float, cycles: float = 1.0) -> None:
+        """Advance ``cycles`` producer cycles that enqueue ``events``.
 
-    def commit(self, events: int) -> None:
-        """Account one committed instruction contributing ``events``."""
-        backlog = self.backlog + events * self.analysis - 1.0
+        ``cycles=0`` adds monitor work without draining a producer
+        cycle (trailing control events with no committed instruction).
+        """
+        backlog = self.backlog + events * self.analysis - cycles
         if backlog < 0.0:
             backlog = 0.0
         elif backlog > self.capacity_cycles:
+            # Producer stalls until the backlog fits the queue again.
             self.stall_cycles += backlog - self.capacity_cycles
             backlog = self.capacity_cycles
         self.backlog = backlog
-        self._window_length += 1
-        self._window_events += events
-        if self._window_length >= self.epoch:
-            self._roll()
-
-    def absorb(self, events: int) -> None:
-        """Account trailing events with no committed instruction.
-
-        Only reachable when a control event is the last thing a program
-        emits (no step follows before halt); adds monitor work without
-        draining a producer cycle.
-        """
-        if events <= 0:
-            return
-        backlog = self.backlog + events * self.analysis
-        if backlog > self.capacity_cycles:
-            self.stall_cycles += backlog - self.capacity_cycles
-            backlog = self.capacity_cycles
-        self.backlog = backlog
-        self._window_events += events
-
-    def _roll(self) -> None:
-        if self._window_length or self._window_events:
-            self._epoch_lengths.append(self._window_length)
-            self._epoch_events.append(self._window_events)
-            self._window_length = 0
-            self._window_events = 0
-
-    # ------------------------------------------------------------ exports
 
     @property
     def occupancy_entries(self) -> float:
         """Current backlog expressed in queue entries."""
         return self.backlog / self.analysis
-
-    @property
-    def instructions(self) -> int:
-        return sum(self._epoch_lengths) + self._window_length
-
-    @property
-    def events(self) -> int:
-        return sum(self._epoch_events) + self._window_events
-
-    def epoch_stream(self, name: str = "pipeline") -> EpochStream:
-        """The measured per-epoch event stream (includes the open window).
-
-        ``tainted_counts`` carries the *enqueued event* count per epoch
-        — the quantity ``TwoCoreQueueSimulator`` turns back into
-        monitor work when replaying the measurement analytically.
-        """
-        lengths = list(self._epoch_lengths)
-        events = list(self._epoch_events)
-        if self._window_length or self._window_events:
-            lengths.append(max(self._window_length, 0))
-            events.append(self._window_events)
-        return EpochStream(
-            name=name,
-            lengths=np.array(lengths, dtype=np.int64),
-            tainted_counts=np.array(events, dtype=np.int64),
-        )

@@ -49,7 +49,6 @@ from repro.pipeline.gate import LatchGate
 from repro.pipeline.model import StallModel
 from repro.pipeline.queue import BoundedEventQueue
 from repro.pipeline.sampling import WindowSampler
-from repro.workloads.trace import EpochStream
 
 
 @dataclass
@@ -123,7 +122,6 @@ class StreamingPipeline(Observer):
         self.model = StallModel(
             self.config.analysis_cycles_per_event,
             self.config.queue_capacity,
-            self.config.model_epoch,
         )
         self.stats = PipelineStats()
         self.obs = registry if registry is not None else MetricsRegistry()
@@ -131,7 +129,6 @@ class StreamingPipeline(Observer):
         self._queue_instruments = QueueInstruments(
             self.obs, "pipeline.queue",
             occupancy_description="Monitor-queue entries after each drain",
-            mode=self.config.hist_mode,
         )
         self._batch: List[StepEvent] = []
         self._carried_events = 0
@@ -141,16 +138,6 @@ class StreamingPipeline(Observer):
         self.engine.add_tag_listener(self._on_tag_write)
         if cpu is not None:
             cpu.attach(self)
-
-    # ----------------------------------------------------- compat surface
-
-    @property
-    def queue_capacity(self) -> int:
-        return self.config.queue_capacity
-
-    @property
-    def drain_batch(self) -> int:
-        return self.config.drain_batch
 
     @property
     def alerts(self) -> List:
@@ -318,7 +305,7 @@ class StreamingPipeline(Observer):
         self.flush()
         self.drain(None)
         if self._carried_events:
-            self.model.absorb(self._carried_events)
+            self.model.commit(self._carried_events, 0.0)
             self._carried_events = 0
 
     def run(self, max_steps: int = 5_000_000) -> int:
@@ -376,16 +363,6 @@ class StreamingPipeline(Observer):
         )
 
     # ------------------------------------------------------------- export
-
-    def measured_stream(self, name: Optional[str] = None) -> EpochStream:
-        """The measured per-epoch event stream (for the analytic model)."""
-        return self.model.epoch_stream(name or "pipeline")
-
-    def validate_model(self):
-        """Replay the measured stream through ``repro.platch.queue_sim``."""
-        from repro.pipeline.validate import validate_against_model
-
-        return validate_against_model(self)
 
     def publish_metrics(
         self, registry: Optional[MetricsRegistry] = None
@@ -468,18 +445,6 @@ class StreamingPipeline(Observer):
             "pipeline.sampling.windows_skipped", unit="windows",
             description="Sampling windows dropped unmonitored",
         ).set(self.sampler.windows_skipped)
-        validation = self.validate_model()
-        registry.gauge(
-            "pipeline.model.predicted_stall_cycles", unit="cycles",
-            description="queue_sim replay of the measured event stream",
-        ).set(validation.predicted_stall_cycles)
-        registry.gauge(
-            "pipeline.model.stall_rel_error", unit="fraction",
-            description="Relative measured-vs-model stall disagreement",
-        ).set(
-            0.0 if validation.relative_error == float("inf")
-            else validation.relative_error
-        )
         self.latch.publish_metrics(registry)
         self.engine.publish_metrics(registry)
         if self.cpu is not None:
@@ -497,7 +462,6 @@ class StreamingPipeline(Observer):
         values), this increments counters so many runs aggregate — the
         ``repro-check --stats-out`` artifact path.
         """
-        validation = self.validate_model()
         for name, value, unit in (
             ("pipeline.runs", 1, "runs"),
             ("pipeline.instructions", self.stats.instructions,
@@ -512,7 +476,5 @@ class StreamingPipeline(Observer):
              "events"),
             ("pipeline.queue.stall_cycles", int(self.model.stall_cycles),
              "cycles"),
-            ("pipeline.model.predicted_stall_cycles",
-             validation.predicted_stall_cycles, "cycles"),
         ):
             registry.counter(name, unit=unit).inc(value)

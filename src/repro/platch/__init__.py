@@ -18,11 +18,15 @@ Two models are provided, mirroring the paper's methodology:
   model: LBA's reported mean overheads localised to the taint-active
   periods (1000-instruction granularity);
 * :class:`~repro.platch.queue_sim.TwoCoreQueueSimulator` — a
-  discrete queue simulation exposing the stall mechanism itself.
+  discrete queue simulation exposing the stall mechanism itself; it
+  steps :class:`repro.pipeline.model.StallModel`, the same recursion
+  the running pipeline uses.
+
+The running two-core system is :class:`repro.pipeline.StreamingPipeline`
+(``gate_batch=1`` for the event-at-a-time cadence).
 """
 
 from repro.platch.lba import LBA_OPTIMIZED, LBA_SIMPLE, LbaParameters
-from repro.platch.functional import PLatchCounters, PLatchSystem
 from repro.platch.model import PLatchReport, analytic_platch
 from repro.platch.pending import PendingEntry, PendingUpdateTracker
 from repro.platch.queue_sim import QueueReport, TwoCoreQueueSimulator
@@ -31,9 +35,7 @@ __all__ = [
     "LBA_OPTIMIZED",
     "LBA_SIMPLE",
     "LbaParameters",
-    "PLatchCounters",
     "PLatchReport",
-    "PLatchSystem",
     "PendingEntry",
     "PendingUpdateTracker",
     "QueueReport",

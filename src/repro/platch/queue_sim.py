@@ -6,22 +6,19 @@ event per selected instruction to a bounded FIFO, a consumer (the
 monitor core) drains events at a fixed analysis cost, and the producer
 stalls whenever the FIFO is full.
 
-The simulation advances epoch by epoch using a Lindley-style backlog
-recursion, so streams with millions of epochs complete in seconds while
-remaining cycle-faithful in steady state:
+The simulation advances epoch by epoch through the pipeline's
+:class:`repro.pipeline.model.StallModel` — the one Lindley backlog
+recursion in the tree — so streams with millions of epochs complete in
+seconds while remaining cycle-faithful in steady state:
 
 * backlog grows by ``events × analysis_cycles`` per epoch and drains by
   the epoch's wall-clock duration;
 * whenever the backlog exceeds the queue's cycle capacity, the producer
   stalls for the difference (that time is pure overhead).
 
-Since the streaming refactor this model is no longer standalone: the
-*measured* pipeline (:class:`repro.pipeline.StreamingPipeline`) runs the
-identical recursion inline per committed instruction and exports its
-event stream as an :class:`~repro.workloads.trace.EpochStream`, so
-replaying that stream here reproduces the measurement — exactly at
-epoch granularity 1, within a documented tolerance at coarser epochs
-(:mod:`repro.pipeline.validate`).
+The streaming pipeline steps the same recursion once per committed
+instruction; ``tests/test_pipeline_validate.py`` pins the error of
+aggregating those steps into epochs.
 """
 
 from __future__ import annotations
@@ -31,6 +28,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.pipeline.model import StallModel
 from repro.platch.lba import LbaParameters, LBA_SIMPLE
 from repro.workloads.trace import EpochStream
 
@@ -117,8 +115,10 @@ class TwoCoreQueueSimulator:
         """
         from repro.obs.queues import QueueInstruments
 
-        analysis = self.baseline.analysis_cycles_per_event
-        capacity_cycles = self.baseline.queue_entries * analysis
+        model = StallModel(
+            self.baseline.analysis_cycles_per_event,
+            self.baseline.queue_entries,
+        )
         instruments = (
             QueueInstruments(
                 obs, "platch.queue",
@@ -140,22 +140,10 @@ class TwoCoreQueueSimulator:
         else:
             events = lengths * self.baseline.events_per_instruction
 
-        backlog = 0.0
-        stall = 0.0
-        total_events = float(events.sum())
-        # Lindley recursion per epoch.
-        work = events * analysis
-        for index in range(len(lengths)):
-            duration = lengths[index]
-            backlog = backlog + work[index] - duration
-            if backlog < 0.0:
-                backlog = 0.0
-            elif backlog > capacity_cycles:
-                # Producer stalls until the backlog fits the queue again.
-                stall += backlog - capacity_cycles
-                backlog = capacity_cycles
+        for epoch_events, duration in zip(events.tolist(), lengths.tolist()):
+            model.commit(epoch_events, duration)
             if instruments is not None:
-                instruments.record_occupancy(backlog / analysis)
+                instruments.record_occupancy(model.occupancy_entries)
         # Whatever backlog remains delays completion of monitoring, but
         # not the producer; the paper charges producer-visible overhead
         # only, so it is not added to the stall count.
@@ -164,8 +152,8 @@ class TwoCoreQueueSimulator:
             name=stream.name,
             baseline=self.baseline.name,
             total_instructions=stream.total_instructions,
-            events_enqueued=int(total_events),
-            stall_cycles=int(stall),
+            events_enqueued=int(events.sum()),
+            stall_cycles=int(model.stall_cycles),
             filtered=self.filtered,
         )
         if obs is not None:

@@ -19,9 +19,10 @@ so loadgen runs stay reproducible.
 
 :class:`TraceRecorder` is the producer half of remote checking: attach
 it to a local CPU, run, and it captures the committed event stream in
-wire form.  :func:`local_reference` replays the same trace through an
-in-process :class:`repro.platch.PLatchSystem` so callers can assert the
-served result is bit-identical.
+wire form.  :func:`local_reference` runs the same program under an
+in-process :class:`repro.pipeline.StreamingPipeline` built from the
+served defaults, so callers can assert the served result is
+bit-identical.
 """
 
 from __future__ import annotations
@@ -178,26 +179,27 @@ def local_reference(
 
     Returns the same ``{"signature": ..., "stats": ...}`` shape a
     served stream produces, computed by attaching a
-    :class:`repro.platch.PLatchSystem` (gate batch 1 — the served
-    default) to a fresh local CPU.
+    :class:`repro.pipeline.StreamingPipeline` to a fresh local CPU.
+    Its config comes from the server's own wire defaults
+    (:func:`repro.serve.session.pipeline_config_from_wire`), so the
+    oracle and an unconfigured served stream share one cadence.
     """
     from repro.machine.cpu import ExecutionError
-    from repro.platch.functional import PLatchSystem
+    from repro.pipeline.pipeline import StreamingPipeline
+    from repro.serve.session import _stats_payload, pipeline_config_from_wire
 
     cpu = make_cpu()
-    system = PLatchSystem(
-        cpu, queue_capacity=queue_capacity, drain_batch=drain_batch
-    )
+    pipeline = StreamingPipeline(cpu, config=pipeline_config_from_wire(
+        {"queue_capacity": queue_capacity, "drain_batch": drain_batch}
+    ))
     try:
         cpu.run(max_steps)
     except ExecutionError:
         pass
-    system.finish()
-    from repro.serve.session import _stats_payload
-
+    pipeline.finish()
     return {
-        "signature": canonical_signature(system.engine),
-        "stats": _stats_payload(system),
+        "signature": canonical_signature(pipeline.engine),
+        "stats": _stats_payload(pipeline),
     }
 
 

@@ -1,7 +1,7 @@
 """Load generator: thousands of simulated clients against one server.
 
 The generator pre-records one wire trace per workload scenario and one
-local :class:`repro.platch.PLatchSystem` reference result, then fans
+local :func:`repro.serve.client.local_reference` result, then fans
 out N asyncio clients that each stream a trace and compare the served
 result against the reference — so a load run doubles as a soundness
 sweep (any divergence is a bug, not noise).

@@ -76,6 +76,7 @@ from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.isa.encoding import decode as decode_instruction
 from repro.isa.encoding import encode as encode_instruction
+from repro.isa.instructions import REGISTER_COUNT
 from repro.machine.events import (
     InputEvent,
     MemoryAccess,
@@ -92,6 +93,9 @@ PROTOCOL_VERSION = 1
 MAX_FRAME_BYTES = 8 * 1024 * 1024
 
 _LENGTH = struct.Struct(">I")
+
+#: Valid wire register ids (indices into the 16-entry register files).
+_REGISTER_IDS = frozenset(range(REGISTER_COUNT))
 
 
 class ProtocolError(Exception):
@@ -248,6 +252,13 @@ def _accesses(raw, write: bool) -> Tuple[MemoryAccess, ...]:
     )
 
 
+def _registers(raw) -> Tuple[int, ...]:
+    registers = tuple(int(r) for r in raw)
+    if not _REGISTER_IDS.issuperset(registers):
+        raise ProtocolError(f"register id out of range: {list(registers)}")
+    return registers
+
+
 def decode_event(record: Dict) -> WireEvent:
     """Inverse of the ``encode_*`` family; validates the shape."""
     try:
@@ -257,8 +268,8 @@ def decode_event(record: Dict) -> WireEvent:
                 index=int(record["i"]),
                 pc=int(record["pc"]),
                 instruction=decode_instruction(int(record["w"])),
-                regs_read=tuple(int(r) for r in record.get("rr", ())),
-                regs_written=tuple(int(r) for r in record.get("rw", ())),
+                regs_read=_registers(record.get("rr", ())),
+                regs_written=_registers(record.get("rw", ())),
                 reads=_accesses(record.get("rd", ()), write=False),
                 writes=_accesses(record.get("wr", ()), write=True),
                 next_pc=int(record["np"]),
@@ -273,7 +284,7 @@ def decode_event(record: Dict) -> WireEvent:
                 data=_unb64(record["d"]),
                 source_kind=str(record["sk"]),
                 source_name=str(record["sn"]),
-                tainted_hint=bool(record["th"]),
+                tainted_hint=wire_value(bool, "th", record["th"]),
             )
         if kind == "o":
             return "output", OutputEvent(
@@ -308,8 +319,9 @@ def canonical_signature(engine) -> Dict:
     Mirrors ``repro.check.oracle.state_signature`` — alerts, tainted
     byte addresses, per-register TRF tags — but in a JSON-stable shape
     (lists, string alert kinds) so a served result compares
-    bit-identically against a local :class:`repro.platch.PLatchSystem`
-    run after one round trip through the wire.
+    bit-identically against a local
+    :func:`repro.serve.client.local_reference` run after one round trip
+    through the wire.
     """
     return {
         "alerts": [

@@ -57,21 +57,16 @@ def pipeline_config_from_wire(overrides: Optional[Dict]) -> PipelineConfig:
     Only whitelisted structural knobs are honoured; anything else is a
     protocol error (clients must not smuggle arbitrary kwargs), and so
     is a value that does not coerce to its knob's type.  The default is
-    the classic P-LATCH cadence — gate batch 1 — which is exactly
-    :class:`repro.platch.PLatchSystem`'s shape, so an unconfigured
-    served check is bit-comparable to the local wrapper.
+    the classic P-LATCH cadence — gate batch 1 — and
+    :func:`repro.serve.client.local_reference` builds its local oracle
+    through this same function, so an unconfigured served check is
+    bit-comparable to a local run.
     """
-    # Served pipelines default to bounded histograms: sessions are
-    # long-lived, so per-sample occupancy storage would grow without
-    # bound (clients can still ask for "exact" explicitly).
-    values: Dict = {"gate_batch": 1, "hist_mode": "bounded"}
+    values: Dict = {"gate_batch": 1}
     sampling: Dict = {}
     for key, value in _knobs(overrides, "pipeline"):
-        if key in ("queue_capacity", "drain_batch", "gate_batch",
-                   "model_epoch"):
+        if key in ("queue_capacity", "drain_batch", "gate_batch"):
             values[key] = wire_value(int, key, value)
-        elif key == "hist_mode":
-            values[key] = wire_value(str, key, value)
         elif key == "sample_rate":
             sampling["rate"] = wire_value(float, key, value)
         elif key in ("sample_window", "sample_seed"):

@@ -25,7 +25,7 @@ from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.isa.instructions import Instruction, Opcode
+from repro.isa.instructions import REGISTER_COUNT, Instruction, Opcode
 from repro.machine.events import (
     InputEvent,
     MemoryAccess,
@@ -36,6 +36,8 @@ from repro.machine.events import (
 from repro.trace.format import ColumnarFile, PathLike, to_bytes, write_columnar
 
 EVENT_KIND = "event-trace"
+
+_OPCODES = np.array([int(opcode) for opcode in Opcode])
 
 #: Fixed per-step fields as one structured record (v1 layout).  ``-1``
 #: encodes an absent register field / syscall number.
@@ -237,9 +239,23 @@ def iter_events(
     handle = _as_event_file(source)
     pool = [str(s) for s in handle.meta.get("strings", [])]
     steps = handle.array("steps")
-    regs_read = handle.array("regs_read").tolist()
+    regs_read = handle.array("regs_read")
+    regs_written = handle.array("regs_written")
+    # Register ids index fixed-size register files downstream and
+    # opcodes must decode; either out of range is a corrupt container,
+    # not a replay fault.
+    for ids in (regs_read, regs_written, *(
+        steps[operand] for operand in ("rd", "rs1", "rs2")
+    )):
+        if ids.size and int(ids.max()) >= REGISTER_COUNT:
+            raise handle._fail(
+                f"register id {int(ids.max())} out of range"
+            )
+    if not np.isin(steps["opcode"], _OPCODES).all():
+        raise handle._fail("unknown opcode in step records")
+    regs_read = regs_read.tolist()
     rr_off = handle.array("regs_read_offsets").tolist()
-    regs_written = handle.array("regs_written").tolist()
+    regs_written = regs_written.tolist()
     rw_off = handle.array("regs_written_offsets").tolist()
     accesses = handle.array("accesses").tolist()
     reads_off = handle.array("reads_offsets").tolist()

@@ -101,8 +101,8 @@ class TestPipelineDoc:
         namespace = run_blocks(ROOT / "docs" / "PIPELINE.md")
         # The saturated walkthrough really exercised backpressure...
         assert namespace["saturated"].stats.queue_full_stalls > 0
-        # ...and the exact-replay claim held on the measured stream.
-        assert namespace["validation"].exact
+        # ...and the stall model charged it.
+        assert namespace["saturated"].model.stall_cycles > 0
 
     def test_doc_names_every_public_symbol(self):
         """The pipeline package's public API is all documented."""

@@ -17,7 +17,7 @@ from repro.dift.events import AlertKind
 from repro.dift.policy import TaintPolicy
 from repro.hlatch import HLatchMonitor, run_baseline, run_hlatch
 from repro.machine.tracing import TraceRecorder
-from repro.platch.functional import PLatchSystem
+from repro.pipeline import PipelineConfig, StreamingPipeline
 from repro.slatch.controller import SLatchSystem
 from repro.slatch.costs import SLatchCostModel
 from repro.workloads.attacks import buffer_overflow
@@ -59,11 +59,13 @@ class TestServiceUnderAllIntegrations:
 
         # P-LATCH (two-core).
         cpu = mixed_trust_server().make_cpu()
-        platch = PLatchSystem(cpu, policy=POLICY, drain_batch=16)
+        platch = StreamingPipeline(cpu, policy=POLICY, config=PipelineConfig(
+            drain_batch=16, gate_batch=1,
+        ))
         cpu.run(500_000)
         platch.drain_all()
         assert list(platch.engine.shadow.iter_tainted_bytes()) == reference_taint
-        assert 0 < platch.counters.enqueue_fraction < 1
+        assert 0 < platch.stats.enqueue_fraction < 1
 
         # H-LATCH (hardware DIFT + filtered caches).
         cpu = mixed_trust_server().make_cpu()
@@ -81,7 +83,9 @@ class TestServiceUnderAllIntegrations:
 
         for build_system in (
             lambda cpu: SLatchSystem(cpu, policy=POLICY),
-            lambda cpu: PLatchSystem(cpu, policy=POLICY),
+            lambda cpu: StreamingPipeline(
+                cpu, policy=POLICY, config=PipelineConfig(gate_batch=1)
+            ),
             lambda cpu: HLatchMonitor(cpu, policy=POLICY),
         ):
             cpu = buffer_overflow(True).make_cpu()
@@ -90,7 +94,7 @@ class TestServiceUnderAllIntegrations:
                 cpu.run(500_000)
             except Exception:
                 pass
-            if isinstance(system, PLatchSystem):
+            if isinstance(system, StreamingPipeline):
                 system.drain_all()
             assert [(a.kind, a.pc) for a in system.engine.alerts] == expected
 

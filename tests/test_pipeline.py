@@ -32,7 +32,6 @@ from repro.kernels.classify import (
 from repro.machine.events import MemoryAccess, Observer, StepEvent
 from repro.pipeline import PipelineConfig, StreamingPipeline
 from repro.pipeline.gate import LatchGate
-from repro.platch.functional import PLatchSystem
 from repro.workloads import attacks, programs
 
 SCENARIOS = [
@@ -165,7 +164,7 @@ def assert_identical_runs(oracle, probe):
 )
 def test_backends_make_identical_admission_decisions(name, build, policy):
     """The check_step oracle gate and the CTT probe agree event-for-event
-    at batch 1 (the served and ``PLatchSystem`` cadence)."""
+    at batch 1 (the served cadence)."""
     oracle = run_pipeline(build, policy, "scalar")
     probe = run_pipeline(build, policy, "vector", gate_batch=1)
     assert_identical_runs(oracle, probe)
@@ -363,23 +362,25 @@ def test_oracle_gate_runs_identically(name, build, policy):
 
 
 def test_wrapper_is_bit_identical_to_raw_pipeline():
-    """PLatchSystem == StreamingPipeline(gate_batch=1) exactly."""
+    """The served wire defaults == StreamingPipeline(gate_batch=1) exactly."""
+    from repro.serve.session import pipeline_config_from_wire
+
     build = lambda: programs.echo_server()
-    wrapped_cpu = build().make_cpu()
-    wrapped = PLatchSystem(wrapped_cpu, queue_capacity=32, drain_batch=8)
-    wrapped_cpu.run(300_000)
-    wrapped.drain_all()
+    wired_cpu = build().make_cpu()
+    wired = StreamingPipeline(wired_cpu, config=pipeline_config_from_wire(
+        {"queue_capacity": 32, "drain_batch": 8}
+    ))
+    wired_cpu.run(300_000)
+    wired.drain_all()
 
     pipeline = run_pipeline(
         build, None,
         queue_capacity=32, drain_batch=8, gate_batch=1,
     )
-    assert signature(wrapped.engine) == signature(pipeline.engine)
-    assert wrapped.stats.enqueued == pipeline.stats.enqueued
-    assert wrapped.stats.queue_full_stalls == pipeline.stats.queue_full_stalls
-    counters = wrapped.counters
-    assert counters.enqueued == pipeline.stats.enqueued
-    assert counters.drained == pipeline.stats.drained
+    assert signature(wired.engine) == signature(pipeline.engine)
+    assert asdict(wired.stats) == asdict(pipeline.stats)
+    assert asdict(wired.gate.stats) == asdict(pipeline.gate.stats)
+    assert wired.model.stall_cycles == pipeline.model.stall_cycles
 
 
 def test_publish_metrics_exposes_pipeline_series():

@@ -3,7 +3,7 @@
 Each test pins one failure mode the pipeline's design guards against:
 queue-full backpressure, programs that never generate an event,
 mid-stream taint sources racing the consumer, a saturated pending FIFO,
-and run-to-run determinism of the compatibility wrapper.
+and run-to-run determinism at the event-at-a-time cadence.
 """
 
 import pytest
@@ -13,7 +13,6 @@ from repro.isa.assembler import assemble
 from repro.machine.cpu import CPU
 from repro.machine.devices import DeviceTable, VirtualFile
 from repro.pipeline import PipelineConfig, StreamingPipeline
-from repro.platch.functional import PLatchSystem
 from repro.platch.pending import PendingUpdateTracker
 from repro.workloads import programs
 
@@ -119,10 +118,8 @@ class TestZeroEventPrograms:
         pipeline = run_pipeline(
             lambda: programs.file_filter(tainted=False), None
         )
-        validation = pipeline.validate_model()
         assert pipeline.model.stall_cycles == 0
-        assert validation.exact
-        assert validation.predicted_stall_cycles == 0
+        assert pipeline.model.backlog == 0.0
 
 
 class TestMidStreamTaintSources:
@@ -183,15 +180,17 @@ class TestWrapperDeterminism:
     def test_wrapper_runs_are_bit_identical(self):
         def one_run():
             cpu = programs.echo_server().make_cpu()
-            system = PLatchSystem(cpu, queue_capacity=16, drain_batch=4)
+            system = StreamingPipeline(cpu, config=PipelineConfig(
+                queue_capacity=16, drain_batch=4, gate_batch=1,
+            ))
             cpu.run(300_000)
             system.drain_all()
-            return signature(system.engine), system.counters
+            return (
+                signature(system.engine), system.stats, system.gate.stats,
+                system.model.stall_cycles,
+            )
 
-        first_sig, first_counters = one_run()
-        second_sig, second_counters = one_run()
-        assert first_sig == second_sig
-        assert first_counters == second_counters
+        assert one_run() == one_run()
 
 
 class TestIdempotentTeardown:
@@ -220,7 +219,7 @@ class TestIdempotentTeardown:
             return (
                 signature(pipeline.engine),
                 pipeline.stats,
-                len(pipeline._queue_instruments.occupancy.values()),
+                pipeline._queue_instruments.occupancy.count,
                 registry.snapshot().to_dict(),
             )
 
@@ -239,11 +238,9 @@ class TestIdempotentTeardown:
         )
         cpu.run(300_000)
         pipeline.finish()
-        samples = len(pipeline._queue_instruments.occupancy.values())
+        samples = pipeline._queue_instruments.occupancy.count
         assert pipeline.drain() == 0
-        assert len(
-            pipeline._queue_instruments.occupancy.values()
-        ) == samples
+        assert pipeline._queue_instruments.occupancy.count == samples
 
     def test_closed_queue_rejects_straggler_batches(self):
         from repro.machine.events import StepEvent

@@ -1,10 +1,12 @@
 """P-LATCH model tests: window localisation and the queue mechanism."""
 
+import numpy as np
 import pytest
 
 from repro.platch.lba import LBA_OPTIMIZED, LBA_SIMPLE, LbaParameters
 from repro.platch.model import analytic_platch
 from repro.platch.queue_sim import TwoCoreQueueSimulator
+from repro.workloads import all_profiles
 from repro.workloads.profiles import get_profile
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.trace import Epoch, EpochStream
@@ -118,3 +120,65 @@ class TestFigure15Shape:
             ).monitored_fraction
 
         assert monitored("astar") > monitored("gcc") > monitored("gobmk")
+
+
+def per_epoch_lindley(simulator, stream):
+    """Test oracle: a standalone per-epoch Lindley loop.
+
+    Returns ``(events_enqueued, stall_cycles)`` computed by its own
+    vectorised work array and loop, independent of
+    :class:`repro.pipeline.model.StallModel`.
+    """
+    baseline = simulator.baseline
+    analysis = baseline.analysis_cycles_per_event
+    capacity_cycles = baseline.queue_entries * analysis
+    lengths = stream.lengths.astype(np.float64)
+    marks = stream.tainted_counts.astype(np.float64)
+    if simulator.filtered:
+        events = marks + (lengths - marks) * simulator.fp_rate
+    else:
+        events = lengths * baseline.events_per_instruction
+    work = events * analysis
+    backlog = 0.0
+    stall = 0.0
+    for index in range(len(lengths)):
+        backlog = backlog + work[index] - lengths[index]
+        if backlog < 0.0:
+            backlog = 0.0
+        elif backlog > capacity_cycles:
+            stall += backlog - capacity_cycles
+            backlog = capacity_cycles
+    return int(float(events.sum())), int(stall)
+
+
+#: Figure 15's workloads: every SPEC and network profile.
+FIG15_PROFILES = [
+    profile.name for profile in all_profiles()
+    if profile.kind in ("spec", "network")
+]
+
+ORACLE_BASELINES = (
+    LBA_SIMPLE,
+    LBA_OPTIMIZED,
+    LbaParameters(name="q4", mean_overhead=3.38, queue_entries=4),
+)
+
+
+class TestQueueSimulatorOracle:
+    @pytest.mark.parametrize("name", FIG15_PROFILES)
+    def test_matches_per_epoch_oracle_exactly(self, name):
+        """StallModel stepped per epoch == the standalone loop, for
+        every baseline, filtered and unfiltered, at fp_rate 0.01."""
+        epochs = WorkloadGenerator(get_profile(name)).epoch_stream(500_000)
+        for baseline in ORACLE_BASELINES:
+            for filtered in (True, False):
+                simulator = TwoCoreQueueSimulator(
+                    baseline, filtered=filtered, fp_rate=0.01
+                )
+                report = simulator.run(epochs)
+                assert (report.events_enqueued, report.stall_cycles) == (
+                    per_epoch_lindley(simulator, epochs)
+                ), (baseline.name, filtered)
+
+    def test_matrix_covers_figure15(self):
+        assert len(FIG15_PROFILES) * len(ORACLE_BASELINES) * 2 == 162

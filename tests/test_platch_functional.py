@@ -4,7 +4,7 @@ import pytest
 
 from repro.dift.engine import DIFTEngine
 from repro.dift.policy import leak_detection_policy
-from repro.platch.functional import PLatchSystem
+from repro.pipeline import PipelineConfig, StreamingPipeline
 from repro.workloads import attacks, programs
 
 SCENARIOS = [
@@ -34,8 +34,10 @@ def run_reference(build, policy_factory):
 def run_platch(build, policy_factory, **kwargs):
     scenario = build()
     cpu = scenario.make_cpu()
-    system = PLatchSystem(
-        cpu, policy=policy_factory() if policy_factory else None, **kwargs
+    system = StreamingPipeline(
+        cpu,
+        policy=policy_factory() if policy_factory else None,
+        config=PipelineConfig(gate_batch=1, **kwargs),
     )
     try:
         cpu.run(300_000)
@@ -64,9 +66,9 @@ def test_two_core_monitoring_is_lossless(name, build, policy, drain_batch):
 
 def test_queue_filters_most_instructions():
     system = run_platch(lambda: programs.phased_compute(clean_iterations=1500), None)
-    counters = system.counters
-    assert counters.enqueue_fraction < 0.4
-    assert counters.drained == counters.enqueued
+    stats = system.stats
+    assert stats.enqueue_fraction < 0.4
+    assert stats.drained == stats.enqueued
 
 
 def test_pending_tracker_catches_back_to_back_dependences():
@@ -92,9 +94,9 @@ def test_tiny_queue_forces_stalls_but_stays_correct():
 def test_enqueue_fraction_tracks_taint_activity():
     clean = run_platch(
         lambda: programs.file_filter(tainted=False), None
-    ).counters.enqueue_fraction
+    ).stats.enqueue_fraction
     tainted = run_platch(
         lambda: programs.file_filter(tainted=True), None
-    ).counters.enqueue_fraction
+    ).stats.enqueue_fraction
     assert clean == 0.0
     assert tainted > 0.0

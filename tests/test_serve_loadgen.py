@@ -196,7 +196,7 @@ class TestLoadRuns:
 
     def test_engine_phase_run_is_bit_identical(self, shared_traces):
         # A dynamic-engine arrival schedule driven end to end: every
-        # served result must match the local PLatchSystem reference
+        # served result must match the local_reference oracle
         # (report.clean == zero divergence from the recorded oracle).
         config = ServeConfig(
             max_inflight=32,

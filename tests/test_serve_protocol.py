@@ -143,6 +143,27 @@ class TestEventCodec:
         with pytest.raises(ProtocolError):
             decode_event({"k": "s", "i": 0})  # missing pc/w/np
 
+    @pytest.mark.parametrize("field,registers", [
+        ("rw", [99]), ("rr", [-1]), ("rr", [16]), ("rw", [0, 15, 16]),
+    ])
+    def test_out_of_range_register_rejected(self, field, registers):
+        record = encode_step(_step_event())
+        record[field] = registers
+        with pytest.raises(ProtocolError, match="register id"):
+            decode_event(record)
+
+    @pytest.mark.parametrize("hint", ["false", "true", 0, 1, None])
+    def test_tainted_hint_must_be_a_json_boolean(self, hint):
+        event = InputEvent(
+            step_index=0, address=0, data=b"x", source_kind="file",
+            source_name="f", tainted_hint=False,
+        )
+        record = encode_input(event)
+        assert decode_event(record)[1].tainted_hint is False
+        record["th"] = hint
+        with pytest.raises(ProtocolError, match="JSON boolean"):
+            decode_event(record)
+
     def test_bad_base64_rejected(self):
         record = encode_input(InputEvent(
             step_index=0, address=0, data=b"x", source_kind="file",
@@ -168,11 +189,11 @@ class TestEventCodec:
 class TestCanonicalSignature:
     def test_mirrors_oracle_state_signature(self):
         from repro.check.oracle import state_signature
-        from repro.platch.functional import PLatchSystem
+        from repro.pipeline import PipelineConfig, StreamingPipeline
         from repro.workloads.programs import checksum
 
         cpu = checksum().make_cpu()
-        system = PLatchSystem(cpu)
+        system = StreamingPipeline(cpu, config=PipelineConfig(gate_batch=1))
         cpu.run(100_000)
         system.finish()
 
@@ -186,11 +207,11 @@ class TestCanonicalSignature:
         assert len(wire["trf"]) == 16
 
     def test_survives_json_round_trip(self):
-        from repro.platch.functional import PLatchSystem
+        from repro.pipeline import PipelineConfig, StreamingPipeline
         from repro.workloads.programs import checksum
 
         cpu = checksum().make_cpu()
-        system = PLatchSystem(cpu)
+        system = StreamingPipeline(cpu, config=PipelineConfig(gate_batch=1))
         cpu.run(100_000)
         system.finish()
         wire = canonical_signature(system.engine)
@@ -219,6 +240,18 @@ class TestWireConfig:
                 pipeline_config_from_wire({"backend": value})
 
     @pytest.mark.parametrize("overrides", [
+        {"model_epoch": 1},
+        {"model_epoch": 1000},
+        {"hist_mode": "exact"},
+        {"hist_mode": "bounded"},
+    ])
+    def test_retired_wire_knobs_are_unknown(self, overrides):
+        from repro.serve.session import pipeline_config_from_wire
+
+        with pytest.raises(ProtocolError, match="unknown pipeline knob"):
+            pipeline_config_from_wire(overrides)
+
+    @pytest.mark.parametrize("overrides", [
         {"queue_capacity": "abc"},
         {"queue_capacity": None},
         {"sample_window": "wide"},
@@ -236,4 +269,3 @@ class TestWireConfig:
 
         config = pipeline_config_from_wire(None)
         assert config.gate_batch == 1
-        assert config.hist_mode == "bounded"

@@ -486,6 +486,8 @@ class TestQueriesAndProtocol:
         {"pipeline": {"gate_batch": 1e999}},
         {"pipeline": ["queue_capacity"]},
         {"pipeline": {"backend": "scalar"}},
+        {"pipeline": {"model_epoch": 1}},
+        {"pipeline": {"hist_mode": "exact"}},
         {"latch": {"domain_size": "big"}},
         {"latch": {"domain_size": 3}},
         {"latch": {"ctc_entries": 0}},
@@ -540,6 +542,90 @@ class TestQueriesAndProtocol:
                     assert client._recv()["code"] == "job", job
                 assert client.ping()
             assert _wait_until(lambda: len(server.inflight) == 0)
+
+    @staticmethod
+    def _hostile_records(events):
+        """Records a valid trace never holds: bad register ids, string
+        ``tainted_hint`` values."""
+        step = next(e for e in events if e["k"] == "s")
+        source = next(e for e in events if e["k"] == "i")
+        return [
+            {**step, "rw": [99]},
+            {**step, "rr": [-1]},
+            {**step, "rr": [16]},
+            {**source, "th": "false"},
+            {**source, "th": 0},
+        ]
+
+    @staticmethod
+    def _hostile_ltraces():
+        """Recorded ``.ltrace`` jobs with register id 99 in one column,
+        or an opcode that does not decode."""
+        import base64
+
+        from repro.trace.record import TraceRecorder
+
+        def job(corrupt):
+            cpu = _factory("checksum")()
+            recorder = TraceRecorder(name="hostile")
+            cpu.attach(recorder)
+            cpu.run(200_000)
+            corrupt(recorder)
+            return {"trace": base64.b64encode(
+                recorder.to_bytes()
+            ).decode("ascii")}
+
+        def regs_written(recorder):
+            recorder._regs_written[0] = 99
+
+        def step_field(index, value):
+            def corrupt(recorder):
+                step = list(recorder._steps[0])
+                step[index] = value
+                recorder._steps[0] = tuple(step)
+            return corrupt
+
+        # STEP_DTYPE field 4 is the opcode, field 5 the rd operand.
+        return [job(regs_written), job(step_field(5, 99)),
+                job(step_field(4, 250))]
+
+    def test_hostile_records_answer_errors_on_a_live_connection(
+        self, traces
+    ):
+        events, reference = traces["checksum"]
+        unthrottled = ServeConfig(
+            default_limits=TenantLimits(rate=1e9, burst=1e9)
+        )
+        with running_server(unthrottled) as (server, (host, port)):
+            with ServeClient(host, port, tenant="hostile") as client:
+                stream, _ = client.open_stream()
+                for record in self._hostile_records(events):
+                    # A valid prefix rides along: the whole batch must
+                    # be refused without advancing the stream.
+                    client._send({"type": "events", "stream": stream,
+                                  "batch": events[:5] + [record]})
+                    reply = client._recv()
+                    assert reply["type"] == "error", (record, reply)
+                    assert reply["code"] == "events", (record, reply)
+                for start in range(0, len(events), 64):
+                    client.send_events(stream, events[start:start + 64])
+                atomic = client.close_stream(stream)
+                for job in self._hostile_ltraces():
+                    client._send({"type": "submit", "job": job})
+                    reply = client._recv()
+                    assert reply["type"] == "error", reply
+                    assert reply["code"] == "job", reply
+                assert len(server.inflight) == 0
+                result = client.check_trace(events)
+            assert _wait_until(lambda: len(server.inflight) == 0)
+        for served in (atomic, {"signature": result.signature,
+                                "stats": result.stats}):
+            assert canonical_json(served["signature"]) == canonical_json(
+                reference["signature"]
+            )
+            assert canonical_json(served["stats"]) == canonical_json(
+                reference["stats"]
+            )
 
     def test_invalid_tenant_name_refused_at_hello(self):
         with running_server() as (_server, (host, port)):

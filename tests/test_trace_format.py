@@ -143,6 +143,28 @@ class TestEventConformance:
         assert recorder.halt_step == log.halt
         assert sink.halt == log.halt
 
+    @pytest.mark.parametrize("column", ["regs_read", "regs_written", "rd"])
+    def test_out_of_range_register_id_is_a_format_error(self, column):
+        _, recorder, _ = _record(0)
+        if column == "rd":
+            step = list(recorder._steps[0])
+            step[5] = 99  # the rd field of STEP_DTYPE
+            recorder._steps[0] = tuple(step)
+        else:
+            getattr(recorder, f"_{column}")[0] = 99
+        sink = _EventLog()
+        with pytest.raises(StorageFormatError, match="register id 99"):
+            replay_events(recorder.to_bytes(), sink)
+        assert sink.events == [], "rejected before any event is replayed"
+
+    def test_unknown_opcode_is_a_format_error(self):
+        _, recorder, _ = _record(0)
+        step = list(recorder._steps[0])
+        step[4] = 250  # the opcode field of STEP_DTYPE
+        recorder._steps[0] = tuple(step)
+        with pytest.raises(StorageFormatError, match="unknown opcode"):
+            replay_events(recorder.to_bytes(), _EventLog())
+
     def test_kind_guard_rejects_access_trace(self):
         trace = load_access_trace(GOLDEN_DIR / "gcc_w2000_s0.npz")
         blob = to_bytes(ACCESS_KIND, {"addresses": trace.addresses}, {})
