@@ -22,7 +22,7 @@ from repro.analysis import (
 )
 from repro.hlatch import run_baseline, run_hlatch
 from repro.machine import TraceRecorder
-from repro.pipeline import PipelineConfig, StreamingPipeline
+from repro.pipeline import StreamingPipeline
 from repro.workloads.programs import echo_server
 
 
@@ -86,7 +86,7 @@ def main() -> None:
     trusted = [rng.randrange(100) < 50 for _ in range(60)]
     scenario = echo_server(requests=payloads, trusted_flags=trusted)
     cpu2 = scenario.make_cpu()
-    platch = StreamingPipeline(cpu2, config=PipelineConfig(gate_batch=1))
+    platch = StreamingPipeline(cpu2)
     cpu2.run(5_000_000)
     platch.drain_all()
     stats = platch.stats

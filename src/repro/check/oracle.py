@@ -20,11 +20,10 @@ after every committed instruction on the core-mirror and H-LATCH paths
 introduces it rather than at the end of the run.
 
 The ``stream`` path runs the program through the full
-:class:`repro.pipeline.StreamingPipeline` once per gate cadence
-(:data:`STREAM_GATE_BATCHES`: event-at-a-time and batched), honouring
-any other ``REPRO_PIPELINE_*`` environment knobs; with sampling
-inactive it must reproduce the reference signature, and the
-coarse-vs-precise invariants must hold either way.
+:class:`repro.pipeline.StreamingPipeline`, honouring the
+``REPRO_PIPELINE_*`` environment knobs; with sampling inactive it must
+reproduce the reference signature, and the coarse-vs-precise invariants
+must hold either way.
 
 The ``columnar`` path is the object-vs-columnar differential: the
 recorded ``.ltrace`` event container must replay to the reference
@@ -37,7 +36,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -54,10 +53,6 @@ MAX_STEPS = 200_000
 
 #: Paths the oracle exercises (``check_program``'s default).
 ALL_PATHS = ("core", "slatch", "hlatch", "kernels", "stream", "columnar")
-
-#: Gate cadences the ``stream`` path runs: the served event-at-a-time
-#: cadence and the ``PipelineConfig`` default batch.
-STREAM_GATE_BATCHES = (1, 16)
 
 
 @dataclass(frozen=True)
@@ -322,21 +317,19 @@ def run_hlatch(cp: CheckProgram) -> CheckedHLatchMonitor:
 # ---------------------------------------------------------------- streaming
 
 
-def run_stream(cp: CheckProgram, gate_batch: Optional[int] = None):
-    """Run ``cp`` under the streaming pipeline (one gate cadence).
+def run_stream(cp: CheckProgram):
+    """Run ``cp`` under the streaming pipeline.
 
     The configuration comes from :meth:`repro.pipeline.PipelineConfig.
     from_env`, so ``REPRO_PIPELINE_*`` knobs (queue shape, sampling)
     apply to oracle runs and corpus replays exactly as they would to a
     production run — a shrunk reproducer stays faithful under either
-    execution mode.  ``gate_batch``, when given, overrides the cadence.
+    execution mode.
     """
     from repro.pipeline import StreamingPipeline
     from repro.pipeline.config import PipelineConfig
 
     config = PipelineConfig.from_env()
-    if gate_batch is not None:
-        config = config.replace(gate_batch=gate_batch)
     cpu = cp.make_cpu()
     pipeline = StreamingPipeline(cpu, latch_config=cp.config, config=config)
     _run(cpu)
@@ -651,28 +644,26 @@ def check_program(
         )
 
     if "stream" in paths:
-        for gate_batch in STREAM_GATE_BATCHES:
-            path = f"stream-b{gate_batch}"
-            pipeline = run_stream(cp, gate_batch=gate_batch)
-            report.runs += 1
-            if not pipeline.sampler.active:
-                # Sampling deliberately trades coverage, so the final
-                # state may legitimately under-approximate the
-                # reference; the invariant check below still applies.
-                check_signature(pipeline.engine, path)
-            try:
-                pipeline.latch.check_invariants(pipeline.engine.shadow)
-            except InvariantViolation as violation:
-                report.violations.append(
-                    SoundnessViolation(
-                        kind="invariant",
-                        path=path,
-                        detail=str(violation),
-                        program=cp.name,
-                    )
+        pipeline = run_stream(cp)
+        report.runs += 1
+        if not pipeline.sampler.active:
+            # Sampling deliberately trades coverage, so the final state
+            # may legitimately under-approximate the reference; the
+            # invariant check below still applies.
+            check_signature(pipeline.engine, "stream")
+        try:
+            pipeline.latch.check_invariants(pipeline.engine.shadow)
+        except InvariantViolation as violation:
+            report.violations.append(
+                SoundnessViolation(
+                    kind="invariant",
+                    path="stream",
+                    detail=str(violation),
+                    program=cp.name,
                 )
-            if stream_obs is not None:
-                pipeline.accumulate_metrics(stream_obs)
+            )
+        if stream_obs is not None:
+            pipeline.accumulate_metrics(stream_obs)
     return report
 
 

@@ -200,6 +200,31 @@ OPCODE_FORMAT = {
     Opcode.LTNT: Format.I,
 }
 
+#: Register fields each encoding format requires.
+_FORMAT_REGISTERS = {
+    Format.R: ("rd", "rs1", "rs2"),
+    Format.I: ("rd",),
+    Format.S: ("rs1", "rs2"),
+    Format.B: ("rs1", "rs2"),
+    Format.J: ("rd",),
+    Format.U: ("rd",),
+    Format.N: (),
+}
+
+
+def required_registers(opcode: Opcode) -> Tuple[str, ...]:
+    """The register fields (``rd``/``rs1``/``rs2``) ``opcode`` requires.
+
+    Its format's fields, plus ``rs1`` for every I-format instruction but
+    ``ltnt`` and for ``strf``.
+    """
+    fmt = OPCODE_FORMAT[opcode]
+    names = _FORMAT_REGISTERS[fmt]
+    if (fmt == Format.I and opcode != Opcode.LTNT) or opcode == Opcode.STRF:
+        names += ("rs1",)
+    return names
+
+
 #: Opcodes that read memory, mapped to their access size in bytes.
 LOAD_SIZES = {
     Opcode.LB: 1,
@@ -312,25 +337,11 @@ class Instruction:
         calls this before emitting bits.
         """
         fmt = self.format
-        requires = {
-            Format.R: ("rd", "rs1", "rs2"),
-            Format.I: ("rd",),
-            Format.S: ("rs1", "rs2"),
-            Format.B: ("rs1", "rs2"),
-            Format.J: ("rd",),
-            Format.U: ("rd",),
-            Format.N: (),
-        }[fmt]
-        for name in requires:
+        for name in required_registers(self.opcode):
             if getattr(self, name) is None:
                 raise ValueError(
                     f"{self.opcode.name} ({fmt.value}-format) requires {name}"
                 )
-        # I-format memory/jump/alu instructions also need rs1, except ltnt.
-        if fmt == Format.I and self.opcode != Opcode.LTNT and self.rs1 is None:
-            raise ValueError(f"{self.opcode.name} requires rs1")
-        if self.opcode == Opcode.STRF and self.rs1 is None:
-            raise ValueError("STRF requires rs1")
         for name in ("rd", "rs1", "rs2"):
             value = getattr(self, name)
             if value is not None and not 0 <= value < REGISTER_COUNT:

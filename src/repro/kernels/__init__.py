@@ -34,7 +34,6 @@ from repro.kernels.backend import (
 )
 from repro.kernels.classify import (
     CttIndex,
-    coarse_flags_window,
     domains_from_extents,
 )
 from repro.kernels.epochs import (
@@ -60,7 +59,6 @@ __all__ = [
     "CttIndex",
     "LruState",
     "LruStats",
-    "coarse_flags_window",
     "compress_runs",
     "domains_from_extents",
     "duration_profile",

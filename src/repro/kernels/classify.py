@@ -39,11 +39,6 @@ def effective_sizes(sizes) -> np.ndarray:
     return np.maximum(as_index_array(sizes), 1)
 
 
-def domain_ids(addresses: np.ndarray, domain_size: int) -> np.ndarray:
-    """Global domain index of each address (32-bit masked, like scalar)."""
-    return (addresses & _MASK32) // domain_size
-
-
 def word_ids_from_domains(domains: np.ndarray) -> np.ndarray:
     """CTT word index of each domain index."""
     return domains >> _WORD_SHIFT
@@ -161,28 +156,6 @@ def any_per_row(
     # reduceat wraps when a start index equals len(flags); starts of
     # non-empty rows are always < len(flags), so no correction needed.
     return result
-
-
-def coarse_flags_window(
-    addresses: np.ndarray,
-    sizes: np.ndarray,
-    domain_size: int,
-    ctt_index: CttIndex,
-) -> np.ndarray:
-    """Per-access coarse verdicts for one window of memory accesses.
-
-    Composes the primitives above — ragged domain expansion, CTT-word
-    gather, per-row OR — into a windowed pure-CTT classification (the
-    streaming pipeline's vector gate is tested against it, verdict for
-    verdict, over random CTT states).  ``sizes`` should have
-    the scalar ``max(size, 1)`` floor already applied (use
-    :func:`effective_sizes`); the result matches the scalar CTC walk of
-    ``check_memory`` verdict-for-verdict whenever the CTT is the ground
-    truth (the immediate-clear discipline).
-    """
-    flat, offsets = expand_domain_ids(addresses, sizes, domain_size)
-    flags = domain_tainted_flags(flat, ctt_index)
-    return any_per_row(flags, offsets)
 
 
 # ---------------------------------------------------- extent classification

@@ -162,21 +162,6 @@ class CPU:
             self.step()
         return self.step_count - start
 
-    def stream(self, max_steps: Optional[int] = None):
-        """Yield each committed :class:`StepEvent` as it retires.
-
-        The pull-based view of the same commit stream observers see:
-        attached observers (including a :class:`repro.pipeline.
-        StreamingPipeline`) are still notified per step, but the caller
-        controls pacing — useful for incremental drivers and tests
-        that interleave execution with queue inspection.
-        """
-        executed = 0
-        while not self.halted and (max_steps is None or executed < max_steps):
-            event = self.step()
-            executed += 1
-            yield event
-
     # ------------------------------------------------------------- metrics
 
     def publish_metrics(self, registry) -> None:

@@ -14,8 +14,8 @@ This package *is* that runtime shape for the reproduction:
   recursion the pipeline steps per committed instruction and
   :class:`repro.platch.queue_sim.TwoCoreQueueSimulator` per epoch.
 
-``gate_batch=1`` gives the classic event-at-a-time P-LATCH cadence,
-which served streams use by default.
+Each committed instruction is gated as it commits — the event-at-a-time
+P-LATCH cadence of §5.2 — locally and in served streams alike.
 
 Usage::
 

@@ -25,7 +25,6 @@ DEFAULT_ANALYSIS_CYCLES = 4.38
 
 ENV_QUEUE_CAPACITY = "REPRO_PIPELINE_QUEUE_CAPACITY"
 ENV_DRAIN_BATCH = "REPRO_PIPELINE_DRAIN_BATCH"
-ENV_GATE_BATCH = "REPRO_PIPELINE_GATE_BATCH"
 ENV_SAMPLE_RATE = "REPRO_PIPELINE_SAMPLE_RATE"
 ENV_SAMPLE_WINDOW = "REPRO_PIPELINE_SAMPLE_WINDOW"
 ENV_SAMPLE_SEED = "REPRO_PIPELINE_SAMPLE_SEED"
@@ -74,9 +73,6 @@ class PipelineConfig:
             immediate partial drain (the producer stall of Figure 11).
         drain_batch: events the monitor stage processes per automatic
             drain episode.
-        gate_batch: committed instructions gated per flush; the CTT
-            verdicts of a batch are probed at batch entry.  1 is the
-            classic event-at-a-time P-LATCH cadence.
         sampling: the selective-tracing dial.
         analysis_cycles_per_event: monitor cost per queued event for
             the stall model (default: LBA-simple, 4.38 cycles).
@@ -84,7 +80,6 @@ class PipelineConfig:
 
     queue_capacity: int = 256
     drain_batch: int = 64
-    gate_batch: int = 16
     sampling: SamplingConfig = field(default_factory=SamplingConfig)
     analysis_cycles_per_event: float = DEFAULT_ANALYSIS_CYCLES
 
@@ -93,8 +88,6 @@ class PipelineConfig:
             raise ValueError("queue_capacity must be >= 1")
         if self.drain_batch < 1:
             raise ValueError("drain_batch must be >= 1")
-        if self.gate_batch < 1:
-            raise ValueError("gate_batch must be >= 1")
         if self.analysis_cycles_per_event <= 0:
             raise ValueError("analysis_cycles_per_event must be positive")
 
@@ -105,14 +98,11 @@ class PipelineConfig:
         """Pending-FIFO depth sized so ordinary runs never fill it.
 
         Outstanding pending entries are bounded by queued step events
-        plus the current gate batch (each instruction writes at most
-        one memory operand), so ``4x queue + 2x batch`` leaves the
-        stall-retry path as a belt-and-suspenders fallback only.
+        (each instruction writes at most one memory operand), so
+        ``4x queue`` leaves the stall-retry path as a belt-and-suspenders
+        fallback only.
         """
-        return max(
-            4 * self.queue_capacity,
-            self.queue_capacity + 2 * self.gate_batch + 8,
-        )
+        return max(4 * self.queue_capacity, self.queue_capacity + 10)
 
     # ----------------------------------------------------------------- env
 
@@ -152,7 +142,6 @@ class PipelineConfig:
         for key, reader, var in (
             ("queue_capacity", _int, ENV_QUEUE_CAPACITY),
             ("drain_batch", _int, ENV_DRAIN_BATCH),
-            ("gate_batch", _int, ENV_GATE_BATCH),
         ):
             parsed = reader(var)
             if parsed is not None:

@@ -19,16 +19,14 @@ H-LATCH replay (``measure_hw_rates``, ``run_hlatch``) measure those
 structures.  The P-LATCH stall model charges only analysis cycles per
 queued event.
 
-Verdicts are taken for a whole micro-batch at batch entry
-(:meth:`LatchGate.memory_flags`).  The pipeline keeps them sound across
-mid-batch drains by deferring pending retires, or, when it cannot, asks
-:meth:`LatchGate.admit` for live verdicts instead.
+Each instruction is decided at commit against the coarse state as it
+stands then (§5.2, Fig. 11-b); the CTT is probed only when the register
+check misses and the instruction has a memory operand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
 
 from repro.machine.events import StepEvent
 
@@ -59,35 +57,25 @@ class LatchGate:
 
     # -------------------------------------------------------------- flags
 
-    def memory_flags(self, events: Sequence[StepEvent]) -> List[bool]:
-        """The CTT verdict per event, probed now (at batch entry)."""
+    def memory_flags(self, event: StepEvent) -> bool:
+        """The CTT verdict for ``event``'s memory operands, probed now."""
         tainted = self.latch.ctt.any_domain_tainted
-        return [
-            any(tainted(access.address, access.size)
-                for access in event.memory_accesses)
-            if event.reads or event.writes else False
-            for event in events
-        ]
+        return any(
+            tainted(access.address, access.size)
+            for access in event.memory_accesses
+        )
 
     # -------------------------------------------------------------- admit
 
-    def admit(
-        self, event: StepEvent, memory_flag: Optional[bool] = None
-    ) -> bool:
-        """Decide one step event; updates the per-reason accounting.
-
-        ``memory_flag`` is the event's batch-entry verdict from
-        :meth:`memory_flags`; ``None`` probes the CTT live instead.
-        """
+    def admit(self, event: StepEvent) -> bool:
+        """Decide one step event; updates the per-reason accounting."""
         self.stats.steps += 1
         if bool(event.regs_read) and self.latch.trf.any_tainted(
             event.regs_read
         ):
             self.stats.register_hits += 1
             return True
-        if memory_flag is None:
-            memory_flag = self.memory_flags((event,))[0]
-        if memory_flag:
+        if (event.reads or event.writes) and self.memory_flags(event):
             self.stats.memory_hits += 1
             return True
         for access in event.memory_accesses:

@@ -4,13 +4,13 @@ This is the runtime shape the paper's Figure 11-b sketches, decomposed
 into stages that each do one thing:
 
 1. **Produce** — the monitored :class:`repro.machine.CPU` commits
-   instructions; each :class:`StepEvent` enters a small gate batch.
-   Taint-source/sink syscalls (INPUT/OUTPUT) flush the batch and enter
-   the queue as ordered control events, so the asynchronous consumer
-   replays sources, sinks, and stores in exact commit order.
+   instructions; each :class:`StepEvent` is gated as it commits.
+   Taint-source/sink syscalls (INPUT/OUTPUT) enter the queue as ordered
+   control events, so the asynchronous consumer replays sources, sinks,
+   and stores in exact commit order.
 2. **Gate** — :class:`repro.pipeline.gate.LatchGate` runs the coarse
    LATCH classification (one CTT probe per memory operand, taken at
-   batch entry) plus the pending-update guard; provably taint-free
+   commit) plus the pending-update guard; provably taint-free
    instructions are suppressed here and never reach the queue.
 3. **Sample** — an optional :class:`WindowSampler` drops whole windows
    of would-be-monitored events (the HardTaint coverage/overhead dial).
@@ -63,7 +63,6 @@ class PipelineStats:
     drained: int = 0             # step events the monitor analysed
     control_drained: int = 0     # control records the monitor applied
     queue_full_stalls: int = 0   # producer stalls on a full queue
-    batches: int = 0             # gate flushes
 
     @property
     def enqueue_fraction(self) -> float:
@@ -88,7 +87,7 @@ class StreamingPipeline(Observer):
             a remote trace replays bit-identically to a local run.
         policy: DIFT policy for the monitor core.
         latch_config: LATCH structural parameters.
-        config: pipeline shape (queue, batching, sampling).
+        config: pipeline shape (queue, drain batch, sampling).
         registry: obs registry to publish into (one is created if
             omitted); the queue-occupancy histogram records into it
             during the run.
@@ -118,7 +117,6 @@ class StreamingPipeline(Observer):
         )
         self.sampler = WindowSampler(self.config.sampling)
         self.gate = LatchGate(self.latch, self.pending)
-        self._gate_batch = self.config.gate_batch
         self.model = StallModel(
             self.config.analysis_cycles_per_event,
             self.config.queue_capacity,
@@ -130,11 +128,7 @@ class StreamingPipeline(Observer):
             self.obs, "pipeline.queue",
             occupancy_description="Monitor-queue entries after each drain",
         )
-        self._batch: List[StepEvent] = []
         self._carried_events = 0
-        self._deferred_retires: List[int] = []
-        self._defer_retires = False
-        self._stale_flags = False
         self.engine.add_tag_listener(self._on_tag_write)
         if cpu is not None:
             cpu.attach(self)
@@ -147,10 +141,22 @@ class StreamingPipeline(Observer):
     # ------------------------------------------------------------ observer
 
     def on_step(self, event: StepEvent) -> None:
+        """Gate, sample and enqueue one committed instruction."""
         self.stats.instructions += 1
-        self._batch.append(event)
-        if len(self._batch) >= self._gate_batch:
-            self.flush()
+        if self.gate.admit(event):
+            if self.sampler.admit():
+                self._enqueue_step(event)
+                contributed = 1
+            else:
+                self.stats.sampled_out += 1
+                contributed = 0
+        else:
+            self.stats.suppressed += 1
+            contributed = 0
+        self.model.commit(contributed + self._carried_events)
+        self._carried_events = 0
+        if len(self.queue) >= self.config.drain_batch:
+            self.drain(self.config.drain_batch)
 
     def on_input(self, event: InputEvent) -> None:
         """Queue the taint source in sequence with neighbouring steps.
@@ -162,7 +168,6 @@ class StreamingPipeline(Observer):
         overwriting tainted bytes — leaves the stale coarse bits in
         place until the drain clears them: conservative, never unsound.)
         """
-        self.flush()
         if event.data and self.engine.policy.should_taint(event):
             self.latch.update_memory_tags(
                 event.address, b"\x01" * len(event.data), defer_clear=True
@@ -171,47 +176,12 @@ class StreamingPipeline(Observer):
 
     def on_output(self, event: OutputEvent) -> None:
         """Queue the sink check behind every event it must observe."""
-        self.flush()
         self._enqueue_control(EventKind.OUTPUT, event)
 
     def on_halt(self, step_index: int) -> None:
         self.finish()
 
     # ------------------------------------------------------------ produce
-
-    def flush(self) -> None:
-        """Gate the buffered batch and enqueue the admitted events."""
-        if not self._batch:
-            return
-        events, self._batch = self._batch, []
-        self.stats.batches += 1
-        flags = self.gate.memory_flags(events)
-        # Precomputed flags are snapshots of the CTT at batch entry; a
-        # mid-batch drain may mutate the CTT, but deferred retires keep
-        # the pending guard covering every in-flight write, so the
-        # snapshot stays sound for the rest of the batch.
-        self._defer_retires = len(events) > 1
-        self._stale_flags = False
-        try:
-            for index, event in enumerate(events):
-                flag = None if self._stale_flags else flags[index]
-                if self.gate.admit(event, flag):
-                    if self.sampler.admit():
-                        self._enqueue_step(event)
-                        contributed = 1
-                    else:
-                        self.stats.sampled_out += 1
-                        contributed = 0
-                else:
-                    self.stats.suppressed += 1
-                    contributed = 0
-                self.model.commit(contributed + self._carried_events)
-                self._carried_events = 0
-                if len(self.queue) >= self.config.drain_batch:
-                    self.drain(self.config.drain_batch)
-        finally:
-            self._defer_retires = False
-            self._apply_deferred_retires()
 
     def _enqueue_step(self, event: StepEvent) -> None:
         if self.queue.full:
@@ -220,13 +190,7 @@ class StreamingPipeline(Observer):
         for access in event.writes:
             pushed = self.pending.push(access.address, access.size)
             while pushed is None:
-                drained = self.drain(self.config.drain_batch)
-                if self._deferred_retires:
-                    self._apply_deferred_retires()
-                    # Precomputed flags no longer guarded by pending
-                    # entries: recompute the rest of the batch live.
-                    self._stale_flags = True
-                elif drained == 0:
+                if self.drain(self.config.drain_batch) == 0:
                     raise RuntimeError(
                         "pending tracker full with an empty queue"
                     )
@@ -260,10 +224,9 @@ class StreamingPipeline(Observer):
 
         Draining an empty queue is a *true* no-op: no TRF resync, no
         occupancy sample, no metric movement.  That makes repeated
-        ``finish()`` calls idempotent at every gate cadence — the
-        multi-tenant disconnect path drains once when the client
-        vanishes and again at teardown without skewing per-tenant
-        metrics or state.
+        ``finish()`` calls idempotent — the multi-tenant disconnect path
+        drains once when the client vanishes and again at teardown
+        without skewing per-tenant metrics or state.
         """
         if not self.queue:
             return 0
@@ -276,10 +239,7 @@ class StreamingPipeline(Observer):
                 if item.kind is EventKind.STEP:
                     self.engine.on_step(item.payload)
                     if item.sequence >= 0:
-                        if self._defer_retires:
-                            self._deferred_retires.append(item.sequence)
-                        else:
-                            self.pending.retire(item.sequence)
+                        self.pending.retire(item.sequence)
                     self.stats.drained += 1
                 elif item.kind is EventKind.INPUT:
                     self.engine.on_input(item.payload)
@@ -296,13 +256,11 @@ class StreamingPipeline(Observer):
         return processed
 
     def drain_all(self) -> int:
-        """Process every outstanding event (flushing the gate first)."""
-        self.flush()
+        """Process every outstanding event."""
         return self.drain(None)
 
     def finish(self) -> None:
-        """Flush, drain everything, and close the stall accounting."""
-        self.flush()
+        """Drain everything and close the stall accounting."""
         self.drain(None)
         if self._carried_events:
             self.model.commit(self._carried_events, 0.0)
@@ -328,7 +286,7 @@ class StreamingPipeline(Observer):
         ``source`` is an event-trace container (path, bytes, or an open
         :class:`~repro.trace.format.ColumnarFile`) recorded by
         :class:`~repro.trace.record.TraceRecorder`.  Events flow through
-        the same observer hooks — gate batching, backpressure, and stall
+        the same observer hooks — gating, backpressure, and stall
         accounting included — so the replay is bit-identical to
         monitoring the original CPU live.  Returns the number of steps
         replayed.
@@ -345,12 +303,6 @@ class StreamingPipeline(Observer):
             queue_capacity=self.config.queue_capacity,
         ):
             return replay_events(source, self)
-
-    def _apply_deferred_retires(self) -> None:
-        if self._deferred_retires:
-            retires, self._deferred_retires = self._deferred_retires, []
-            for sequence in retires:
-                self.pending.retire(sequence)
 
     # ------------------------------------------------------------- wiring
 
@@ -394,10 +346,6 @@ class StreamingPipeline(Observer):
             "pipeline.events.drained", unit="events",
             description="Step events the monitor core analysed",
         ).set(stats.drained)
-        registry.counter(
-            "pipeline.batches", unit="batches",
-            description="Gate flushes (micro-batches classified)",
-        ).set(stats.batches)
         gate = self.gate.stats
         registry.counter(
             "pipeline.gate.register_hits", unit="events",

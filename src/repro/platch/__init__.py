@@ -22,8 +22,8 @@ Two models are provided, mirroring the paper's methodology:
   steps :class:`repro.pipeline.model.StallModel`, the same recursion
   the running pipeline uses.
 
-The running two-core system is :class:`repro.pipeline.StreamingPipeline`
-(``gate_batch=1`` for the event-at-a-time cadence).
+The running two-core system is :class:`repro.pipeline.StreamingPipeline`,
+which gates each instruction as it commits.
 """
 
 from repro.platch.lba import LBA_OPTIMIZED, LBA_SIMPLE, LbaParameters

@@ -182,7 +182,7 @@ def local_reference(
     :class:`repro.pipeline.StreamingPipeline` to a fresh local CPU.
     Its config comes from the server's own wire defaults
     (:func:`repro.serve.session.pipeline_config_from_wire`), so the
-    oracle and an unconfigured served stream share one cadence.
+    oracle and an unconfigured served stream share one configuration.
     """
     from repro.machine.cpu import ExecutionError
     from repro.pipeline.pipeline import StreamingPipeline

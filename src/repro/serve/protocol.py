@@ -72,7 +72,7 @@ from __future__ import annotations
 import base64
 import json
 import struct
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.isa.encoding import decode as decode_instruction
 from repro.isa.encoding import encode as encode_instruction
@@ -335,15 +335,6 @@ def canonical_signature(engine) -> Dict:
 def canonical_json(value) -> str:
     """Deterministic JSON text (sorted keys, no whitespace)."""
     return json.dumps(value, separators=(",", ":"), sort_keys=True)
-
-
-# ------------------------------------------------------------ event stream
-
-
-def iter_frames(messages) -> Iterator[bytes]:  # pragma: no cover - helper
-    """Encode an iterable of messages (used by capture tooling)."""
-    for message in messages:
-        yield encode_frame(message)
 
 
 def retry_message(reason: str, backoff_ms: int) -> Dict:

@@ -15,7 +15,7 @@ One process serves many tenants over the length-prefixed protocol of
 
 Pipeline work runs inline on the event loop: one batch is bounded by
 ``max_batch`` events, so fairness between tenants is batch-granular —
-the same micro-batching argument the streaming pipeline itself makes.
+the same argument the streaming pipeline makes for its batched drains.
 An explicit ``await asyncio.sleep(0)`` after each batch keeps a
 firehose client from starving its neighbours.
 

@@ -56,16 +56,16 @@ def pipeline_config_from_wire(overrides: Optional[Dict]) -> PipelineConfig:
 
     Only whitelisted structural knobs are honoured; anything else is a
     protocol error (clients must not smuggle arbitrary kwargs), and so
-    is a value that does not coerce to its knob's type.  The default is
-    the classic P-LATCH cadence — gate batch 1 — and
+    is a value that does not coerce to its knob's type.  No overrides
+    give ``PipelineConfig()``, and
     :func:`repro.serve.client.local_reference` builds its local oracle
     through this same function, so an unconfigured served check is
     bit-comparable to a local run.
     """
-    values: Dict = {"gate_batch": 1}
+    values: Dict = {}
     sampling: Dict = {}
     for key, value in _knobs(overrides, "pipeline"):
-        if key in ("queue_capacity", "drain_batch", "gate_batch"):
+        if key in ("queue_capacity", "drain_batch"):
             values[key] = wire_value(int, key, value)
         elif key == "sample_rate":
             sampling["rate"] = wire_value(float, key, value)
@@ -129,7 +129,6 @@ def _stats_payload(pipeline: StreamingPipeline) -> Dict:
         "drained": stats.drained,
         "control_drained": stats.control_drained,
         "queue_full_stalls": stats.queue_full_stalls,
-        "batches": stats.batches,
         "stall_cycles": int(pipeline.model.stall_cycles),
     }
 

@@ -142,10 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="bounded event-queue capacity in entries",
     )
     platch.add_argument(
-        "--gate-batch", type=int, default=None,
-        help="events classified per gating batch",
-    )
-    platch.add_argument(
         "--sample-rate", type=float, default=None,
         help="fraction of admitted windows to monitor (0 < rate <= 1)",
     )
@@ -179,8 +175,6 @@ def _platch_config(args):
     overrides = {}
     if args.queue_capacity is not None:
         overrides["queue_capacity"] = args.queue_capacity
-    if args.gate_batch is not None:
-        overrides["gate_batch"] = args.gate_batch
     config = PipelineConfig.from_env(**overrides)
 
     sampling = {}
@@ -238,7 +232,6 @@ def run_program(args) -> StatsSnapshot:
         snapshot = pipeline.snapshot()
         snapshot.meta.update({
             "queue_capacity": config.queue_capacity,
-            "gate_batch": config.gate_batch,
             "sample_rate": config.sampling.rate,
             "sample_window": config.sampling.window,
             "sample_seed": config.sampling.seed,

@@ -25,7 +25,12 @@ from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.isa.instructions import REGISTER_COUNT, Instruction, Opcode
+from repro.isa.instructions import (
+    REGISTER_COUNT,
+    Instruction,
+    Opcode,
+    required_registers,
+)
 from repro.machine.events import (
     InputEvent,
     MemoryAccess,
@@ -38,6 +43,15 @@ from repro.trace.format import ColumnarFile, PathLike, to_bytes, write_columnar
 EVENT_KIND = "event-trace"
 
 _OPCODES = np.array([int(opcode) for opcode in Opcode])
+
+#: Per register field, the opcodes whose step records must carry it.
+_OPCODES_REQUIRING = {
+    name: np.array([
+        int(opcode) for opcode in Opcode
+        if name in required_registers(opcode)
+    ])
+    for name in ("rd", "rs1", "rs2")
+}
 
 #: Fixed per-step fields as one structured record (v1 layout).  ``-1``
 #: encodes an absent register field / syscall number.
@@ -241,9 +255,10 @@ def iter_events(
     steps = handle.array("steps")
     regs_read = handle.array("regs_read")
     regs_written = handle.array("regs_written")
-    # Register ids index fixed-size register files downstream and
-    # opcodes must decode; either out of range is a corrupt container,
-    # not a replay fault.
+    # Register ids index fixed-size register files downstream, opcodes
+    # must decode, and a register field the opcode requires must be
+    # present; any of these broken is a corrupt container, not a replay
+    # fault.
     for ids in (regs_read, regs_written, *(
         steps[operand] for operand in ("rd", "rs1", "rs2")
     )):
@@ -253,6 +268,9 @@ def iter_events(
             )
     if not np.isin(steps["opcode"], _OPCODES).all():
         raise handle._fail("unknown opcode in step records")
+    for name, opcodes in _OPCODES_REQUIRING.items():
+        if (steps[name][np.isin(steps["opcode"], opcodes)] < 0).any():
+            raise handle._fail(f"step record missing required {name}")
     regs_read = regs_read.tolist()
     rr_off = handle.array("regs_read_offsets").tolist()
     regs_written = regs_written.tolist()

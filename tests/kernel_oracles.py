@@ -24,6 +24,12 @@ from repro.hlatch.taint_cache import (
     CONVENTIONAL_TAINT_CACHE,
     HLATCH_TAINT_CACHE,
 )
+from repro.kernels.classify import (
+    CttIndex,
+    any_per_row,
+    domain_tainted_flags,
+    expand_domain_ids,
+)
 from repro.slatch.simulator import HwRates
 from repro.workloads.trace import PAGE_SIZE, EpochStream
 
@@ -37,6 +43,28 @@ def check_memory_loop(latch, addresses, sizes) -> np.ndarray:
          for address, size in zip(addresses, sizes)],
         dtype=bool,
     )
+
+
+def coarse_flags_window(
+    addresses: np.ndarray,
+    sizes: np.ndarray,
+    domain_size: int,
+    ctt_index: CttIndex,
+) -> np.ndarray:
+    """Per-access coarse verdicts for one window of memory accesses.
+
+    Composes the classify primitives — ragged domain expansion, CTT-word
+    gather, per-row OR — into a windowed pure-CTT classification (the
+    streaming pipeline's CTT-probe gate is tested against it, verdict
+    for verdict, over random CTT states).  ``sizes`` should have the
+    scalar ``max(size, 1)`` floor already applied (use
+    :func:`repro.kernels.classify.effective_sizes`); the result matches
+    the scalar CTC walk of ``check_memory`` verdict-for-verdict whenever
+    the CTT is the ground truth (the immediate-clear discipline).
+    """
+    flat, offsets = expand_domain_ids(addresses, sizes, domain_size)
+    flags = domain_tainted_flags(flat, ctt_index)
+    return any_per_row(flags, offsets)
 
 
 def access_loop(system, addresses, sizes, writes) -> None:

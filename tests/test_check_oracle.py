@@ -111,21 +111,20 @@ class TestCorpusRoundTrip:
 
 class TestStreamPath:
     def test_stream_path_runs_both_backends(self):
-        """The stream path runs both gate cadences (1 and 16)."""
-        from repro.check.oracle import ALL_PATHS, STREAM_GATE_BATCHES
+        """The stream path runs the pipeline once per program."""
+        from repro.check.oracle import ALL_PATHS
 
         assert "stream" in ALL_PATHS
-        assert STREAM_GATE_BATCHES == (1, 16)
         report = check_program(generate_program(2), paths=("stream",))
         assert report.ok, "\n".join(str(v) for v in report.violations)
-        assert report.runs == 3  # reference + cadence 1 + cadence 16
+        assert report.runs == 2  # reference + stream
 
     def test_env_knobs_reach_the_stream_runs(self, monkeypatch):
         from repro.check.oracle import run_stream
 
         monkeypatch.setenv("REPRO_PIPELINE_QUEUE_CAPACITY", "4")
         monkeypatch.setenv("REPRO_PIPELINE_DRAIN_BATCH", "64")
-        pipeline = run_stream(generate_program(2), gate_batch=1)
+        pipeline = run_stream(generate_program(2))
         assert pipeline.config.queue_capacity == 4
         assert pipeline.config.drain_batch == 64
         # The env-sized queue is the one that ran.
@@ -153,7 +152,7 @@ class TestStreamPath:
             stream_obs=registry,
         )
         snapshot = registry.snapshot()
-        assert snapshot.get("pipeline.runs") == 4  # 2 programs x 2 cadences
+        assert snapshot.get("pipeline.runs") == 2  # one run per program
         assert snapshot.get("pipeline.instructions") > 0
         assert "pipeline.queue.stall_cycles" in snapshot
         assert "pipeline.queue.stalls" in snapshot

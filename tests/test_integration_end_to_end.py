@@ -60,7 +60,7 @@ class TestServiceUnderAllIntegrations:
         # P-LATCH (two-core).
         cpu = mixed_trust_server().make_cpu()
         platch = StreamingPipeline(cpu, policy=POLICY, config=PipelineConfig(
-            drain_batch=16, gate_batch=1,
+            drain_batch=16,
         ))
         cpu.run(500_000)
         platch.drain_all()
@@ -83,9 +83,7 @@ class TestServiceUnderAllIntegrations:
 
         for build_system in (
             lambda cpu: SLatchSystem(cpu, policy=POLICY),
-            lambda cpu: StreamingPipeline(
-                cpu, policy=POLICY, config=PipelineConfig(gate_batch=1)
-            ),
+            lambda cpu: StreamingPipeline(cpu, policy=POLICY),
             lambda cpu: HLatchMonitor(cpu, policy=POLICY),
         ):
             cpu = buffer_overflow(True).make_cpu()

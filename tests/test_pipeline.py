@@ -5,10 +5,9 @@ with a final taint state *byte-identical* to an always-on DIFT tracker,
 for every scenario, gate, and adversarial queue shape.
 
 Tests parametrised over ``GATES`` run two gates: ``vector`` is the
-product CTT probe at the configured cadence, and ``scalar`` is
-:class:`CheckStepGate` — the retired live ``check_step`` gate, kept
-here as a test oracle and run event-at-a-time unless a shape says
-otherwise.
+product CTT probe, and ``scalar`` is :class:`CheckStepGate` — the
+retired live ``check_step`` gate, kept here as a test oracle.  Both
+decide each instruction as it commits.
 """
 
 import random
@@ -23,16 +22,12 @@ from repro.core.latch import LatchConfig, LatchModule
 from repro.dift.engine import DIFTEngine
 from repro.dift.policy import leak_detection_policy
 from repro.isa.instructions import Instruction, Opcode
-from repro.kernels.classify import (
-    CttIndex,
-    as_index_array,
-    coarse_flags_window,
-    effective_sizes,
-)
+from repro.kernels.classify import CttIndex, as_index_array, effective_sizes
 from repro.machine.events import MemoryAccess, Observer, StepEvent
 from repro.pipeline import PipelineConfig, StreamingPipeline
 from repro.pipeline.gate import LatchGate
 from repro.workloads import attacks, programs
+from tests.kernel_oracles import coarse_flags_window
 
 SCENARIOS = [
     ("file-filter", lambda: programs.file_filter(), None),
@@ -49,10 +44,9 @@ GATES = ["scalar", "vector"]
 
 ROOT = Path(__file__).resolve().parent.parent
 
-#: (queue_capacity, gate_batch) shapes that stress distinct regimes:
-#: deep queue + the gate's default batching, shallow queue + small
-#: batches, and a queue *smaller* than the gate batch (mid-batch drains).
-QUEUE_SHAPES = [(256, None), (8, 4), (4, 32)]
+#: Queue capacities that stress distinct regimes: the default deep
+#: queue, a shallow one, and one small enough to stall constantly.
+QUEUE_SHAPES = [256, 8, 4]
 
 
 def run_reference(build, policy_factory):
@@ -70,26 +64,19 @@ def run_reference(build, policy_factory):
 class CheckStepGate(LatchGate):
     """The retired scalar gate, kept as a test oracle.
 
-    No batch-entry verdicts: every event is decided live by
+    The memory verdict comes from
     :meth:`repro.core.latch.LatchModule.check_step`, which walks the TLB
     taint bits and the CTC exactly as the hardware would.
     """
 
-    def memory_flags(self, events):
-        return [None] * len(events)
-
-    def admit(self, event, memory_flag=None):
+    def memory_flags(self, event):
         check = self.latch.check_step(event)
-        return super().admit(event, any(
-            result.coarse_tainted for result in check.memory_results
-        ))
+        return any(result.coarse_tainted for result in check.memory_results)
 
 
 def attach_pipeline(cpu, policy_factory=None, gate="vector",
                     latch_config=None, **config_kwargs):
     """A pipeline on ``cpu`` gated by ``gate`` (one of ``GATES``)."""
-    if gate == "scalar":
-        config_kwargs.setdefault("gate_batch", 1)
     pipeline = StreamingPipeline(
         cpu,
         policy=policy_factory() if policy_factory else None,
@@ -137,16 +124,14 @@ def test_streaming_matches_always_on_reference(name, build, policy, gate):
 )
 @pytest.mark.parametrize("gate", GATES)
 @pytest.mark.parametrize(
-    "queue_capacity,gate_batch", QUEUE_SHAPES,
-    ids=[f"q{q}b{b}" for q, b in QUEUE_SHAPES],
+    "queue_capacity", QUEUE_SHAPES, ids=[f"q{q}" for q in QUEUE_SHAPES],
 )
 def test_queue_shapes_stay_lossless(
-    name, build, policy, gate, queue_capacity, gate_batch
+    name, build, policy, gate, queue_capacity
 ):
     reference = run_reference(build, policy)
-    shape = {} if gate_batch is None else {"gate_batch": gate_batch}
     pipeline = run_pipeline(
-        build, policy, gate, queue_capacity=queue_capacity, **shape
+        build, policy, gate, queue_capacity=queue_capacity
     )
     assert signature(pipeline.engine) == signature(reference)
 
@@ -163,25 +148,10 @@ def assert_identical_runs(oracle, probe):
     "name,build,policy", SCENARIOS, ids=[s[0] for s in SCENARIOS]
 )
 def test_backends_make_identical_admission_decisions(name, build, policy):
-    """The check_step oracle gate and the CTT probe agree event-for-event
-    at batch 1 (the served cadence)."""
+    """The check_step oracle gate and the CTT probe agree event-for-event."""
     oracle = run_pipeline(build, policy, "scalar")
-    probe = run_pipeline(build, policy, "vector", gate_batch=1)
+    probe = run_pipeline(build, policy, "vector")
     assert_identical_runs(oracle, probe)
-
-
-@pytest.mark.parametrize(
-    "name,build,policy", SCENARIOS, ids=[s[0] for s in SCENARIOS]
-)
-def test_gate_cadences_make_identical_admission_decisions(name, build, policy):
-    """Batch-entry verdicts (cadence 16) admit exactly what live
-    event-at-a-time verdicts (cadence 1) admit."""
-    single = run_pipeline(build, policy, gate_batch=1)
-    batched = run_pipeline(build, policy, gate_batch=16)
-    assert single.stats.enqueued == batched.stats.enqueued
-    assert single.stats.suppressed == batched.stats.suppressed
-    assert single.stats.control_events == batched.stats.control_events
-    assert signature(single.engine) == signature(batched.engine)
 
 
 def _check_program_runs(check_program):
@@ -189,7 +159,7 @@ def _check_program_runs(check_program):
     for gate in GATES:
         cpu = check_program.make_cpu()
         pipeline = attach_pipeline(
-            cpu, gate=gate, latch_config=check_program.config, gate_batch=1
+            cpu, gate=gate, latch_config=check_program.config
         )
         cpu.run(200_000)
         pipeline.finish()
@@ -198,8 +168,8 @@ def _check_program_runs(check_program):
 
 
 def test_check_step_gate_matches_probe_on_corpus_and_generated_programs():
-    """Per-reason agreement at batch 1 on the regression corpus (wrap
-    straddles, CTC eviction) and on 100 generated programs."""
+    """Per-reason agreement on the regression corpus (wrap straddles,
+    CTC eviction) and on 100 generated programs."""
     check_programs = load_corpus(ROOT / "tests" / "corpus")
     check_programs += [generate_program(seed) for seed in range(100)]
     for check_program in check_programs:
@@ -218,39 +188,31 @@ def test_gate_suppresses_the_clean_majority():
 # ------------------------------------------------ vector gate vs numpy oracle
 
 
-def oracle_memory_flags(ctt, domain_size, events):
-    """Per-event coarse verdicts through the numpy replay kernels.
+def oracle_memory_flag(ctt, domain_size, event):
+    """One event's coarse verdict through the numpy replay kernels.
 
     Ragged domain expansion, a ``CttIndex`` gather of the CTT as it
-    stands now, and a per-event OR: an independent route to the verdicts
-    the vector gate's CTT probe must produce.
+    stands now, and an OR over the operands: an independent route to the
+    verdict the gate's CTT probe must produce.
     """
-    addresses, sizes, counts = [], [], []
-    for event in events:
-        accesses = event.memory_accesses
-        counts.append(len(accesses))
-        for access in accesses:
-            addresses.append(access.address)
-            sizes.append(access.size)
-    if not addresses:
-        return [False] * len(events)
+    accesses = event.memory_accesses
+    if not accesses:
+        return False
     flags = coarse_flags_window(
-        as_index_array(addresses), effective_sizes(sizes), domain_size,
+        as_index_array([access.address for access in accesses]),
+        effective_sizes([access.size for access in accesses]),
+        domain_size,
         CttIndex(ctt),
     )
-    out, cursor = [], 0
-    for count in counts:
-        out.append(bool(flags[cursor:cursor + count].any()))
-        cursor += count
-    return out
+    return bool(flags.any())
 
 
 class OracleGate(LatchGate):
-    """A vector gate whose verdicts come from the numpy oracle."""
+    """A CTT-probe gate whose verdicts come from the numpy oracle."""
 
-    def memory_flags(self, events):
-        return oracle_memory_flags(
-            self.latch.ctt, self.latch.config.domain_size, events
+    def memory_flags(self, event):
+        return oracle_memory_flag(
+            self.latch.ctt, self.latch.config.domain_size, event
         )
 
 
@@ -322,7 +284,7 @@ def _randomise_ctt(rng, ctt, steps):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_vector_gate_flags_match_numpy_oracle(seed):
-    """The CTT probe agrees with the numpy kernels on every verdict."""
+    """The CTT probe agrees with the numpy kernels on every event."""
     rng = random.Random(seed)
     runs = _corpus_steps() + [
         (LatchConfig(domain_size=size), _random_steps(rng, size, 200))
@@ -334,9 +296,10 @@ def test_vector_gate_flags_match_numpy_oracle(seed):
         for start in range(0, len(steps), 16):
             batch = steps[start:start + 16]
             _randomise_ctt(rng, latch.ctt, batch)
-            assert gate.memory_flags(batch) == oracle_memory_flags(
-                latch.ctt, config.domain_size, batch
-            )
+            for step in batch:
+                assert gate.memory_flags(step) == oracle_memory_flag(
+                    latch.ctt, config.domain_size, step
+                )
 
 
 @pytest.mark.parametrize(
@@ -362,7 +325,7 @@ def test_oracle_gate_runs_identically(name, build, policy):
 
 
 def test_wrapper_is_bit_identical_to_raw_pipeline():
-    """The served wire defaults == StreamingPipeline(gate_batch=1) exactly."""
+    """Wire-configured pipelines equal raw StreamingPipelines exactly."""
     from repro.serve.session import pipeline_config_from_wire
 
     build = lambda: programs.echo_server()
@@ -375,12 +338,32 @@ def test_wrapper_is_bit_identical_to_raw_pipeline():
 
     pipeline = run_pipeline(
         build, None,
-        queue_capacity=32, drain_batch=8, gate_batch=1,
+        queue_capacity=32, drain_batch=8,
     )
-    assert signature(wired.engine) == signature(pipeline.engine)
-    assert asdict(wired.stats) == asdict(pipeline.stats)
-    assert asdict(wired.gate.stats) == asdict(pipeline.gate.stats)
-    assert wired.model.stall_cycles == pipeline.model.stall_cycles
+    assert_identical_runs(wired, pipeline)
+
+
+def test_served_default_is_the_local_default():
+    """No wire overrides give ``PipelineConfig()``: one default, local
+    and served."""
+    from repro.serve.session import pipeline_config_from_wire
+
+    runs = []
+    for config in (PipelineConfig(), pipeline_config_from_wire(None)):
+        cpu = programs.echo_server().make_cpu()
+        pipeline = StreamingPipeline(cpu, config=config)
+        cpu.run(300_000)
+        pipeline.finish()
+        runs.append(pipeline)
+    assert_identical_runs(*runs)
+
+
+@pytest.mark.parametrize(
+    "knob", ["backend", "model_epoch", "hist_mode", "gate_batch"]
+)
+def test_retired_knobs_are_not_config_fields(knob):
+    with pytest.raises(TypeError):
+        PipelineConfig(**{knob: 1})
 
 
 def test_publish_metrics_exposes_pipeline_series():
@@ -415,4 +398,3 @@ def test_env_values_parse():
     })
     assert config.queue_capacity == 8
     assert config.sampling.rate == 0.5
-    assert config.gate_batch == 16

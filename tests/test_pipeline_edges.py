@@ -3,7 +3,7 @@
 Each test pins one failure mode the pipeline's design guards against:
 queue-full backpressure, programs that never generate an event,
 mid-stream taint sources racing the consumer, a saturated pending FIFO,
-and run-to-run determinism at the event-at-a-time cadence.
+and run-to-run determinism.
 """
 
 import pytest
@@ -164,7 +164,7 @@ class TestPendingFallback:
         scenario = programs.file_filter()
         cpu = scenario.make_cpu()
         pipeline = StreamingPipeline(cpu, config=PipelineConfig(
-            queue_capacity=256, drain_batch=10_000, gate_batch=32,
+            queue_capacity=256, drain_batch=10_000,
         ))
         tiny = PendingUpdateTracker(capacity=2)
         pipeline.pending = tiny
@@ -181,7 +181,7 @@ class TestWrapperDeterminism:
         def one_run():
             cpu = programs.echo_server().make_cpu()
             system = StreamingPipeline(cpu, config=PipelineConfig(
-                queue_capacity=16, drain_batch=4, gate_batch=1,
+                queue_capacity=16, drain_batch=4,
             ))
             cpu.run(300_000)
             system.drain_all()
@@ -207,9 +207,7 @@ class TestIdempotentTeardown:
         from repro.obs import MetricsRegistry
 
         cpu = programs.file_filter().make_cpu()
-        pipeline = attach_pipeline(
-            cpu, gate=gate, gate_batch=1 if gate == "scalar" else 32,
-        )
+        pipeline = attach_pipeline(cpu, gate=gate)
         cpu.run(300_000)
         pipeline.finish()
 
@@ -233,9 +231,7 @@ class TestIdempotentTeardown:
     @pytest.mark.parametrize("gate", ["scalar", "vector"])
     def test_empty_drain_records_no_occupancy_sample(self, gate):
         cpu = programs.checksum().make_cpu()
-        pipeline = attach_pipeline(
-            cpu, gate=gate, gate_batch=1 if gate == "scalar" else 32,
-        )
+        pipeline = attach_pipeline(cpu, gate=gate)
         cpu.run(300_000)
         pipeline.finish()
         samples = pipeline._queue_instruments.occupancy.count
@@ -289,9 +285,7 @@ class TestDetachedPipeline:
             lambda: programs.substitution_cipher(), None
         )
 
-        detached = StreamingPipeline(cpu=None, config=PipelineConfig(
-            gate_batch=1,
-        ))
+        detached = StreamingPipeline(cpu=None)
         for kind, payload in recorded:
             if kind == "step":
                 detached.on_step(payload)

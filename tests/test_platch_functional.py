@@ -37,7 +37,7 @@ def run_platch(build, policy_factory, **kwargs):
     system = StreamingPipeline(
         cpu,
         policy=policy_factory() if policy_factory else None,
-        config=PipelineConfig(gate_batch=1, **kwargs),
+        config=PipelineConfig(**kwargs),
     )
     try:
         cpu.run(300_000)

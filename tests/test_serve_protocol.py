@@ -189,11 +189,11 @@ class TestEventCodec:
 class TestCanonicalSignature:
     def test_mirrors_oracle_state_signature(self):
         from repro.check.oracle import state_signature
-        from repro.pipeline import PipelineConfig, StreamingPipeline
+        from repro.pipeline import StreamingPipeline
         from repro.workloads.programs import checksum
 
         cpu = checksum().make_cpu()
-        system = StreamingPipeline(cpu, config=PipelineConfig(gate_batch=1))
+        system = StreamingPipeline(cpu)
         cpu.run(100_000)
         system.finish()
 
@@ -207,11 +207,11 @@ class TestCanonicalSignature:
         assert len(wire["trf"]) == 16
 
     def test_survives_json_round_trip(self):
-        from repro.pipeline import PipelineConfig, StreamingPipeline
+        from repro.pipeline import StreamingPipeline
         from repro.workloads.programs import checksum
 
         cpu = checksum().make_cpu()
-        system = StreamingPipeline(cpu, config=PipelineConfig(gate_batch=1))
+        system = StreamingPipeline(cpu)
         cpu.run(100_000)
         system.finish()
         wire = canonical_signature(system.engine)
@@ -244,6 +244,8 @@ class TestWireConfig:
         {"model_epoch": 1000},
         {"hist_mode": "exact"},
         {"hist_mode": "bounded"},
+        {"gate_batch": 1},
+        {"gate_batch": 16},
     ])
     def test_retired_wire_knobs_are_unknown(self, overrides):
         from repro.serve.session import pipeline_config_from_wire
@@ -256,7 +258,7 @@ class TestWireConfig:
         {"queue_capacity": None},
         {"sample_window": "wide"},
         {"sample_rate": 0.0},
-        {"gate_batch": float("inf")},
+        {"drain_batch": float("inf")},
     ])
     def test_bad_pipeline_values_are_protocol_errors(self, overrides):
         from repro.serve.session import pipeline_config_from_wire
@@ -265,7 +267,7 @@ class TestWireConfig:
             pipeline_config_from_wire(overrides)
 
     def test_served_default_is_event_at_a_time(self):
+        from repro.pipeline import PipelineConfig
         from repro.serve.session import pipeline_config_from_wire
 
-        config = pipeline_config_from_wire(None)
-        assert config.gate_batch == 1
+        assert pipeline_config_from_wire(None) == PipelineConfig()

@@ -483,11 +483,12 @@ class TestQueriesAndProtocol:
         {"pipeline": {"queue_capacity": None}},
         {"pipeline": {"sample_rate": "fast"}},
         {"pipeline": {"sample_rate": 7.0}},
-        {"pipeline": {"gate_batch": 1e999}},
+        {"pipeline": {"drain_batch": 1e999}},
         {"pipeline": ["queue_capacity"]},
         {"pipeline": {"backend": "scalar"}},
         {"pipeline": {"model_epoch": 1}},
         {"pipeline": {"hist_mode": "exact"}},
+        {"pipeline": {"gate_batch": 1}},
         {"latch": {"domain_size": "big"}},
         {"latch": {"domain_size": 3}},
         {"latch": {"ctc_entries": 0}},
@@ -560,10 +561,12 @@ class TestQueriesAndProtocol:
     @staticmethod
     def _hostile_ltraces():
         """Recorded ``.ltrace`` jobs with register id 99 in one column,
-        or an opcode that does not decode."""
+        an opcode that does not decode, or a register field the opcode
+        requires left out (-1)."""
         import base64
 
-        from repro.trace.record import TraceRecorder
+        from repro.isa.instructions import Opcode
+        from repro.trace.record import STEP_DTYPE, TraceRecorder
 
         def job(corrupt):
             cpu = _factory("checksum")()
@@ -585,9 +588,31 @@ class TestQueriesAndProtocol:
                 recorder._steps[0] = tuple(step)
             return corrupt
 
+        def missing(opcode, field, recorded=None):
+            """Drop ``field`` from every ``recorded`` step (default:
+            ``opcode``'s), retagged as ``opcode``."""
+            recorded = opcode if recorded is None else recorded
+            opcode_at = STEP_DTYPE.names.index("opcode")
+            field_at = STEP_DTYPE.names.index(field)
+
+            def corrupt(recorder):
+                for row, step in enumerate(recorder._steps):
+                    if step[opcode_at] == recorded:
+                        step = list(step)
+                        step[opcode_at] = int(opcode)
+                        step[field_at] = -1
+                        recorder._steps[row] = tuple(step)
+            return corrupt
+
         # STEP_DTYPE field 4 is the opcode, field 5 the rd operand.
         return [job(regs_written), job(step_field(5, 99)),
-                job(step_field(4, 250))]
+                job(step_field(4, 250)),
+                job(missing(Opcode.LUI, "rd")),
+                job(missing(Opcode.ADD, "rd")),
+                job(missing(Opcode.ADD, "rs1")),
+                job(missing(Opcode.ADD, "rs2")),
+                job(missing(Opcode.LBU, "rd")),
+                job(missing(Opcode.SB, "rs2", recorded=Opcode.SW))]
 
     def test_hostile_records_answer_errors_on_a_live_connection(
         self, traces

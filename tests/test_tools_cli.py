@@ -273,14 +273,14 @@ class TestStats:
         assert stats_main(
             [str(stats_source_file), "--monitor", "platch",
              "--format", "json", "--file", f"in.txt={payload_file}",
-             "--queue-capacity", "8", "--gate-batch", "4",
+             "--queue-capacity", "8",
              "--sample-rate", "1.0", "--sample-seed", "7"]
         ) == 0
         snapshot = StatsSnapshot.from_json(capsys.readouterr().out)
         assert snapshot.meta["monitor"] == "platch"
         assert "backend" not in snapshot.meta
         assert snapshot.meta["queue_capacity"] == 8
-        assert snapshot.meta["gate_batch"] == 4
+        assert "gate_batch" not in snapshot.meta
         assert snapshot.meta["sample_seed"] == 7
         assert snapshot.get("pipeline.instructions") > 0
         assert snapshot.get("pipeline.events.enqueued") > 0
@@ -296,7 +296,7 @@ class TestStats:
         assert stats_main(
             [str(stats_source_file), "--monitor", "platch",
              "--file", f"in.txt={payload_file}",
-             "--queue-capacity", "1", "--gate-batch", "1",
+             "--queue-capacity", "1",
              "--trace", str(trace_path), "-o", str(tmp_path / "out.md")]
         ) == 0
         capsys.readouterr()

@@ -30,6 +30,7 @@ import pytest
 from repro.check.generator import generate_program
 from repro.check.oracle import run_reference, state_signature
 from repro.dift.engine import DIFTEngine
+from repro.isa.instructions import Opcode
 from repro.machine.events import InputEvent, Observer, OutputEvent, StepEvent
 from repro.trace.convert import (
     ACCESS_KIND,
@@ -45,6 +46,7 @@ from repro.trace.format import (
 )
 from repro.trace.record import (
     EVENT_KIND,
+    STEP_DTYPE,
     TraceRecorder,
     access_window,
     iter_events,
@@ -164,6 +166,30 @@ class TestEventConformance:
         recorder._steps[0] = tuple(step)
         with pytest.raises(StorageFormatError, match="unknown opcode"):
             replay_events(recorder.to_bytes(), _EventLog())
+
+    @pytest.mark.parametrize("opcode,field", [
+        (Opcode.LUI, "rd"),
+        (Opcode.ADD, "rd"),
+        (Opcode.ADD, "rs1"),
+        (Opcode.ADD, "rs2"),
+        (Opcode.LBU, "rd"),
+        (Opcode.SB, "rs2"),
+    ], ids=lambda value: getattr(value, "name", value))
+    def test_missing_required_register_is_a_format_error(
+        self, opcode, field
+    ):
+        _, recorder, _ = _record(0)
+        step = list(recorder._steps[0])
+        step[STEP_DTYPE.names.index("opcode")] = int(opcode)
+        for name in ("rd", "rs1", "rs2"):
+            step[STEP_DTYPE.names.index(name)] = -1 if name == field else 0
+        recorder._steps[0] = tuple(step)
+        sink = _EventLog()
+        with pytest.raises(
+            StorageFormatError, match=f"missing required {field}"
+        ):
+            replay_events(recorder.to_bytes(), sink)
+        assert sink.events == [], "rejected before any event is replayed"
 
     def test_kind_guard_rejects_access_trace(self):
         trace = load_access_trace(GOLDEN_DIR / "gcc_w2000_s0.npz")
