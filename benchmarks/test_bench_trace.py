@@ -8,8 +8,10 @@ a consumer of that path would pay:
   the H-LATCH stack is driven one ``system.access`` call at a time.
   This is the watchdog's ``--normalize-by`` reference entry.
 * ``test_bench_vector_npz`` — the in-memory vector path: the window's
-  numpy arrays (as cached from the ``.npz`` trace cache) are handed to
-  :func:`replay_hlatch_window` in one call.
+  numpy arrays (as a materialised :class:`AccessTrace` holds them) are
+  handed to :func:`replay_hlatch_window` in one call.  The name
+  predates the trace cache's move to ``.ltrace`` and is kept so the
+  committed baseline still matches.
 * ``test_bench_columnar_sharded`` — the ``.ltrace`` path: open the
   mmapped container, plan shards (``REPRO_TRACE_SHARDS`` applies),
   replay them, and merge — i.e. :func:`repro.trace.replay_columnar`

@@ -11,8 +11,8 @@ recomputes only the cells that never landed):
   mismatch (corrupt JSON, stale version, spec collision) reads as a
   miss, never as an error.
 * :class:`TraceCache` — the expensive intermediate artefacts (epoch
-  streams and access traces) as ``.npz`` archives via
-  :mod:`repro.workloads.storage`, shared between pool workers, the
+  streams and access traces) as ``.ltrace`` containers via
+  :mod:`repro.trace.convert`, shared between pool workers, the
   benchmark harness, and the ``repro-run`` CLI so one generation pass
   feeds every consumer.
 """
@@ -21,22 +21,19 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
 from pathlib import Path
 from typing import Optional, Union
 
 from repro.obs.snapshot import StatsSnapshot
 from repro.runner.specs import JobSpec, _package_version
-from repro.workloads.generator import WorkloadGenerator
-from repro.workloads.storage import (
-    _FORMAT_VERSION as TRACE_FORMAT_VERSION,
-    StorageFormatError,
-    load_access_trace,
-    load_epoch_stream,
-    save_access_trace,
-    save_epoch_stream,
+from repro.trace.convert import (
+    ColumnarAccessTrace,
+    load_columnar_epochs,
+    save_columnar_epochs,
+    save_columnar_trace,
 )
+from repro.trace.format import TRACE_VERSION, atomic_write
+from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.trace import AccessTrace, EpochStream
 
 #: Bumped on incompatible result-document layout changes.
@@ -48,19 +45,7 @@ PathLike = Union[str, Path]
 def _atomic_write_text(path: Path, text: str) -> None:
     """Write ``text`` to ``path`` without exposing partial content."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(
-        dir=str(path.parent), prefix=path.name, suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    atomic_write(path, lambda handle: handle.write(text.encode("utf-8")))
 
 
 class ResultCache:
@@ -120,14 +105,19 @@ class ResultCache:
         return sum(1 for _ in self.root.glob("*.json"))
 
 
+def _load_access_trace(path: Path) -> AccessTrace:
+    with ColumnarAccessTrace(path) as view:
+        return view.to_access_trace()
+
+
 class TraceCache:
-    """On-disk store of generated workload artefacts (.npz).
+    """On-disk store of generated workload artefacts (``.ltrace``).
 
     Keys digest the profile's calibrated parameters, the generator
-    seed, the artefact kind and scale, the storage format version, and
-    the package version — so a recalibrated profile or a format bump
-    regenerates exactly the affected artefacts.  Unreadable or stale
-    archives are regenerated in place, never fatal.
+    seed, the artefact kind and scale, the container format version,
+    and the package version — so a recalibrated profile or a format
+    bump regenerates exactly the affected artefacts.  Unreadable, stale
+    or wrong-kind files are regenerated in place, never fatal.
     """
 
     def __init__(self, root: PathLike) -> None:
@@ -137,7 +127,7 @@ class TraceCache:
         import dataclasses
 
         payload = {
-            "trace_format_version": TRACE_FORMAT_VERSION,
+            "trace_format_version": TRACE_VERSION,
             "package_version": _package_version(),
             "profile": dataclasses.asdict(generator.profile),
             "seed": generator.seed,
@@ -150,30 +140,20 @@ class TraceCache:
     def path_for(
         self, generator: WorkloadGenerator, kind: str, scale: int
     ) -> Path:
-        """The archive path one artefact lives at."""
-        name = f"{generator.profile.name}-{kind}-{self._key(generator, kind, scale)[:16]}.npz"
-        return self.root / name
+        """The container path one artefact lives at."""
+        key = self._key(generator, kind, scale)[:16]
+        return self.root / f"{generator.profile.name}-{kind}-{key}.ltrace"
 
     def _load_or_build(self, path: Path, loader, builder, saver):
         try:
             return loader(path)
-        except (FileNotFoundError, StorageFormatError, ValueError):
+        except (FileNotFoundError, ValueError):
+            # StorageFormatError is a ValueError, as is the artefact
+            # constructors' own validation: either way, rebuild.
             pass
         artefact = builder()
         self.root.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=str(self.root), prefix=path.stem, suffix=".npz"
-        )
-        os.close(fd)
-        try:
-            saver(artefact, tmp)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        saver(artefact, path)
         return artefact
 
     def epoch_stream(
@@ -183,9 +163,9 @@ class TraceCache:
         path = self.path_for(generator, "epochs", total_instructions)
         return self._load_or_build(
             path,
-            load_epoch_stream,
+            load_columnar_epochs,
             lambda: generator.epoch_stream(total_instructions),
-            save_epoch_stream,
+            save_columnar_epochs,
         )
 
     def access_trace(
@@ -195,21 +175,23 @@ class TraceCache:
         path = self.path_for(generator, "trace", total_instructions)
         return self._load_or_build(
             path,
-            load_access_trace,
+            _load_access_trace,
             lambda: generator.access_trace(total_instructions),
-            save_access_trace,
+            save_columnar_trace,
         )
 
+    def _files(self):
+        if not self.root.is_dir():
+            return []
+        return [path for path in self.root.iterdir() if path.is_file()]
+
     def clear(self) -> int:
-        """Delete every cached artefact; returns the number removed."""
-        removed = 0
-        if self.root.is_dir():
-            for path in self.root.glob("*.npz"):
-                path.unlink()
-                removed += 1
-        return removed
+        """Delete every file under the trace directory (including
+        artefacts of earlier formats); returns the number removed."""
+        files = self._files()
+        for path in files:
+            path.unlink()
+        return len(files)
 
     def __len__(self) -> int:
-        if not self.root.is_dir():
-            return 0
-        return sum(1 for _ in self.root.glob("*.npz"))
+        return len(self._files())

@@ -10,7 +10,7 @@ the spec fields together with everything else that could change the
 result —
 
 * the job-key schema version (:data:`JOB_KEY_VERSION`),
-* the workload storage format (:data:`repro.workloads.storage._FORMAT_VERSION`),
+* the artefact container format (:data:`repro.trace.format.TRACE_VERSION`),
 * the snapshot format (:data:`repro.obs.snapshot.SNAPSHOT_VERSION`),
 * the package version (:data:`repro.__version__`), and
 * a fingerprint of the workload's calibrated profile, so recalibrating
@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.obs.snapshot import SNAPSHOT_VERSION, StatsSnapshot
 from repro.workloads.profiles import get_profile
-from repro.workloads.storage import _FORMAT_VERSION as TRACE_FORMAT_VERSION
+from repro.trace.format import TRACE_VERSION
 
 #: Bumped whenever the key payload layout (not the results) changes.
 #: v3: the kernel-backend field left the payload (one replay path).
@@ -140,7 +140,7 @@ class JobSpec:
         """Content-addressed cache key (hex sha256)."""
         payload = {
             "job_key_version": JOB_KEY_VERSION,
-            "trace_format_version": TRACE_FORMAT_VERSION,
+            "trace_format_version": TRACE_VERSION,
             "snapshot_version": SNAPSHOT_VERSION,
             "package_version": _package_version(),
             "profile": self._profile_fingerprint(),

@@ -339,7 +339,7 @@ class JobRunner:
         """
         import base64
 
-        from repro.workloads.storage import StorageFormatError
+        from repro.trace.format import ColumnarFile, StorageFormatError
 
         try:
             blob = base64.b64decode(str(job["trace"]), validate=True)
@@ -349,8 +349,6 @@ class JobRunner:
             None, job.get("pipeline"), job.get("latch"), self.tenant.obs
         )
         try:
-            from repro.trace.format import ColumnarFile
-
             handle = ColumnarFile(blob)
             halted = handle.meta.get("halt_step") is not None
             executed = pipeline.replay_trace(handle)

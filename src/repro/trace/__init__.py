@@ -6,10 +6,12 @@ numpy sections a reader maps once and replays without materialising
 per-event python objects.
 
 * :mod:`~repro.trace.format` — the container itself (prologue, aligned
-  sections, JSON directory, crc32 integrity, zero-copy reader);
+  sections, JSON directory, crc32 integrity, zero-copy reader) and
+  :class:`StorageFormatError`, raised for every unreadable container;
 * :mod:`~repro.trace.convert` — access-trace kind: the
   :class:`~repro.workloads.trace.AccessTrace` columns plus an epoch
-  index, and the :class:`ColumnarAccessTrace` replay view;
+  index, and the :class:`ColumnarAccessTrace` replay view; and the
+  epoch-stream kind for :class:`~repro.workloads.trace.EpochStream`;
 * :mod:`~repro.trace.record` — event-trace kind: a
   :class:`TraceRecorder` observer that captures a CPU's full commit
   stream, and :func:`replay_events` to drive any observer from it;
@@ -29,14 +31,18 @@ bit-identical to the single-core scalar replay, for any shard plan.
 
 from repro.trace.convert import (
     ACCESS_KIND,
+    EPOCH_KIND,
     ColumnarAccessTrace,
     columnar_trace_bytes,
     epoch_starts,
+    load_columnar_epochs,
     load_columnar_trace,
+    save_columnar_epochs,
     save_columnar_trace,
 )
 from repro.trace.format import (
     ColumnarFile,
+    StorageFormatError,
     TRACE_MAGIC,
     TRACE_VERSION,
     to_bytes,
@@ -72,6 +78,7 @@ from repro.trace.shard import (
 
 __all__ = [
     "ACCESS_KIND",
+    "EPOCH_KIND",
     "EVENT_KIND",
     "SHARDS_ENV_VAR",
     "TRACE_MAGIC",
@@ -80,6 +87,7 @@ __all__ = [
     "ColumnarFile",
     "ColumnarReplayResult",
     "ShardPartial",
+    "StorageFormatError",
     "TraceRecorder",
     "access_window",
     "columnar_trace_bytes",
@@ -87,6 +95,7 @@ __all__ = [
     "epoch_starts",
     "explicit_plan",
     "iter_events",
+    "load_columnar_epochs",
     "load_columnar_trace",
     "merge_baseline_partials",
     "merge_partials",
@@ -98,6 +107,7 @@ __all__ = [
     "replay_events",
     "replay_hlatch_columnar",
     "resolve_shard_count",
+    "save_columnar_epochs",
     "save_columnar_trace",
     "shard_job_specs",
     "shard_partial",

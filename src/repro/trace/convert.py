@@ -1,4 +1,4 @@
-"""Access traces as columnar ``.ltrace`` containers.
+"""Workload artefacts as columnar ``.ltrace`` containers.
 
 The access-trace kind stores the exact parallel arrays of
 :class:`repro.workloads.trace.AccessTrace` plus its taint layout and a
@@ -6,11 +6,12 @@ precomputed *epoch index*: the access indices where a new epoch begins
 (taint-active flag flips).  The epoch index is what the shard planner
 cuts at, so shard boundaries coincide with the trace's natural locality
 boundaries without rescanning ``active_epoch`` at replay time.
+Loading does not materialise python objects: :class:`ColumnarAccessTrace`
+exposes the mmapped sections directly, and the replay kernels slice
+them zero-copy.
 
-Unlike the ``.npz`` path (:mod:`repro.workloads.storage`), loading does
-not materialise python objects: :class:`ColumnarAccessTrace` exposes
-the mmapped sections directly, and the replay kernels slice them
-zero-copy.
+The epoch-stream kind stores an :class:`~repro.workloads.trace.EpochStream`
+as its two row-aligned columns, ``lengths`` and ``tainted_counts``.
 """
 
 from __future__ import annotations
@@ -20,9 +21,10 @@ from typing import Dict, Optional, Union
 import numpy as np
 
 from repro.trace.format import ColumnarFile, PathLike, to_bytes, write_columnar
-from repro.workloads.trace import AccessTrace, TaintLayout
+from repro.workloads.trace import AccessTrace, EpochStream, TaintLayout
 
 ACCESS_KIND = "access-trace"
+EPOCH_KIND = "epoch-stream"
 
 #: Row-aligned per-access sections, in pinned v1 order.
 _ACCESS_COLUMNS = (
@@ -91,18 +93,12 @@ class ColumnarAccessTrace:
             self.file = source
         else:
             self.file = ColumnarFile(source)
-        if self.file.kind != ACCESS_KIND:
-            raise self.file._fail(
-                f"not an {ACCESS_KIND} container (kind={self.file.kind!r})"
-            )
+        self.file.require_kind(ACCESS_KIND)
         for name, _ in _ACCESS_COLUMNS:
             setattr(self, name, self.file.array(name))
         self.epoch_starts = self.file.array("epoch_starts")
         self.name = str(self.file.meta.get("name", ""))
-        lengths = {len(self.addresses)}
-        for name, _ in _ACCESS_COLUMNS[1:]:
-            lengths.add(len(getattr(self, name)))
-        if len(lengths) > 1:
+        if len({len(getattr(self, name)) for name, _ in _ACCESS_COLUMNS}) > 1:
             raise self.file._fail(
                 "access-trace sections are misaligned — corrupt directory"
             )
@@ -126,6 +122,11 @@ class ColumnarAccessTrace:
         """The taint layout (materialised once, cached)."""
         if self._layout is None:
             extents = self.file.array("extents")
+            if extents.ndim != 2 or extents.shape[1] != 2:
+                raise self.file._fail(
+                    f"extents must be an (N, 2) array, got shape "
+                    f"{extents.shape}"
+                )
             pages = self.file.array("accessed_pages")
             self._layout = TaintLayout(
                 extents=[tuple(row) for row in extents.tolist()],
@@ -162,7 +163,43 @@ def load_columnar_trace(
 ) -> ColumnarAccessTrace:
     """Open a columnar access trace for zero-copy replay.
 
-    Raises :class:`~repro.workloads.storage.StorageFormatError` on any
+    Raises :class:`~repro.trace.format.StorageFormatError` on any
     integrity problem (see :mod:`repro.trace.format`).
     """
     return ColumnarAccessTrace(source)
+
+
+def save_columnar_epochs(stream: EpochStream, path: PathLike) -> None:
+    """Write an :class:`EpochStream` as a columnar ``.ltrace`` file."""
+    write_columnar(
+        path, EPOCH_KIND,
+        {
+            "lengths": np.ascontiguousarray(stream.lengths, dtype=np.int64),
+            "tainted_counts": np.ascontiguousarray(
+                stream.tainted_counts, dtype=np.int64
+            ),
+        },
+        {"name": stream.name},
+    )
+
+
+def load_columnar_epochs(source: Union[PathLike, bytes]) -> EpochStream:
+    """Read an epoch stream written by :func:`save_columnar_epochs`.
+
+    The columns are copied out of the map, so the stream outlives the
+    file.  Raises :class:`~repro.trace.format.StorageFormatError` on any
+    integrity problem, a missing or misaligned column included.
+    """
+    with ColumnarFile(source) as handle:
+        handle.require_kind(EPOCH_KIND)
+        lengths = np.array(handle.array("lengths"))
+        tainted_counts = np.array(handle.array("tainted_counts"))
+        if len(lengths) != len(tainted_counts):
+            raise handle._fail(
+                "epoch-stream sections are misaligned — corrupt directory"
+            )
+        return EpochStream(
+            name=str(handle.meta.get("name", "")),
+            lengths=lengths,
+            tainted_counts=tainted_counts,
+        )

@@ -17,13 +17,12 @@ dir_off    JSON directory: the container kind, writer metadata, and
            offset, byte length, crc32)
 =========  ==========================================================
 
-Integrity model (the PR 2 pathway, shared error type with
-:mod:`repro.workloads.storage`): every open verifies the prologue, the
-directory checksum, and each section's crc32 before any array is
-exposed.  A truncated tail, a flipped byte, a foreign magic, or a
-format version from a newer build all raise
-:class:`~repro.workloads.storage.StorageFormatError` instead of
-mis-replaying — corruption is a loud failure, never a wrong answer.
+Integrity model: every open verifies the prologue, the directory
+checksum, every field of every section entry, and each section's crc32
+before any array is exposed.  A truncated tail, a flipped byte, a
+foreign magic, a forged directory, or a format version from a newer
+build all raise :class:`StorageFormatError` instead of mis-replaying —
+corruption is a loud failure, never a wrong answer.
 
 Sections are little-endian regardless of host order; dtype descriptors
 round-trip through the directory JSON, so structured (record) arrays
@@ -37,15 +36,18 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import mmap
+import os
 import struct
+import uuid
 import zlib
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import (
+    BinaryIO, Callable, Dict, List, NamedTuple, Optional, Tuple, Union,
+)
 
 import numpy as np
-
-from repro.workloads.storage import StorageFormatError
 
 #: File magic; the first four bytes of every ``.ltrace``.
 TRACE_MAGIC = b"LTRC"
@@ -60,6 +62,18 @@ _PROLOGUE = struct.Struct("<4sHHQQI4x")
 _ALIGN = 64
 
 PathLike = Union[str, Path]
+
+
+class StorageFormatError(ValueError):
+    """A container is unreadable, truncated, or from an incompatible build."""
+
+
+class _Section(NamedTuple):
+    """One verified directory entry."""
+
+    dtype: np.dtype
+    shape: Tuple[int, ...]
+    offset: int
 
 
 def _descr_to_json(dtype: np.dtype):
@@ -102,13 +116,33 @@ def write_columnar(
     if hasattr(destination, "write"):
         _write_stream(destination, kind, arrays, meta or {})
         return
-    path = Path(destination)
-    # Write-temp + atomic rename: a crashed writer never leaves a file
-    # that parses as a truncated trace.
-    temporary = path.with_name(path.name + ".tmp")
-    with open(temporary, "wb") as stream:
-        _write_stream(stream, kind, arrays, meta or {})
-    temporary.replace(path)
+    atomic_write(
+        destination,
+        lambda stream: _write_stream(stream, kind, arrays, meta or {}),
+    )
+
+
+def atomic_write(path: PathLike, write: Callable[[BinaryIO], object]) -> None:
+    """Publish ``path`` by calling ``write`` on a fresh binary stream.
+
+    The stream is a uniquely named temp file next to ``path``, renamed
+    over it only once ``write`` returns: a crashed writer never leaves a
+    partial file at ``path``, and concurrent writers of one path never
+    share a temp file.  (Exclusive create rather than ``mkstemp``, so
+    the umask still sets the published file's mode.)
+    """
+    path = Path(path)
+    temporary = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(temporary, "xb") as stream:
+            write(stream)
+        os.replace(temporary, path)
+    except BaseException:
+        try:
+            os.unlink(temporary)
+        except OSError:
+            pass
+        raise
 
 
 def to_bytes(
@@ -198,7 +232,7 @@ class ColumnarFile:
     def _fail(self, problem: str) -> "StorageFormatError":
         return StorageFormatError(f"{self._name}: {problem}")
 
-    def _validate(self) -> Tuple[str, Dict, Dict[str, Dict]]:
+    def _validate(self) -> Tuple[str, Dict, Dict[str, _Section]]:
         buffer = self._buffer
         total = len(buffer)
         if total < _PROLOGUE.size:
@@ -235,23 +269,67 @@ class ColumnarFile:
             entries = list(directory["sections"])
         except (ValueError, KeyError, TypeError) as error:
             raise self._fail(f"unreadable directory ({error})") from error
-        sections: Dict[str, Dict] = {}
+        sections: Dict[str, _Section] = {}
         for entry in entries:
-            name = str(entry["name"])
-            offset = int(entry["offset"])
-            nbytes = int(entry["nbytes"])
+            name, dtype = self._check_entry(entry)
+            offset, nbytes = entry["offset"], entry["nbytes"]
             if offset + nbytes > total:
                 raise self._fail(
                     f"section {name!r} extends past end of file — "
                     "truncated tail"
                 )
             payload = buffer[offset:offset + nbytes]
-            if zlib.crc32(payload) & 0xFFFFFFFF != int(entry["crc32"]):
+            if zlib.crc32(payload) & 0xFFFFFFFF != entry["crc32"]:
                 raise self._fail(
                     f"section {name!r} checksum mismatch — corrupt file"
                 )
-            sections[name] = entry
+            sections[name] = _Section(dtype, tuple(entry["shape"]), offset)
         return kind, meta, sections
+
+    def _check_entry(self, entry: object) -> Tuple[str, np.dtype]:
+        """Type- and range-check every field of one directory entry;
+        returns the section's name and dtype."""
+        named = isinstance(entry, dict) and isinstance(entry.get("name"), str)
+        if not named:
+            raise self._fail(
+                f"section entry {entry!r:.80} is not an object with a "
+                "name — corrupt directory"
+            )
+        name = entry["name"]
+
+        def invalid(field: str) -> StorageFormatError:
+            return self._fail(
+                f"section {name!r} has an invalid {field} "
+                f"({entry.get(field)!r:.80}) — corrupt directory"
+            )
+
+        # ``type(...) is int``: a JSON true is an int subclass, not a size.
+        for field in ("offset", "nbytes", "crc32"):
+            if type(entry.get(field)) is not int or entry[field] < 0:
+                raise invalid(field)
+        shape = entry.get("shape")
+        if not isinstance(shape, list) or any(
+            type(side) is not int or side < 0 for side in shape
+        ):
+            raise invalid("shape")
+        try:
+            dtype = _descr_from_json(entry.get("dtype"))
+        except (TypeError, ValueError):
+            raise invalid("dtype") from None
+        if dtype.hasobject or dtype.itemsize == 0:
+            raise invalid("dtype")
+        if dtype.itemsize * math.prod(shape) != entry["nbytes"]:
+            raise self._fail(
+                f"section {name!r} shape/dtype disagree with its byte "
+                "length — corrupt directory"
+            )
+        return name, dtype
+
+    def require_kind(self, kind: str) -> None:
+        """Raise :class:`StorageFormatError` unless this is a ``kind``
+        container."""
+        if self.kind != kind:
+            raise self._fail(f"not an {kind} container (kind={self.kind!r})")
 
     # --------------------------------------------------------------- access
 
@@ -272,31 +350,17 @@ class ColumnarFile:
     def array(self, name: str) -> np.ndarray:
         """A read-only zero-copy array view of one section."""
         try:
-            entry = self._sections[name]
+            section = self._sections[name]
         except KeyError:
             raise self._fail(
                 f"{self.kind} container has no section {name!r} — "
                 "truncated file or incompatible writer"
             ) from None
-        try:
-            dtype = _descr_from_json(entry["dtype"])
-        except (TypeError, ValueError) as error:
-            raise self._fail(
-                f"section {name!r} has an unreadable dtype ({error})"
-            ) from error
-        shape = tuple(int(side) for side in entry["shape"])
-        expected = dtype.itemsize * int(np.prod(shape)) if shape else dtype.itemsize
-        if expected != int(entry["nbytes"]):
-            raise self._fail(
-                f"section {name!r} shape/dtype disagree with its byte "
-                "length — corrupt directory"
-            )
         view = np.frombuffer(
-            self._buffer, dtype=dtype,
-            count=int(np.prod(shape)) if shape else 1,
-            offset=int(entry["offset"]),
+            self._buffer, dtype=section.dtype,
+            count=math.prod(section.shape), offset=section.offset,
         )
-        view = view.reshape(shape)
+        view = view.reshape(section.shape)
         view.flags.writeable = False
         return view
 

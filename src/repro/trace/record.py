@@ -235,10 +235,7 @@ class TraceRecorder(Observer):
 
 def _as_event_file(source: Union[PathLike, bytes, ColumnarFile]) -> ColumnarFile:
     handle = source if isinstance(source, ColumnarFile) else ColumnarFile(source)
-    if handle.kind != EVENT_KIND:
-        raise handle._fail(
-            f"not an {EVENT_KIND} container (kind={handle.kind!r})"
-        )
+    handle.require_kind(EVENT_KIND)
     return handle
 
 

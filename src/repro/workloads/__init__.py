@@ -44,13 +44,6 @@ from repro.workloads.engines import (
     make_generator,
     storm_schedule,
 )
-from repro.workloads.storage import (
-    StorageFormatError,
-    load_access_trace,
-    load_epoch_stream,
-    save_access_trace,
-    save_epoch_stream,
-)
 
 __all__ = [
     "AccessTrace",
@@ -67,7 +60,6 @@ __all__ = [
     "SERVICE_SUITE",
     "SPEC_PROFILES",
     "ServiceWorkload",
-    "StorageFormatError",
     "TaintLayout",
     "TraceReplayWorkload",
     "WorkloadGenerator",
@@ -78,10 +70,6 @@ __all__ = [
     "diurnal_schedule",
     "engine_schedule",
     "get_profile",
-    "load_access_trace",
-    "load_epoch_stream",
     "make_generator",
-    "save_access_trace",
-    "save_epoch_stream",
     "storm_schedule",
 ]

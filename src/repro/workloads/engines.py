@@ -866,7 +866,7 @@ def make_generator(
     ``ltrace:PATH`` replay source, or an explicit
     :class:`WorkloadProfile`.  Raises ``KeyError`` for unknown names
     (same contract as :func:`repro.workloads.get_profile`) and
-    :class:`~repro.workloads.storage.StorageFormatError` / ``OSError``
+    :class:`~repro.trace.format.StorageFormatError` / ``OSError``
     for unreadable replay containers.
     """
     if isinstance(workload, WorkloadProfile):

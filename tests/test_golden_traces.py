@@ -8,10 +8,10 @@ for provenance).  These tests serve two purposes:
   cache models, or the kernels that moves any published counter fails
   loudly against numbers produced by an earlier build, not just against
   code in the same working tree;
-* **storage hardening** — the committed ``corrupt.npz`` is a real
-  truncated archive on disk, so the :class:`StorageFormatError` path is
-  exercised against genuine zip corruption rather than a synthetic
-  monkeypatched error.
+* **storage hardening** — the committed ``corrupt_trace.ltrace`` is a
+  real truncated container on disk, so the :class:`StorageFormatError`
+  path is exercised against genuine on-disk corruption rather than a
+  synthetic monkeypatched error.
 
 Every golden trace replays twice — ``vector`` through the product
 kernels, ``scalar`` through the per-access oracles in
@@ -30,11 +30,8 @@ from repro.analysis.temporal import epoch_duration_profile
 from repro.hlatch.baseline import run_baseline
 from repro.hlatch.system import HLatchSystem
 from repro.kernels import replay_hlatch_window
-from repro.workloads.storage import (
-    StorageFormatError,
-    load_access_trace,
-    load_epoch_stream,
-)
+from repro.trace.convert import load_columnar_epochs, load_columnar_trace
+from repro.trace.format import StorageFormatError
 
 from tests import kernel_oracles
 
@@ -46,7 +43,12 @@ EXPECTED = json.loads((GOLDEN_DIR / "expected.json").read_text())
 
 
 def _trace_path(name):
-    return GOLDEN_DIR / f"{name}_w2000_s0.npz"
+    return GOLDEN_DIR / f"{name}_w2000_s0.ltrace"
+
+
+def load_access_trace(path):
+    with load_columnar_trace(path) as view:
+        return view.to_access_trace()
 
 
 def _replay_snapshot(trace, replay_path):
@@ -82,7 +84,7 @@ class TestGoldenReplay:
     @pytest.mark.parametrize("name", WORKLOADS)
     @pytest.mark.parametrize("replay_path", REPLAYS)
     def test_epoch_profile_matches_golden(self, name, replay_path):
-        stream = load_epoch_stream(GOLDEN_DIR / f"{name}_epochs_s0.npz")
+        stream = load_columnar_epochs(GOLDEN_DIR / f"{name}_epochs_s0.ltrace")
         if replay_path == "scalar":
             profile = kernel_oracles.epoch_duration_profile(stream)
         else:
@@ -104,19 +106,23 @@ class TestGoldenReplay:
 
 class TestStorageCorruption:
     def test_truncated_archive_raises_storage_error(self):
-        path = GOLDEN_DIR / "corrupt.npz"
+        path = GOLDEN_DIR / "corrupt_trace.ltrace"
         with pytest.raises(StorageFormatError) as excinfo:
             load_access_trace(path)
         # The error names the offending file so a failed sweep is
         # actionable without a debugger.
-        assert "corrupt.npz" in str(excinfo.value)
+        assert "corrupt_trace.ltrace" in str(excinfo.value)
 
     def test_wrong_kind_raises_storage_error(self):
-        # An epoch-stream archive is a valid .npz but the wrong kind.
-        path = GOLDEN_DIR / "gcc_epochs_s0.npz"
+        # An epoch-stream container is a valid .ltrace but the wrong kind.
+        path = GOLDEN_DIR / "gcc_epochs_s0.ltrace"
         with pytest.raises(StorageFormatError, match="access-trace"):
             load_access_trace(path)
 
+    def test_wrong_kind_epoch_reader(self):
+        with pytest.raises(StorageFormatError, match="epoch-stream"):
+            load_columnar_epochs(_trace_path("gcc"))
+
     def test_missing_file_is_not_masked(self):
         with pytest.raises(FileNotFoundError):
-            load_access_trace(GOLDEN_DIR / "does_not_exist.npz")
+            load_access_trace(GOLDEN_DIR / "does_not_exist.ltrace")

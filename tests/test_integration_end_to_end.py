@@ -20,9 +20,9 @@ from repro.machine.tracing import TraceRecorder
 from repro.pipeline import PipelineConfig, StreamingPipeline
 from repro.slatch.controller import SLatchSystem
 from repro.slatch.costs import SLatchCostModel
+from repro.trace.convert import load_columnar_trace, save_columnar_trace
 from repro.workloads.attacks import buffer_overflow
 from repro.workloads.programs import echo_server
-from repro.workloads.storage import load_access_trace, save_access_trace
 
 POLICY = TaintPolicy(color_by_source=True)
 
@@ -116,9 +116,10 @@ class TestRecordAnalyzePersistRestore:
         assert profile[10] >= profile[100]
 
         # 3. Persist the trace, reload it, and replay through the caches.
-        path = tmp_path / "service.npz"
-        save_access_trace(trace, path)
-        reloaded = load_access_trace(path)
+        path = tmp_path / "service.ltrace"
+        save_columnar_trace(trace, path)
+        with load_columnar_trace(path) as view:
+            reloaded = view.to_access_trace()
         hlatch = run_hlatch(reloaded)
         baseline = run_baseline(reloaded)
         assert hlatch.accesses == trace.access_count

@@ -1,12 +1,25 @@
 """Result and trace cache behaviour: hits, misses, corruption, staleness."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
 
 from repro.obs import MetricsRegistry
-from repro.runner import JobSpec, ResultCache, TraceCache
+from repro.runner import (
+    JobSpec,
+    ResultCache,
+    Runner,
+    RunnerConfig,
+    TraceCache,
+    suite_jobs,
+)
+from repro.trace.convert import (
+    load_columnar_epochs,
+    save_columnar_trace,
+)
+from repro.trace.format import write_columnar
 from repro.workloads import WorkloadGenerator, get_profile
 
 
@@ -110,23 +123,45 @@ class TestTraceCache:
         generator = WorkloadGenerator(get_profile("wget"))
         fresh = cache.epoch_stream(generator, 100_000)
         path = cache.path_for(generator, "epochs", 100_000)
-        path.write_bytes(b"this is not an npz archive")
+        assert path.suffix == ".ltrace"
+        path.write_bytes(path.read_bytes()[:-40])  # truncated tail
         reloaded = cache.epoch_stream(generator, 100_000)
         assert (reloaded.lengths == fresh.lengths).all()
         # The corrupt file was replaced with a valid one.
-        from repro.workloads import load_epoch_stream
-
-        assert (load_epoch_stream(path).lengths == fresh.lengths).all()
+        assert (load_columnar_epochs(path).lengths == fresh.lengths).all()
 
     def test_wrong_sized_archive_not_served(self, tmp_path):
-        """A stale/foreign npz at the right path is rejected, not loaded."""
+        """A foreign container at the right path (right kind, wrong
+        sections) is rejected and rebuilt, not loaded."""
         cache = TraceCache(tmp_path)
         generator = WorkloadGenerator(get_profile("wget"))
         path = cache.path_for(generator, "epochs", 100_000)
         path.parent.mkdir(parents=True, exist_ok=True)
-        np.savez(path, whatever=np.arange(3))
+        write_columnar(path, "epoch-stream", {"whatever": np.arange(3)})
         stream = cache.epoch_stream(generator, 100_000)
         assert stream.total_instructions >= 100_000
+        assert (load_columnar_epochs(path).lengths == stream.lengths).all()
+
+    @pytest.mark.parametrize("kind", ["epochs", "trace"])
+    def test_wrong_kind_file_rebuilt_not_served(self, tmp_path, kind):
+        cache = TraceCache(tmp_path)
+        generator = WorkloadGenerator(get_profile("wget"))
+        expected = (generator.epoch_stream(100_000) if kind == "epochs"
+                    else generator.access_trace(100_000))
+        path = cache.path_for(generator, kind, 100_000)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        if kind == "epochs":  # an access trace where epochs belong
+            save_columnar_trace(generator.access_trace(2_000), path)
+            served = cache.epoch_stream(generator, 100_000)
+            assert (served.lengths == expected.lengths).all()
+        else:  # an epoch stream where the trace belongs
+            write_columnar(path, "epoch-stream", {
+                "lengths": np.ones(3, dtype=np.int64),
+                "tainted_counts": np.zeros(3, dtype=np.int64),
+            })
+            served = cache.access_trace(generator, 100_000)
+            assert (served.addresses == expected.addresses).all()
+        assert len(cache) == 1
 
     def test_clear(self, tmp_path):
         cache = TraceCache(tmp_path)
@@ -135,3 +170,56 @@ class TestTraceCache:
         cache.access_trace(generator, 2_000)
         assert cache.clear() == 2
         assert len(cache) == 0
+
+    def test_clear_covers_every_file_including_old_formats(self, tmp_path):
+        cache = TraceCache(tmp_path)
+        cache.epoch_stream(WorkloadGenerator(get_profile("wget")), 50_000)
+        # Artefacts an earlier build left behind, plus a stray temp file.
+        (cache.root / "wget-epochs-0123456789abcdef.npz").write_bytes(b"PK")
+        (cache.root / "wget-trace-0123456789abcdef.npz").write_bytes(b"PK")
+        (cache.root / "gcc-trace-feed.ltrace.1f2e.tmp").write_bytes(b"")
+        assert len(cache) == 4
+        assert cache.clear() == 4
+        assert len(cache) == 0
+        assert list(cache.root.iterdir()) == []
+
+
+def _snapshots(results):
+    assert all(result.ok for result in results.values())
+    return {job: result.snapshot.to_dict() for job, result in results.items()}
+
+
+class TestTraceCacheLoadPath:
+    """Artefacts loaded from the trace cache drive every job to the same
+    snapshot as freshly generated ones."""
+
+    def test_warm_trace_cache_matches_cold_pass(self, tmp_path):
+        # SPEC and network profiles across all four tables/overhead job
+        # kinds, at a scale where each pass takes well under a second.
+        specs = [
+            spec
+            for suite in ("tables", "overhead")
+            for spec in suite_jobs(
+                suite, epoch_scale=20_000, trace_window=1_000,
+                benchmarks=("gcc", "mcf", "lbm", "curl", "wget",
+                            "mySQL", "apache-25"),
+            )
+        ]
+
+        def run(cache_dir=None):
+            caches = {} if cache_dir is None else {
+                "cache": ResultCache(cache_dir),
+                "trace_cache": TraceCache(cache_dir),
+            }
+            results = Runner(
+                config=RunnerConfig(max_workers=1), **caches
+            ).run(specs)
+            assert not any(result.from_cache for result in results.values())
+            return json.dumps(_snapshots(results), sort_keys=True)
+
+        cold = run(tmp_path)
+        shutil.rmtree(tmp_path / "results")
+        assert len(TraceCache(tmp_path)) == 2 * 7
+        warm = run(tmp_path)  # every artefact now comes off disk
+        assert warm == cold
+        assert warm == run()  # and matches a pass with no trace cache

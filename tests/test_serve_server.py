@@ -203,6 +203,39 @@ _start:
                 # The connection survives: protocol errors are answers.
                 assert client.ping()
 
+    @pytest.mark.parametrize("forgery", [
+        "missing-offset", "missing-dtype", "missing-shape",
+        "entry-not-an-object",
+    ])
+    def test_forged_directory_answers_job_error(self, forgery):
+        # The directory checksum matches, so only the per-entry checks
+        # stand between a forged section entry and the replay.
+        import base64
+
+        from repro.trace.record import TraceRecorder
+        from tests.test_trace_format import (
+            FORGED_DIRECTORIES,
+            _forge_directory,
+        )
+
+        cpu = _factory("checksum")()
+        recorder = TraceRecorder(name="forged")
+        cpu.attach(recorder)
+        cpu.run(200_000)
+        blob = _forge_directory(
+            recorder.to_bytes(), FORGED_DIRECTORIES[forgery]
+        )
+        job = {"trace": base64.b64encode(blob).decode("ascii")}
+        with running_server() as (server, (host, port)):
+            with ServeClient(host, port, tenant="forged") as client:
+                client._send({"type": "submit", "job": job})
+                reply = client._recv()
+                assert reply["type"] == "error", reply
+                assert reply["code"] == "job", reply
+                assert "bad trace" in reply["detail"], reply
+                assert client.ping()
+            assert _wait_until(lambda: len(server.inflight) == 0)
+
 
 class TestTenantIsolation:
     def test_interleaved_tenants_never_share_taint(self, traces):

@@ -381,17 +381,15 @@ class TestStats:
             len(list(engine.shadow.iter_tainted_bytes())) > 0
         ) == (snapshot.get("dift.taint_source_bytes") > 0)
 
-    def test_ltrace_mode_json(self, tmp_path, capsys):
+    def test_ltrace_mode_json(self, capsys):
         from pathlib import Path as _Path
 
         from repro.obs import StatsSnapshot
-        from repro.trace.convert import save_columnar_trace
-        from repro.workloads.storage import load_access_trace
+        from repro.trace.convert import load_columnar_trace
 
-        golden = _Path(__file__).parent / "golden" / "gcc_w2000_s0.npz"
-        trace_path = tmp_path / "gcc.ltrace"
-        source = load_access_trace(golden)
-        save_columnar_trace(source, trace_path)
+        trace_path = _Path(__file__).parent / "golden" / "gcc_w2000_s0.ltrace"
+        with load_columnar_trace(trace_path) as source:
+            accesses = source.access_count
         assert stats_main(
             ["--ltrace", str(trace_path), "--shards", "3",
              "--format", "json"]
@@ -399,13 +397,13 @@ class TestStats:
         snapshot = StatsSnapshot.from_json(capsys.readouterr().out)
         assert snapshot.meta["mode"] == "ltrace"
         assert snapshot.meta["workload"] == "gcc"
-        assert snapshot.meta["accesses"] == source.access_count
+        assert snapshot.meta["accesses"] == accesses
         assert 1 <= snapshot.meta["shards"] <= 3
         for name in ("latch.memory_checks", "trace.replays", "trace.shards",
                      "trace.mmap.bytes", "trace.merge.seconds",
                      "baseline.miss_percent"):
             assert name in snapshot, name
-        assert snapshot.get("latch.memory_checks") == source.access_count
+        assert snapshot.get("latch.memory_checks") == accesses
 
     def test_ltrace_mode_excludes_other_modes(self, stats_source_file,
                                               tmp_path, capsys):

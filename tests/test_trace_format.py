@@ -8,20 +8,24 @@ Three layers of lock-down:
   (dataclass equality) to what the live CPU emitted, in the same commit
   order, and replaying it into a fresh byte-precise engine reproduces
   the reference signature;
-* **golden layout pin** — the committed ``tests/golden/trace_v1.ltrace``
-  must equal a fresh encode byte for byte, so the v1 binary layout
+* **golden layout pin** — the committed gcc window
+  ``tests/golden/gcc_w2000_s0.ltrace`` must equal a fresh encode of its
+  own contents byte for byte, so the v1 binary layout
   (prologue, 64-byte alignment, section order, directory JSON) cannot
   drift silently, and its sharded replay must still reproduce the
   long-standing golden H-LATCH counters from ``expected.json``;
 * **corruption hardening** — truncation, flipped bytes, foreign magic,
-  and future format versions all fail at *open* time with a
-  :class:`StorageFormatError` naming the file and the problem.
+  forged directory entries, and future format versions all fail at
+  *open* time with a :class:`StorageFormatError` naming the file and
+  the problem.
 """
 
 from __future__ import annotations
 
 import json
 import struct
+import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +46,9 @@ from repro.trace.format import (
     TRACE_MAGIC,
     TRACE_VERSION,
     ColumnarFile,
+    StorageFormatError,
     to_bytes,
+    write_columnar,
 )
 from repro.trace.record import (
     EVENT_KIND,
@@ -53,9 +59,8 @@ from repro.trace.record import (
     replay_events,
 )
 from repro.trace.replay import replay_columnar
-from repro.workloads.storage import StorageFormatError, load_access_trace
-
 GOLDEN_DIR = Path(__file__).parent / "golden"
+GOLDEN_WINDOW = GOLDEN_DIR / "gcc_w2000_s0.ltrace"
 EXPECTED = json.loads((GOLDEN_DIR / "expected.json").read_text())
 
 #: Seeds whose generated programs exercise inputs, outputs, tainted and
@@ -192,8 +197,8 @@ class TestEventConformance:
         assert sink.events == [], "rejected before any event is replayed"
 
     def test_kind_guard_rejects_access_trace(self):
-        trace = load_access_trace(GOLDEN_DIR / "gcc_w2000_s0.npz")
-        blob = to_bytes(ACCESS_KIND, {"addresses": trace.addresses}, {})
+        with load_columnar_trace(GOLDEN_WINDOW) as trace:
+            blob = to_bytes(ACCESS_KIND, {"addresses": trace.addresses}, {})
         with pytest.raises(StorageFormatError, match=EVENT_KIND):
             list(iter_events(blob))
 
@@ -201,7 +206,8 @@ class TestEventConformance:
 class TestAccessTraceRoundTrip:
     @pytest.fixture(scope="class")
     def golden_trace(self):
-        return load_access_trace(GOLDEN_DIR / "gcc_w2000_s0.npz")
+        with load_columnar_trace(GOLDEN_WINDOW) as view:
+            return view.to_access_trace()
 
     def test_columns_round_trip_exactly(self, golden_trace, tmp_path):
         path = tmp_path / "gcc.ltrace"
@@ -247,14 +253,15 @@ class TestAccessTraceRoundTrip:
 
 class TestGoldenLayout:
     def test_v1_layout_is_byte_stable(self):
-        golden = (GOLDEN_DIR / "trace_v1.ltrace").read_bytes()
+        golden = GOLDEN_WINDOW.read_bytes()
         from repro.trace.convert import columnar_trace_bytes
 
-        trace = load_access_trace(GOLDEN_DIR / "gcc_w2000_s0.npz")
+        with load_columnar_trace(golden) as view:
+            trace = view.to_access_trace()
         assert columnar_trace_bytes(trace) == golden
 
     def test_golden_prologue_fields(self):
-        golden = (GOLDEN_DIR / "trace_v1.ltrace").read_bytes()
+        golden = GOLDEN_WINDOW.read_bytes()
         assert golden[:4] == TRACE_MAGIC
         version = struct.unpack_from("<H", golden, 4)[0]
         assert version == TRACE_VERSION == 1
@@ -264,7 +271,7 @@ class TestGoldenLayout:
         # container must reproduce the long-standing golden H-LATCH
         # snapshot produced by the scalar object path.
         result = replay_columnar(
-            GOLDEN_DIR / "trace_v1.ltrace", shards=4, baseline_config=None
+            GOLDEN_WINDOW, shards=4, baseline_config=None
         )
         metrics = result.system.snapshot().to_dict()["metrics"]
         assert metrics == EXPECTED["gcc"]["hlatch_snapshot"]["metrics"]
@@ -273,7 +280,7 @@ class TestGoldenLayout:
 class TestCorruption:
     @pytest.fixture()
     def intact(self):
-        return (GOLDEN_DIR / "trace_v1.ltrace").read_bytes()
+        return GOLDEN_WINDOW.read_bytes()
 
     def _must_fail(self, blob, match):
         with pytest.raises(StorageFormatError, match=match):
@@ -363,3 +370,124 @@ class TestCorruption:
         blob = to_bytes(ACCESS_KIND, arrays, {"name": "bad"})
         with pytest.raises(StorageFormatError, match="misaligned"):
             load_columnar_trace(blob)
+
+
+def _forge_directory(blob: bytes, edit) -> bytes:
+    """``blob`` with its directory JSON rewritten by ``edit`` and the
+    prologue's length and crc32 recomputed, so only the entry-level
+    checks stand between the forgery and the reader."""
+    prologue = struct.Struct("<4sHHQQI4x")
+    magic, version, flags, offset, length, _ = prologue.unpack_from(blob)
+    directory = json.loads(blob[offset:offset + length])
+    edit(directory)
+    forged = json.dumps(directory).encode()
+    return prologue.pack(
+        magic, version, flags, offset, len(forged),
+        zlib.crc32(forged) & 0xFFFFFFFF,
+    ) + blob[prologue.size:offset] + forged
+
+
+def _set_field(field, value):
+    def edit(directory):
+        directory["sections"][0][field] = value
+    return edit
+
+
+def _drop_field(field):
+    def edit(directory):
+        del directory["sections"][0][field]
+    return edit
+
+
+def _replace_entry(value):
+    def edit(directory):
+        directory["sections"][0] = value
+    return edit
+
+
+def _sections_as_object(directory):
+    directory["sections"] = {"addresses": directory["sections"][0]}
+
+
+FORGED_DIRECTORIES = {
+    "entry-not-an-object": _replace_entry(7),
+    "entry-is-a-list": _replace_entry(["addresses", "<i8"]),
+    "sections-is-an-object": _sections_as_object,
+    **{f"missing-{field}": _drop_field(field)
+       for field in ("name", "dtype", "shape", "offset", "nbytes", "crc32")},
+    "name-not-a-string": _set_field("name", 3),
+    "dtype-not-a-descriptor": _set_field("dtype", 5),
+    "dtype-unknown": _set_field("dtype", "<q9"),
+    "dtype-object": _set_field("dtype", "|O"),
+    "dtype-zero-size": _set_field("dtype", "V"),
+    "shape-not-a-list": _set_field("shape", "8"),
+    "shape-negative": _set_field("shape", [-8]),
+    "shape-float": _set_field("shape", [8.0]),
+    "offset-negative": _set_field("offset", -64),
+    "offset-string": _set_field("offset", "64"),
+    "offset-bool": _set_field("offset", True),
+    "nbytes-negative": _set_field("nbytes", -1),
+    "nbytes-float": _set_field("nbytes", 64.0),
+    "crc32-string": _set_field("crc32", "0"),
+    "crc32-null": _set_field("crc32", None),
+}
+
+
+class TestForgedDirectory:
+    """A checksummed directory is still untrusted input: every ill-typed,
+    missing or negative entry field is a :class:`StorageFormatError`,
+    never a bare ``KeyError``/``TypeError`` from deep in the reader."""
+
+    @pytest.fixture(scope="class")
+    def blob(self):
+        return to_bytes(ACCESS_KIND, {"addresses": np.arange(8)}, {})
+
+    def test_unforged_directory_still_opens(self, blob):
+        assert ColumnarFile(_forge_directory(blob, lambda d: None)).array(
+            "addresses"
+        ).tolist() == list(range(8))
+
+    @pytest.mark.parametrize("forgery", sorted(FORGED_DIRECTORIES))
+    def test_forged_entry_is_a_format_error(self, blob, forgery):
+        forged = _forge_directory(blob, FORGED_DIRECTORIES[forgery])
+        with pytest.raises(StorageFormatError, match="<bytes>"):
+            ColumnarFile(forged)
+
+
+class TestConcurrentWriters:
+    def test_one_path_many_writers_leaves_one_valid_container(
+        self, tmp_path
+    ):
+        import threading
+
+        path = tmp_path / "shared.ltrace"
+        writers = 6
+        barrier = threading.Barrier(writers)
+        failures = []
+
+        def write(seed):
+            arrays = {"addresses": np.full(50_000, seed, dtype=np.int64)}
+            barrier.wait()
+            try:
+                for _ in range(10):
+                    write_columnar(path, ACCESS_KIND, arrays, {"seed": seed})
+            except Exception as error:  # pragma: no cover - the bug
+                failures.append(error)
+
+        threads = [threading.Thread(target=write, args=(seed,))
+                   for seed in range(writers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["shared.ltrace"]
+        with ColumnarFile(path) as handle:
+            seed = handle.meta["seed"]
+            assert (handle.array("addresses") == seed).all()

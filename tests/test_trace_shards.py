@@ -40,7 +40,11 @@ from repro.hlatch.taint_cache import (
     HLATCH_TAINT_CACHE,
 )
 from repro.kernels.replay import replay_check_memory
-from repro.trace.convert import columnar_trace_bytes, save_columnar_trace
+from repro.trace.convert import (
+    columnar_trace_bytes,
+    load_columnar_trace,
+    save_columnar_trace,
+)
 from repro.trace.replay import (
     ShardPartial,
     merge_partials,
@@ -55,7 +59,6 @@ from repro.trace.shard import (
     plan_shards,
     resolve_shard_count,
 )
-from repro.workloads.storage import load_access_trace
 
 from tests import kernel_oracles
 
@@ -65,7 +68,8 @@ WORKLOADS = ("gcc", "curl")
 
 
 def _golden(name):
-    return load_access_trace(GOLDEN_DIR / f"{name}_w2000_s0.npz")
+    with load_columnar_trace(GOLDEN_DIR / f"{name}_w2000_s0.ltrace") as view:
+        return view.to_access_trace()
 
 
 def _random_plan(rng, n):
