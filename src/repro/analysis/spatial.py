@@ -17,6 +17,7 @@ from typing import Dict, Sequence
 
 import numpy as np
 
+from repro.kernels.classify import unique_sorted
 from repro.workloads.trace import AccessTrace, PAGE_SIZE, TaintLayout
 
 #: The taint-domain sizes swept in Figure 6 (bytes).
@@ -79,7 +80,7 @@ def false_positive_multiplier(
         coarse_bytes = len(trace.layout.tainted_domains(domain_size)) * domain_size
         return coarse_bytes / tainted_bytes
     if mode == "elements":
-        addresses = np.unique(trace.addresses)
+        addresses = unique_sorted(trace.addresses)
         precise_flags = trace.layout.bytes_tainted(addresses)
     elif mode == "events":
         addresses = trace.addresses

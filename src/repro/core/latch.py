@@ -277,39 +277,37 @@ class LatchModule:
 
         Used when LATCH is attached to an already-running monitored
         process (tests, checkpoint restores, and every columnar replay).
-        When the shadow exposes the vectorised scan the CTT is loaded a
-        word at a time; the per-domain loop remains as the fallback for
-        shadow-shaped stand-ins.
+        Shadow-shaped stand-ins without the vectorised scan are read
+        through ``iter_tainted_domains``.
         """
+        import numpy as np
+
         scan_size = min(self.geometry.domain_size, self.geometry.page_size)
         if hasattr(shadow, "tainted_domain_bases"):
-            self._bulk_load_bases(shadow.tainted_domain_bases(scan_size))
+            bases = shadow.tainted_domain_bases(scan_size)
         else:
-            for base_address in shadow.iter_tainted_domains(scan_size):
-                self.ctt.set_domain(base_address)
+            bases = list(shadow.iter_tainted_domains(scan_size))
+        self.bulk_load_domains(
+            np.asarray(bases, dtype=np.int64) // self.geometry.domain_size
+        )
+
+    def bulk_load_domains(self, indices) -> None:
+        """Set the CTT bit of every domain index (any order, repeats
+        allowed) a whole word at a time, and start the caches cold."""
+        import numpy as np
+
+        from repro.kernels.classify import unique_sorted
+
+        indices = unique_sorted(indices)
+        words = indices // DOMAINS_PER_WORD
+        starts = np.flatnonzero(np.diff(words, prepend=-1))
+        # Bits within a word are distinct, so their sum is their OR.
+        values = np.add.reduceat(1 << (indices % DOMAINS_PER_WORD), starts)
+        for word_index, value in zip(words[starts].tolist(), values.tolist()):
+            self.ctt.set_word(word_index, self.ctt.word(word_index) | value)
         self.ctc.flush()
         if self.tlb_bits is not None:
             self.tlb_bits.flush()
-
-    def _bulk_load_bases(self, bases) -> None:
-        """OR whole CTT words from an ascending array of base addresses."""
-        import numpy as np
-
-        if not len(bases):
-            return
-        indices = np.unique(
-            np.asarray(bases, dtype=np.int64) // self.geometry.domain_size
-        )
-        words = indices // DOMAINS_PER_WORD
-        masks = np.int64(1) << (indices % DOMAINS_PER_WORD)
-        starts = np.concatenate(
-            ([0], np.flatnonzero(np.diff(words)) + 1)
-        )
-        values = np.add.reduceat(masks, starts)  # bits unique -> sum == OR
-        for word_index, value in zip(
-            words[starts].tolist(), values.tolist()
-        ):
-            self.ctt.set_word(word_index, self.ctt.word(word_index) | value)
 
     # ----------------------------------------------------------- sanitizer
 

@@ -19,6 +19,9 @@ _PAGE_SIZE = 4096
 _PAGE_SHIFT = 12
 _MASK32 = 0xFFFFFFFF
 
+#: Extents per :meth:`ShadowMemory.fill_extents` chunk.
+_FILL_CHUNK = 1 << 13
+
 
 class ShadowMemory:
     """Sparse byte-granular taint tags for a 32-bit address space."""
@@ -168,6 +171,56 @@ class ShadowMemory:
                 self._tainted_byte_count += new_tainted - old_tainted
             cursor = (cursor + chunk) & _MASK32
             remaining -= chunk
+
+    def fill_extents(self, extents, tag: int = 1) -> None:
+        """:meth:`set_range` for every ``(start, length)`` row, a page at
+        a time: chunks of rows are cut at page boundaries (wrapping at
+        2^32) and merged into a byte-per-byte cover mask."""
+        from repro.kernels.classify import as_index_array
+
+        pairs = as_index_array(extents).reshape(-1, 2)
+        for first in range(0, len(pairs), _FILL_CHUNK):
+            self._fill_pages(pairs[first : first + _FILL_CHUNK], tag)
+
+    def _fill_pages(self, pairs, tag: int) -> None:
+        import numpy as np
+
+        from repro.kernels.classify import expand_ranges, unique_sorted
+
+        pairs = pairs[pairs[:, 1] > 0]
+        starts = pairs[:, 0]
+        ends = starts + pairs[:, 1]
+        first = starts >> _PAGE_SHIFT
+        pages, offsets = expand_ranges(first, ((ends - 1) >> _PAGE_SHIFT) - first + 1)
+        if not len(pages):
+            return
+        # Clip each extent to its pages, then move each piece from its
+        # page to that page's row of the mask.
+        counts = np.diff(offsets)
+        wrapped = pages & (_MASK32 >> _PAGE_SHIFT)
+        numbers = unique_sorted(wrapped)
+        shift = (np.searchsorted(numbers, wrapped) - pages) << _PAGE_SHIFT
+        lo = np.maximum(np.repeat(starts, counts), pages << _PAGE_SHIFT) + shift
+        hi = np.minimum(np.repeat(ends, counts), (pages + 1) << _PAGE_SHIFT) + shift
+        # Merge overlapping or touching pieces so no two edges collide.
+        order = np.argsort(lo)
+        lo, reach = lo[order], np.maximum.accumulate(hi[order])
+        head = np.flatnonzero(np.concatenate(([True], lo[1:] > reach[:-1])))
+        edges = np.zeros(len(numbers) * _PAGE_SIZE + 1, dtype=np.int8)
+        edges[lo[head]] = 1
+        edges[reach[np.append(head[1:], len(lo)) - 1]] = -1
+        cover = np.cumsum(edges, dtype=np.int8, out=edges)[:-1].view(bool)
+        tag &= 0xFF
+        for number, row in zip(numbers.tolist(), cover.reshape(-1, _PAGE_SIZE)):
+            page = self._pages.get(number)
+            if page is None:
+                if not tag:
+                    continue
+                page = self._pages[number] = bytearray(_PAGE_SIZE)
+            view = np.frombuffer(page, dtype=np.uint8)
+            before = np.count_nonzero(view)
+            view[row] = tag
+            self._tainted_byte_count += np.count_nonzero(view) - before
 
     def set_tags(self, address: int, tags: bytes) -> None:
         """Copy a vector of tags starting at ``address``."""

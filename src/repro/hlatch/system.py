@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Dict
 
 from repro.core.latch import CheckLevel, LatchConfig, LatchModule
-from repro.kernels import replay_hlatch_window
+from repro.kernels import replay_hlatch_window, shadow_domain_ids
 from repro.dift.tags import ShadowMemory
 from repro.obs.spans import maybe_span
 from repro.obs import MetricsRegistry, StatsSnapshot
@@ -128,9 +128,10 @@ class HLatchSystem:
 
     def load_taint(self, layout) -> None:
         """Install a workload's taint layout into precise + coarse state."""
-        for start, length in layout.extents:
-            self.shadow.set_range(start, length, 1)
-        self.latch.bulk_load_from_shadow(self.shadow)
+        self.shadow.fill_extents(layout.extents)
+        self.latch.bulk_load_domains(
+            shadow_domain_ids(layout.extents, self.latch.geometry.domain_size)
+        )
 
     # ------------------------------------------------------------- checks
 

@@ -35,6 +35,7 @@ from repro.kernels.backend import (
 from repro.kernels.classify import (
     CttIndex,
     domains_from_extents,
+    shadow_domain_ids,
 )
 from repro.kernels.epochs import (
     duration_profile,
@@ -71,5 +72,6 @@ __all__ = [
     "reset_kernel_metrics",
     "run_boundaries",
     "segment_epochs",
+    "shadow_domain_ids",
     "simulate_lru",
 ]

@@ -161,6 +161,15 @@ def any_per_row(
 # ---------------------------------------------------- extent classification
 
 
+def unique_sorted(values) -> np.ndarray:
+    """Sorted distinct values: one sort plus a run mask (``np.unique``
+    hashes int64 on numpy 2.x, ~60x slower at layout sizes)."""
+    values = np.sort(as_index_array(values))
+    keep = np.ones(len(values), dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
 def domains_from_extents(
     extents: Sequence[Tuple[int, int]], domain_size: int
 ) -> np.ndarray:
@@ -178,4 +187,17 @@ def domains_from_extents(
     first = starts // domain_size
     last = (starts + lengths - 1) // domain_size
     flat, _ = expand_ranges(first, last - first + 1)
-    return np.unique(flat)
+    return unique_sorted(flat)
+
+
+def shadow_domain_ids(
+    extents: Sequence[Tuple[int, int]], domain_size: int
+) -> np.ndarray:
+    """Domains a shadow filled with the extents has tainted (unsorted,
+    with repeats).  Unlike :func:`domains_from_extents` this follows
+    ``ShadowMemory.set_range``: a zero-length extent marks nothing and
+    a range past 2^32 wraps."""
+    pairs = as_index_array(extents).reshape(-1, 2)
+    pairs = pairs[pairs[:, 1] > 0]
+    flat, _ = expand_domain_ids(pairs[:, 0], pairs[:, 1], domain_size)
+    return flat

@@ -1,20 +1,21 @@
 """Whole-window replay orchestration over the real model objects.
 
-The scalar replay loops (``run_hlatch``, ``run_baseline``,
-``measure_hw_rates``) drive a :class:`~repro.core.latch.LatchModule` /
+The per-access loops that drive a :class:`~repro.core.latch.LatchModule` /
 :class:`~repro.hlatch.taint_cache.PreciseTaintCache` one access at a
-time.  The functions here compute the *identical* counter outcomes with
-the batch kernels and write them back into the very same stats objects
+time are test oracles (``tests/kernel_oracles.py``).  The functions here
+compute the *identical* counter outcomes with the batch kernels and
+write them back into the very same stats objects
 (:class:`~repro.core.latch.LatchStats`,
 :class:`~repro.mem.cache.CacheStats`, …), so metric publication — and
 therefore the :class:`~repro.obs.StatsSnapshot` the runner caches — is
-shared verbatim with the scalar path.
+shared verbatim with the oracles.
 
 Precondition shared by every function: the coarse state is *frozen* for
 the duration of the window (no tag writes interleave with checks) and
 the simulated structures start cold — exactly the state
-``bulk_load_from_shadow`` / a fresh system leaves behind, and exactly
-what the scalar replay loops rely on as well.  The cache *contents* are
+``LatchModule.bulk_load_domains`` (which ``bulk_load_from_shadow`` and
+``HLatchSystem.load_taint`` go through) or a fresh system leaves
+behind, and exactly what the oracle loops rely on as well.  The cache *contents* are
 not reconstructed, only their statistics; a replayed system is a
 measurement artefact, not a warm simulator to keep driving access by
 access afterwards.

@@ -27,7 +27,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.core.latch import LatchConfig, LatchModule
-from repro.kernels import replay_check_memory
+from repro.kernels import replay_check_memory, shadow_domain_ids
 from repro.obs.spans import maybe_span
 from repro.slatch.costs import SLatchCostModel
 from repro.workloads.profiles import WorkloadProfile
@@ -166,7 +166,9 @@ def measure_hw_rates(
     """
     if latch is None:
         latch = LatchModule(latch_config)
-    latch.bulk_load_from_shadow(trace.layout.to_shadow())
+    latch.bulk_load_domains(
+        shadow_domain_ids(trace.layout.extents, latch.geometry.domain_size)
+    )
 
     hw_mask = ~trace.active_epoch
     addresses = trace.addresses[hw_mask]

@@ -56,9 +56,7 @@ def _access_arrays(trace: AccessTrace) -> Dict[str, np.ndarray]:
             getattr(trace, name), dtype=dtype
         )
     arrays["epoch_starts"] = epoch_starts(arrays["active_epoch"])
-    arrays["extents"] = np.asarray(
-        trace.layout.extents, dtype=np.int64
-    ).reshape(-1, 2)
+    arrays["extents"] = trace.layout.extents
     arrays["accessed_pages"] = np.fromiter(
         sorted(trace.layout.accessed_pages), dtype=np.int64,
         count=len(trace.layout.accessed_pages),
@@ -129,7 +127,7 @@ class ColumnarAccessTrace:
                 )
             pages = self.file.array("accessed_pages")
             self._layout = TaintLayout(
-                extents=[tuple(row) for row in extents.tolist()],
+                extents=extents,
                 accessed_pages=set(pages.tolist()),
             )
         return self._layout

@@ -511,16 +511,10 @@ class TraceReplayWorkload:
         else:
             epoch_weights = _REPLAY_EPOCHS
 
-        extents = layout.extents
-        if extents:
-            extent_lengths = np.array(
-                [length for _, length in extents], dtype=np.int64
-            )
+        starts, extent_lengths = layout.extents.T
+        if len(starts):
             run = max(1, int(np.median(extent_lengths)))
-            if len(extents) > 1:
-                starts = np.array(
-                    [start for start, _ in extents], dtype=np.int64
-                )
+            if len(starts) > 1:
                 gap = max(0, int(np.median(np.diff(starts))) - run)
             else:
                 gap = 0

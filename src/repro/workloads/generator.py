@@ -92,27 +92,37 @@ class WorkloadGenerator:
         pages = self._place_pages(profile.pages_accessed)
         tainted_pages = self._pick_tainted_pages(pages, profile.pages_tainted, rng)
 
-        extents: List[Tuple[int, int]] = []
         run = profile.taint_run_bytes
         gap = profile.taint_gap_bytes
-        for page in tainted_pages:
-            base = int(page) * PAGE_SIZE
-            if run >= PAGE_SIZE or gap == 0:
-                extents.append((base, PAGE_SIZE))
-                continue
+        starts = tainted_pages.astype(np.int64) * PAGE_SIZE
+        if run >= PAGE_SIZE or gap == 0:
+            run = PAGE_SIZE
+        else:
             # Gaps are heavy-tailed (log-normal around the profile mean):
             # tainted objects cluster, with occasional long clean
             # stretches, so coarse inflation keeps growing with domain
             # size instead of saturating at run+gap (Figure 6's "steady
-            # degradation").
-            offset = int(rng.integers(0, gap + 1))
-            while offset < PAGE_SIZE:
-                length = min(run, PAGE_SIZE - offset)
-                extents.append((base + offset, length))
-                jitter = float(rng.lognormal(mean=-0.6, sigma=1.1))
-                offset += run + max(1, int(round(gap * jitter)))
-        extents.sort()
-        return TaintLayout(extents=extents, accessed_pages=set(pages.tolist()))
+            # degradation").  Each extent draws the jitter of its step;
+            # a page draws as many as could fit, keeps the k that do,
+            # then rewinds and redraws k so the stream stays exact.
+            per_page = [np.empty(0, dtype=np.int64)]
+            for base in starts.tolist():
+                offset = int(rng.integers(0, gap + 1))
+                state = rng.bit_generator.state
+                most = max(0, -(-(PAGE_SIZE - offset) // (run + 1)))
+                jitter = rng.lognormal(mean=-0.6, sigma=1.1, size=most)
+                steps = run + np.maximum(1, np.rint(gap * jitter).astype(np.int64))
+                offsets = offset + np.concatenate(([0], np.cumsum(steps[:-1])))
+                offsets = offsets[offsets < PAGE_SIZE]
+                rng.bit_generator.state = state
+                rng.lognormal(mean=-0.6, sigma=1.1, size=len(offsets))
+                per_page.append(base + offsets)
+            starts = np.concatenate(per_page)
+        lengths = np.minimum(run, PAGE_SIZE - starts % PAGE_SIZE)
+        return TaintLayout(
+            extents=np.column_stack((starts, lengths)),
+            accessed_pages=set(pages.tolist()),
+        )
 
     def _place_pages(self, count: int) -> np.ndarray:
         """Contiguous page runs in data/heap/stack segments."""
@@ -229,7 +239,9 @@ class WorkloadGenerator:
 
         per_cluster = max(1, self.profile.cluster_size)
         n_clusters = max(1, min(len(background) - 1, n_tainted // per_cluster))
-        cluster_of_event = np.sort(rng.integers(0, n_clusters, size=n_tainted))
+        cluster_sizes = np.bincount(
+            rng.integers(0, n_clusters, size=n_tainted), minlength=n_clusters
+        ).tolist()
 
         lengths_parts = []
         tainted_parts = []
@@ -240,7 +252,7 @@ class WorkloadGenerator:
             bg = background_splits[cluster_index]
             lengths_parts.append(bg)
             tainted_parts.append(np.zeros(len(bg), dtype=np.int64))
-            count = int((cluster_of_event == cluster_index).sum())
+            count = cluster_sizes[cluster_index]
             if count == 0:
                 continue
             t_lengths = tainted_lengths[event_cursor : event_cursor + count]
@@ -375,7 +387,7 @@ class WorkloadGenerator:
         cap = max(1000, total_instructions // 2)
         epoch_lengths = np.minimum(stream.lengths, cap)
         epoch_tainted = np.minimum(stream.tainted_counts, epoch_lengths)
-        if not layout.extents:
+        if not len(layout.extents):
             # Degenerate profile: declared taint activity but no tainted
             # bytes anywhere — the trace must reflect the layout.
             epoch_tainted = np.zeros_like(epoch_tainted)
@@ -560,16 +572,8 @@ class _AddressPool:
             clean_mask = np.ones(len(all_pages), dtype=bool)
         self.clean_pages = all_pages[clean_mask]
 
-        if layout.extents:
-            self.extent_starts = np.array(
-                [start for start, _ in layout.extents], dtype=np.int64
-            )
-            self.extent_lengths = np.array(
-                [length for _, length in layout.extents], dtype=np.int64
-            )
-        else:
-            self.extent_starts = np.empty(0, dtype=np.int64)
-            self.extent_lengths = np.empty(0, dtype=np.int64)
+        self.extent_starts = layout.extents[:, 0]
+        self.extent_lengths = layout.extents[:, 1]
 
         # Clean gaps inside tainted pages (false-positive fuel).  One
         # entry per extent (possibly zero-length), so the arrays stay

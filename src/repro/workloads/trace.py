@@ -115,13 +115,18 @@ class TaintLayout:
     """Tainted extents and accessed footprint in the address space.
 
     Attributes:
-        extents: sorted, non-overlapping ``(start, length)`` tainted byte
-            ranges.
+        extents: tainted byte ranges as an (N, 2) int64 array of
+            ``(start, length)`` rows, sorted; any sequence of pairs is
+            accepted and converted once.
         accessed_pages: page numbers the workload touches.
     """
 
-    extents: List[Tuple[int, int]] = field(default_factory=list)
+    extents: np.ndarray = field(default_factory=list)
     accessed_pages: Set[int] = field(default_factory=set)
+
+    def __post_init__(self) -> None:
+        extents = np.asarray(self.extents, dtype=np.int64).reshape(-1, 2)
+        self.extents = extents[np.lexsort((extents[:, 1], extents[:, 0]))]
 
     def tainted_pages(self) -> Set[int]:
         """Pages containing at least one tainted byte."""
@@ -129,7 +134,7 @@ class TaintLayout:
 
     def tainted_byte_count(self) -> int:
         """Total tainted bytes."""
-        return sum(length for _, length in self.extents)
+        return int(self.extents[:, 1].sum())
 
     def tainted_domains(self, domain_size: int) -> np.ndarray:
         """Sorted unique indices of domains containing tainted bytes."""
@@ -139,21 +144,16 @@ class TaintLayout:
 
     def bytes_tainted(self, addresses: np.ndarray) -> np.ndarray:
         """Vectorised precise taint status of the byte at each address."""
-        if not self.extents:
-            return np.zeros(len(addresses), dtype=bool)
-        starts = np.array([start for start, _ in self.extents], dtype=np.int64)
-        ends = starts + np.array(
-            [length for _, length in self.extents], dtype=np.int64
-        )
+        starts = self.extents[:, 0]
         slots = np.searchsorted(starts, addresses, side="right") - 1
         valid = slots >= 0
         result = np.zeros(len(addresses), dtype=bool)
-        result[valid] = addresses[valid] < ends[slots[valid]]
+        result[valid] = addresses[valid] < (starts + self.extents[:, 1])[slots[valid]]
         return result
 
     def byte_is_tainted(self, address: int) -> bool:
         """Precise taint status of a single byte (linear scan; test use)."""
-        for start, length in self.extents:
+        for start, length in self.extents.tolist():
             if start <= address < start + length:
                 return True
         return False
@@ -163,8 +163,7 @@ class TaintLayout:
         from repro.dift.tags import ShadowMemory
 
         shadow = ShadowMemory()
-        for start, length in self.extents:
-            shadow.set_range(start, length, 1)
+        shadow.fill_extents(self.extents)
         return shadow
 
 

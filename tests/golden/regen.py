@@ -12,7 +12,10 @@ Produces, per pinned workload, two ``.ltrace`` containers:
   (epoch-stream kind),
 
 plus ``expected.json`` (the replay results the kernels and their
-per-access oracles must both reproduce exactly) and
+per-access oracles must both reproduce exactly),
+``generated.json`` (sha256 pins of what the workload generator produces
+for every profile, and of every tables+overhead job snapshot and trace
+cache artefact at a small scale; see :func:`generated_pins`) and
 ``corrupt_trace.ltrace`` (the gcc window cut off mid-section: a real
 on-disk truncation that must raise :class:`StorageFormatError` at open
 time).
@@ -31,11 +34,22 @@ means every consumer's numbers moved.
 
 from __future__ import annotations
 
+import hashlib
 import json
+import tempfile
 from pathlib import Path
+from typing import Dict
 
+import numpy as np
+
+from repro.runner import ResultCache, Runner, RunnerConfig, TraceCache, suite_jobs
 from repro.trace.convert import save_columnar_epochs, save_columnar_trace
-from repro.workloads import WorkloadGenerator, get_profile
+from repro.workloads import (
+    WorkloadGenerator,
+    all_profiles,
+    get_profile,
+    make_generator,
+)
 from tests import kernel_oracles
 
 GOLDEN_DIR = Path(__file__).parent
@@ -43,6 +57,94 @@ WORKLOADS = ("gcc", "curl")
 TRACE_WINDOW = 2_000
 EPOCH_SCALE = 100_000
 SEED = 0
+
+#: Scales of the generated-workload pins (``generated.json``).
+PIN_WINDOW = 5_000
+PIN_EPOCH_SCALE = 200_000
+PIN_SUITES = ("tables", "overhead")
+_TRACE_COLUMNS = (
+    "addresses", "sizes", "is_write", "tainted", "gap_before", "active_epoch",
+)
+
+
+def _sha(*arrays) -> str:
+    digest = hashlib.sha256()
+    for array in arrays:
+        digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
+
+
+def profile_pins(name: str, seed: int = SEED) -> Dict[str, str]:
+    """sha256 of one profile's layout, epoch streams and access window.
+
+    The two epoch streams are the ones a job consumes: the epoch-scale
+    stream and the window-scale stream the access trace is cut from.
+    """
+    generator = make_generator(name, seed=seed)
+    layout = generator.layout()
+    pages = np.array(sorted(layout.accessed_pages), dtype=np.int64)
+    extents = np.asarray(layout.extents, dtype=np.int64).reshape(-1, 2)
+    pins = {"layout": _sha(extents, pages)}
+    for label, scale in (("epochs", PIN_EPOCH_SCALE), ("window_epochs", PIN_WINDOW)):
+        stream = generator.epoch_stream(scale)
+        pins[label] = _sha(stream.lengths, stream.tainted_counts)
+    trace = generator.access_trace(PIN_WINDOW)
+    pins["trace"] = _sha(*(getattr(trace, column) for column in _TRACE_COLUMNS))
+    return pins
+
+
+def suite_pins(seed: int = SEED) -> Dict[str, str]:
+    """sha256 over every tables+overhead job (key and snapshot) and over
+    the bytes of every trace-cache artefact the jobs wrote."""
+    specs = [
+        spec
+        for suite in PIN_SUITES
+        for spec in suite_jobs(suite, epoch_scale=PIN_EPOCH_SCALE,
+                               trace_window=PIN_WINDOW, seed=seed)
+    ]
+    with tempfile.TemporaryDirectory() as cache_dir:
+        trace_cache = TraceCache(cache_dir)
+        runner = Runner(
+            cache=ResultCache(cache_dir),
+            trace_cache=trace_cache,
+            config=RunnerConfig(max_workers=1),
+        )
+        results = runner.run(specs)
+        artefacts = hashlib.sha256()
+        for path in sorted(trace_cache.root.iterdir()):
+            artefacts.update(path.read_bytes())
+    failed = [job for job, result in results.items() if not result.ok]
+    if failed:
+        raise RuntimeError(f"pinned jobs failed: {failed}")
+    payload = {
+        job: {"key": result.spec.key(), "snapshot": result.snapshot.to_dict()}
+        for job, result in results.items()
+    }
+    blob = json.dumps(payload, sort_keys=True).encode()
+    return {
+        "jobs": len(payload),
+        "snapshots": hashlib.sha256(blob).hexdigest(),
+        "trace_cache": artefacts.hexdigest(),
+    }
+
+
+def generated_pins() -> Dict:
+    """The full ``generated.json`` payload."""
+    return {
+        "seed": SEED,
+        "window": PIN_WINDOW,
+        "epoch_scale": PIN_EPOCH_SCALE,
+        "profiles": {
+            profile.name: profile_pins(profile.name) for profile in all_profiles()
+        },
+        "suites": suite_pins(),
+    }
+
+
+def write_generated() -> None:
+    (GOLDEN_DIR / "generated.json").write_text(
+        json.dumps(generated_pins(), indent=2, sort_keys=True) + "\n"
+    )
 
 
 def main() -> None:
@@ -75,6 +177,7 @@ def main() -> None:
     (GOLDEN_DIR / "expected.json").write_text(
         json.dumps(expected, indent=2, sort_keys=True) + "\n"
     )
+    write_generated()
 
     # Cut inside the section payloads, past the prologue: the directory
     # pointer now aims beyond the end of file.

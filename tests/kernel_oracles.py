@@ -4,7 +4,11 @@ The product replays every window through numpy batch kernels.  The
 loops here are the executable specification those kernels must match
 bit for bit: one ``system.access`` / ``check_memory`` call per access,
 run-length epoch segmentation one access at a time, one masked sum per
-Figure 5 threshold, and a Python set per taint extent.  Each oracle
+Figure 5 threshold, and a Python set per taint extent.  The workload
+side has the same split: layouts are drawn one extent (and one jitter)
+at a time, installed with one ``ShadowMemory.set_range`` per extent and
+a shadow scan, and clustered epoch streams count events per cluster
+with a masked sum.  Each oracle
 takes the same arguments as the product entry point it shadows, so a
 test can compare the two directly or swap the oracle in with
 :func:`install_oracle_kernels`.
@@ -18,6 +22,7 @@ import numpy as np
 
 from repro.analysis.temporal import FIG5_THRESHOLDS
 from repro.core.latch import LatchConfig, LatchModule
+from repro.dift.tags import ShadowMemory
 from repro.hlatch.baseline import BaselineReport, ConventionalTaintCache
 from repro.hlatch.system import HLATCH_LATCH_CONFIG, HLatchSystem
 from repro.hlatch.taint_cache import (
@@ -31,7 +36,7 @@ from repro.kernels.classify import (
     expand_domain_ids,
 )
 from repro.slatch.simulator import HwRates
-from repro.workloads.trace import PAGE_SIZE, EpochStream
+from repro.workloads.trace import PAGE_SIZE, EpochStream, TaintLayout
 
 # ----------------------------------------------------------- window loops
 
@@ -78,11 +83,40 @@ def access_loop(system, addresses, sizes, writes) -> None:
 # ------------------------------------------------------ entry-point twins
 
 
+def fill_extents(shadow, extents, tag: int = 1) -> None:
+    """Oracle for :meth:`repro.dift.tags.ShadowMemory.fill_extents`."""
+    for start, length in extents:
+        shadow.set_range(int(start), int(length), tag)
+
+
+def to_shadow(layout) -> ShadowMemory:
+    """Oracle for :meth:`repro.workloads.trace.TaintLayout.to_shadow`."""
+    shadow = ShadowMemory()
+    fill_extents(shadow, layout.extents)
+    return shadow
+
+
+def load_taint(system, layout) -> None:
+    """Oracle for :meth:`repro.hlatch.system.HLatchSystem.load_taint`:
+    fill the shadow per extent, then scan it into the CTT."""
+    fill_extents(system.shadow, layout.extents)
+    system.latch.bulk_load_from_shadow(system.shadow)
+
+
+def shadow_domain_ids(extents, domain_size: int) -> np.ndarray:
+    """Oracle for :func:`repro.kernels.shadow_domain_ids`: the domains
+    a per-extent filled shadow has tainted, by scanning it."""
+    shadow = ShadowMemory()
+    fill_extents(shadow, extents)
+    scan_size = min(domain_size, PAGE_SIZE)
+    return shadow.tainted_domain_bases(scan_size) // domain_size
+
+
 def run_hlatch(trace, latch_config=HLATCH_LATCH_CONFIG,
                tcache_config=HLATCH_TAINT_CACHE):
     """Oracle for :func:`repro.hlatch.run_hlatch`."""
     system = HLatchSystem(latch_config, tcache_config)
-    system.load_taint(trace.layout)
+    load_taint(system, trace.layout)
     access_loop(system, trace.addresses, trace.sizes, trace.is_write)
     return system.report(trace.name)
 
@@ -91,7 +125,7 @@ def hlatch_snapshot(trace, latch_config=HLATCH_LATCH_CONFIG,
                     tcache_config=HLATCH_TAINT_CACHE):
     """The H-LATCH stack's snapshot after the per-access loop."""
     system = HLatchSystem(latch_config, tcache_config)
-    system.load_taint(trace.layout)
+    load_taint(system, trace.layout)
     access_loop(system, trace.addresses, trace.sizes, trace.is_write)
     return system.snapshot()
 
@@ -109,7 +143,7 @@ def run_baseline(trace, config=CONVENTIONAL_TAINT_CACHE) -> BaselineReport:
 def measure_hw_rates(trace, latch_config: Optional[LatchConfig] = None):
     """Oracle for :func:`repro.slatch.simulator.measure_hw_rates`."""
     latch = LatchModule(latch_config)
-    latch.bulk_load_from_shadow(trace.layout.to_shadow())
+    latch.bulk_load_from_shadow(to_shadow(trace.layout))
     hw_mask = ~trace.active_epoch
     hw_instructions = int(hw_mask.sum() + trace.gap_before[hw_mask].sum())
     if hw_instructions == 0:
@@ -187,6 +221,92 @@ def tainted_pages(layout) -> Set[int]:
     return set(domains_from_extents(layout.extents, PAGE_SIZE).tolist())
 
 
+# ------------------------------------------------------- workload synthesis
+
+
+def build_layout(generator) -> TaintLayout:
+    """Oracle for ``WorkloadGenerator._build_layout``: one extent and
+    one scalar jitter draw at a time."""
+    from repro.workloads.generator import _seed_for
+
+    profile = generator.profile
+    rng = np.random.default_rng(_seed_for(profile.name + ":layout", generator.seed))
+    pages = generator._place_pages(profile.pages_accessed)
+    tainted_pages = generator._pick_tainted_pages(pages, profile.pages_tainted, rng)
+    extents = []
+    run = profile.taint_run_bytes
+    gap = profile.taint_gap_bytes
+    for page in tainted_pages:
+        base = int(page) * PAGE_SIZE
+        if run >= PAGE_SIZE or gap == 0:
+            extents.append((base, PAGE_SIZE))
+            continue
+        offset = int(rng.integers(0, gap + 1))
+        while offset < PAGE_SIZE:
+            length = min(run, PAGE_SIZE - offset)
+            extents.append((base + offset, length))
+            jitter = float(rng.lognormal(mean=-0.6, sigma=1.1))
+            offset += run + max(1, int(round(gap * jitter)))
+    extents.sort()
+    return TaintLayout(extents=extents, accessed_pages=set(pages.tolist()))
+
+
+def clustered_stream(generator, free_lengths, tainted_lengths, tainted_marks, rng):
+    """Oracle for ``WorkloadGenerator._clustered_stream``: one masked
+    sum over every event per cluster."""
+    n_tainted = len(tainted_lengths)
+    order = np.argsort(free_lengths)
+    separators = free_lengths[order[: max(0, n_tainted - 1)]]
+    background = free_lengths[order[max(0, n_tainted - 1):]]
+    rng.shuffle(background)
+
+    per_cluster = max(1, generator.profile.cluster_size)
+    n_clusters = max(1, min(len(background) - 1, n_tainted // per_cluster))
+    cluster_of_event = np.sort(rng.integers(0, n_clusters, size=n_tainted))
+
+    lengths_parts = []
+    tainted_parts = []
+    background_splits = np.array_split(background, n_clusters + 1)
+    separator_cursor = 0
+    event_cursor = 0
+    for cluster_index in range(n_clusters):
+        bg = background_splits[cluster_index]
+        lengths_parts.append(bg)
+        tainted_parts.append(np.zeros(len(bg), dtype=np.int64))
+        count = int((cluster_of_event == cluster_index).sum())
+        if count == 0:
+            continue
+        t_lengths = tainted_lengths[event_cursor : event_cursor + count]
+        t_marks = tainted_marks[event_cursor : event_cursor + count]
+        seps = separators[separator_cursor : separator_cursor + count - 1]
+        event_cursor += count
+        separator_cursor += count - 1
+        size = 2 * count - 1
+        chunk = np.empty(size, dtype=np.int64)
+        marks = np.zeros(size, dtype=np.int64)
+        chunk[0::2] = t_lengths
+        chunk[1::2] = seps
+        marks[0::2] = t_marks
+        lengths_parts.append(chunk)
+        tainted_parts.append(marks)
+    tail = background_splits[n_clusters]
+    lengths_parts.append(tail)
+    tainted_parts.append(np.zeros(len(tail), dtype=np.int64))
+    if separator_cursor < len(separators):
+        rest = separators[separator_cursor:]
+        lengths_parts.append(rest)
+        tainted_parts.append(np.zeros(len(rest), dtype=np.int64))
+
+    lengths = np.concatenate(lengths_parts)
+    tainted_counts = np.concatenate(tainted_parts)
+    keep = lengths > 0
+    return EpochStream(
+        name=generator.profile.name,
+        lengths=lengths[keep],
+        tainted_counts=tainted_counts[keep],
+    )
+
+
 # ------------------------------------------------------------ swapping in
 
 
@@ -210,4 +330,18 @@ def install_oracle_kernels(monkeypatch) -> None:
     )
     monkeypatch.setattr(
         "repro.kernels.domains_from_extents", domains_from_extents
+    )
+    monkeypatch.setattr(
+        "repro.slatch.simulator.shadow_domain_ids", shadow_domain_ids
+    )
+    monkeypatch.setattr(
+        "repro.hlatch.system.HLatchSystem.load_taint", load_taint
+    )
+    monkeypatch.setattr(
+        "repro.workloads.generator.WorkloadGenerator._build_layout",
+        build_layout,
+    )
+    monkeypatch.setattr(
+        "repro.workloads.generator.WorkloadGenerator._clustered_stream",
+        clustered_stream,
     )

@@ -101,7 +101,7 @@ class TestGoldenReplay:
         # The window argument counts instructions; accesses are a subset.
         assert trace.total_instructions == 2_000
         assert 0 < trace.access_count <= 2_000
-        assert trace.layout.extents  # golden workloads carry taint
+        assert len(trace.layout.extents)  # golden workloads carry taint
 
 
 class TestStorageCorruption:

@@ -107,7 +107,7 @@ class TestTraceCache:
         assert len(cache) == 1
         assert (first.addresses == second.addresses).all()
         assert (first.tainted == second.tainted).all()
-        assert first.layout.extents == second.layout.extents
+        assert np.array_equal(first.layout.extents, second.layout.extents)
 
     def test_scale_and_seed_key_separate_artefacts(self, tmp_path):
         cache = TraceCache(tmp_path)

@@ -220,7 +220,9 @@ class TestAccessTraceRoundTrip:
                 np.testing.assert_array_equal(
                     getattr(view, column), getattr(golden_trace, column)
                 )
-            assert view.layout.extents == list(golden_trace.layout.extents)
+            np.testing.assert_array_equal(
+                view.layout.extents, golden_trace.layout.extents
+            )
             assert (view.layout.accessed_pages
                     == golden_trace.layout.accessed_pages)
 

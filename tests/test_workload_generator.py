@@ -42,12 +42,12 @@ class TestLayout:
     def test_deterministic_given_seed(self):
         a = WorkloadGenerator(get_profile("gcc"), seed=3).layout()
         b = WorkloadGenerator(get_profile("gcc"), seed=3).layout()
-        assert a.extents == b.extents
+        assert np.array_equal(a.extents, b.extents)
 
     def test_different_seeds_differ(self):
         a = WorkloadGenerator(get_profile("gcc"), seed=1).layout()
         b = WorkloadGenerator(get_profile("gcc"), seed=2).layout()
-        assert a.extents != b.extents
+        assert not np.array_equal(a.extents, b.extents)
 
 
 class TestEpochStream:

@@ -48,7 +48,7 @@ class TestAccessTraceRoundTrip:
         assert (loaded.tainted == trace.tainted).all()
         assert (loaded.gap_before == trace.gap_before).all()
         assert (loaded.active_epoch == trace.active_epoch).all()
-        assert loaded.layout.extents == trace.layout.extents
+        assert np.array_equal(loaded.layout.extents, trace.layout.extents)
         assert loaded.layout.accessed_pages == trace.layout.accessed_pages
 
     def test_loaded_trace_feeds_simulations(self, tmp_path):
