@@ -23,7 +23,7 @@ import time
 
 from conftest import access_trace_for, emit
 from repro.hlatch.system import HLatchSystem
-from repro.kernels import replay_hlatch_window
+from repro.kernels import merge_partials, shard_partial
 
 WORKLOAD = "gcc"
 MIN_SPEEDUP = 5.0
@@ -46,7 +46,12 @@ def _scalar_replay(system, trace) -> None:
 
 
 def _vector_replay(system, trace) -> None:
-    replay_hlatch_window(system, trace.addresses, trace.sizes, trace.is_write)
+    # The product path: the whole window as one shard, merged back.
+    partial = shard_partial(
+        trace.addresses, trace.sizes, trace.is_write, system.latch,
+        system.tcache.config,
+    )
+    merge_partials([partial], system)
 
 
 def test_bench_scalar_replay(benchmark):

@@ -9,7 +9,8 @@ a consumer of that path would pay:
   This is the watchdog's ``--normalize-by`` reference entry.
 * ``test_bench_vector_npz`` — the in-memory vector path: the window's
   numpy arrays (as a materialised :class:`AccessTrace` holds them) are
-  handed to :func:`replay_hlatch_window` in one call.  The name
+  replayed as one shard (one :func:`shard_partial` plus
+  :func:`merge_partials`, the body of ``run_hlatch``).  The name
   predates the trace cache's move to ``.ltrace`` and is kept so the
   committed baseline still matches.
 * ``test_bench_columnar_sharded`` — the ``.ltrace`` path: open the
@@ -41,7 +42,7 @@ import time
 import conftest
 from conftest import access_trace_for, emit
 from repro.hlatch.system import HLatchSystem
-from repro.kernels import replay_hlatch_window
+from repro.kernels import merge_partials, shard_partial
 from repro.trace import replay_columnar, save_columnar_trace
 from repro.trace.shard import resolve_shard_count
 
@@ -61,7 +62,12 @@ def _object_replay(system, trace) -> None:
 
 
 def _vector_replay(system, trace) -> None:
-    replay_hlatch_window(system, trace.addresses, trace.sizes, trace.is_write)
+    # The product path: the whole window as one shard, merged back.
+    partial = shard_partial(
+        trace.addresses, trace.sizes, trace.is_write, system.latch,
+        system.tcache.config,
+    )
+    merge_partials([partial], system)
 
 
 def _columnar_replay(path, shard_count) -> None:

@@ -19,11 +19,6 @@ from repro.analysis.spatial import (
     false_positive_sweep,
     page_taint_distribution,
 )
-from repro.analysis.reuse import (
-    ReuseProfile,
-    lru_hit_rate,
-    reuse_distances,
-)
 
 __all__ = [
     "FIG5_THRESHOLDS",
@@ -31,9 +26,6 @@ __all__ = [
     "epoch_duration_profile",
     "false_positive_multiplier",
     "false_positive_sweep",
-    "ReuseProfile",
-    "lru_hit_rate",
     "page_taint_distribution",
-    "reuse_distances",
     "tainted_instruction_fraction",
 ]

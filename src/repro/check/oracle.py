@@ -350,11 +350,13 @@ def check_kernel_replay(
 
     Bulk-loads the final precise state into fresh modules and replays
     every access through ``check_memory`` (scalar reference semantics)
-    and :func:`repro.kernels.replay.replay_check_memory` (the vector
-    kernel).  Flags and every mutated counter must match bit for bit,
-    and both must be sound against the final shadow.
+    and through the product replay — one
+    :func:`~repro.kernels.replay.shard_partial` over the whole trace,
+    merged by :func:`~repro.kernels.replay.merge_latch_partials`.  The
+    per-access coarse flags and every mutated counter must match bit
+    for bit, and both must be sound against the final shadow.
     """
-    from repro.kernels.replay import replay_check_memory
+    from repro.kernels.replay import merge_latch_partials, shard_partial
 
     violations: List[SoundnessViolation] = []
     if not trace.addresses:
@@ -371,11 +373,9 @@ def check_kernel_replay(
         for address, size in zip(trace.addresses, trace.sizes)
     ]
     vector = fresh()
-    vector_flags = replay_check_memory(
-        vector,
-        np.asarray(trace.addresses, dtype=np.int64),
-        np.asarray(trace.sizes, dtype=np.int64),
-    )
+    partial = shard_partial(trace.addresses, trace.sizes, None, vector)
+    merge_latch_partials([partial], vector)
+    vector_flags = partial.coarse
 
     if scalar_flags != list(vector_flags):
         first = next(
@@ -458,15 +458,15 @@ def check_columnar(
     must be a faithful substitute for the object event stream.
     **Accesses**: the reference access trace replays through the scalar
     per-access H-LATCH stack and through
-    :func:`~repro.trace.replay.shard_partial` /
-    :func:`~repro.trace.replay.merge_partials` under an adversarial
+    :func:`~repro.kernels.replay.shard_partial` /
+    :func:`~repro.kernels.replay.merge_partials` under an adversarial
     shard plan (uneven cuts, a single-access shard, and a deliberately
     empty shard); every published counter must agree bit for bit.
     """
     from repro.hlatch.system import HLatchSystem
     from repro.hlatch.taint_cache import HLATCH_TAINT_CACHE
     from repro.trace.record import TraceRecorder, replay_events
-    from repro.trace.replay import merge_partials, shard_partial
+    from repro.kernels.replay import merge_partials, shard_partial
 
     violations: List[SoundnessViolation] = []
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.kernels import replay_taint_cache
+from repro.kernels import merge_baseline_partials, shard_partial
 from repro.obs.spans import maybe_span
 from repro.hlatch.taint_cache import (
     CONVENTIONAL_TAINT_CACHE,
@@ -56,15 +56,23 @@ def run_baseline(
     trace: AccessTrace,
     config: TaintCacheConfig = CONVENTIONAL_TAINT_CACHE,
 ) -> BaselineReport:
-    """Replay ``trace`` through a conventional taint cache (batch kernel)."""
-    system = ConventionalTaintCache(config)
+    """Replay ``trace`` through a conventional taint cache (batch kernel,
+    the whole window as one shard)."""
     addresses = trace.addresses
     with maybe_span("hlatch.baseline_replay", workload=trace.name,
                     accesses=int(len(addresses))):
-        replay_taint_cache(
-            system.cache, addresses, trace.sizes, trace.is_write
+        partial = shard_partial(
+            addresses, trace.sizes, trace.is_write, None,
+            baseline_config=config,
         )
-    stats = system.stats
+        return merged_baseline([partial], config, trace.name)
+
+
+def merged_baseline(partials, config: TaintCacheConfig, name: str):
+    """The :class:`BaselineReport` of shard summaries merged in order
+    into a cold conventional cache."""
+    cache = PreciseTaintCache(config)
+    merge_baseline_partials(partials, cache)
     return BaselineReport(
-        name=trace.name, accesses=stats.accesses, misses=stats.misses
+        name=name, accesses=cache.stats.accesses, misses=cache.stats.misses
     )

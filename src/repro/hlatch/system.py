@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Dict
 
 from repro.core.latch import CheckLevel, LatchConfig, LatchModule
-from repro.kernels import replay_hlatch_window, shadow_domain_ids
+from repro.kernels import merge_partials, shadow_domain_ids, shard_partial
 from repro.dift.tags import ShadowMemory
 from repro.obs.spans import maybe_span
 from repro.obs import MetricsRegistry, StatsSnapshot
@@ -183,11 +183,16 @@ def run_hlatch(
     latch_config: LatchConfig = HLATCH_LATCH_CONFIG,
     tcache_config: TaintCacheConfig = HLATCH_TAINT_CACHE,
 ) -> HLatchReport:
-    """Replay an access trace through the H-LATCH stack (batch kernels)."""
+    """Replay an access trace through the H-LATCH stack (batch kernels,
+    the whole window as one shard)."""
     system = HLatchSystem(latch_config, tcache_config)
     system.load_taint(trace.layout)
     addresses = trace.addresses
     with maybe_span("hlatch.replay", workload=trace.name,
                     accesses=int(len(addresses))):
-        replay_hlatch_window(system, addresses, trace.sizes, trace.is_write)
+        partial = shard_partial(
+            addresses, trace.sizes, trace.is_write, system.latch,
+            tcache_config,
+        )
+        merge_partials([partial], system)
     return system.report(trace.name)

@@ -1,21 +1,23 @@
 """repro.kernels — vectorized coarse-taint replay kernels.
 
 Numpy batch implementations of the per-access hot paths that the
-reproduction's replay loops spend their time in (ISSUE 3; the software
-analogue of HardTaint's trace-buffer batching):
+reproduction's replay loops spend their time in (the software analogue
+of HardTaint's trace-buffer batching):
 
 * :mod:`~repro.kernels.classify` — stateless domain/page/CTT-word
   classification of whole address arrays;
-* :mod:`~repro.kernels.tlb` — TLB taint-bit screening, including the
-  scalar path's short-circuit semantics;
-* :mod:`~repro.kernels.ctc` — CTC hit/miss simulation over domain-id
-  runs;
-* :mod:`~repro.kernels.tcache` — precise taint-cache simulation;
+* :mod:`~repro.kernels.tlb` — TLB taint-bit screening flags, including
+  the scalar path's short-circuit semantics;
+* :mod:`~repro.kernels.ctc` — CTC probe flags and lookup sequences over
+  domain-id runs;
+* :mod:`~repro.kernels.tcache` — precise taint-cache lookup sequences;
 * :mod:`~repro.kernels.epochs` — epoch segmentation and the Figure 5
   duration profile;
 * :mod:`~repro.kernels.lru` — the shared run-compressed exact LRU core;
-* :mod:`~repro.kernels.replay` — window replay over the real model
-  objects (``run_hlatch`` / ``run_baseline`` / ``measure_hw_rates``).
+* :mod:`~repro.kernels.replay` — the one replay path: stateless
+  :func:`shard_partial` summaries merged into the real model objects
+  (``run_hlatch`` / ``run_baseline`` / ``measure_hw_rates`` replay a
+  whole window as one shard; :mod:`repro.trace.replay` shards it).
 
 The kernels are the only replay path.  The per-access loops they
 replaced live on as test oracles (``tests/kernel_oracles.py``), and the
@@ -47,12 +49,13 @@ from repro.kernels.lru import (
     LruStats,
     compress_runs,
     run_boundaries,
-    simulate_lru,
 )
 from repro.kernels.replay import (
-    replay_check_memory,
-    replay_hlatch_window,
-    replay_taint_cache,
+    ShardPartial,
+    merge_baseline_partials,
+    merge_latch_partials,
+    merge_partials,
+    shard_partial,
 )
 
 __all__ = [
@@ -60,18 +63,19 @@ __all__ = [
     "CttIndex",
     "LruState",
     "LruStats",
+    "ShardPartial",
     "compress_runs",
     "domains_from_extents",
     "duration_profile",
     "epoch_stream_from_trace",
     "kernel_registry",
+    "merge_baseline_partials",
+    "merge_latch_partials",
+    "merge_partials",
     "publish_metrics",
-    "replay_check_memory",
-    "replay_hlatch_window",
-    "replay_taint_cache",
     "reset_kernel_metrics",
     "run_boundaries",
     "segment_epochs",
     "shadow_domain_ids",
-    "simulate_lru",
+    "shard_partial",
 ]

@@ -18,18 +18,6 @@ import numpy as np
 
 from repro.kernels import classify
 from repro.kernels.backend import observe_batch
-from repro.kernels.lru import simulate_lru
-
-
-@dataclass(frozen=True)
-class CtcProbeResult:
-    """Outcome of probing one access window through the CTC."""
-
-    tainted: np.ndarray  # bool per access: any overlapped domain tainted
-    accesses: int        # CTC lookups (one per domain step)
-    hits: int
-    misses: int
-    evictions: int
 
 
 @dataclass(frozen=True)
@@ -37,7 +25,7 @@ class CtcProbeFlags:
     """The stateless half of a CTC probe (no LRU accounting yet).
 
     ``word_sequence`` is the CTT-word-id sequence of every CTC lookup
-    in trace order — the sharded replay run-compresses it and feeds it
+    in trace order — the replay run-compresses it and feeds it
     to a carry-over :class:`~repro.kernels.lru.LruState`.
     """
 
@@ -51,8 +39,13 @@ def probe_flags(
     geometry,
     ctt_index: classify.CttIndex,
 ) -> CtcProbeFlags:
-    """Pure-CTT half of :func:`probe_window`: per-access taint verdicts
-    and the CTC lookup sequence, without touching any LRU state."""
+    """Per-access taint verdicts and the CTC lookup sequence of an
+    access window, without touching any LRU state.
+
+    ``addresses``/``sizes`` are int64 arrays (sizes already floored to
+    1) of the accesses that reached the CTC (i.e. survived TLB
+    screening, or all accesses when TLB bits are disabled).
+    """
     n = len(addresses)
     observe_batch("ctc_probe", n)
     if n == 0:
@@ -69,27 +62,3 @@ def probe_flags(
     # word covering that domain (CTC line span == word span).
     word_sequence = classify.word_ids_from_domains(flat_domains)
     return CtcProbeFlags(tainted=tainted, word_sequence=word_sequence)
-
-
-def probe_window(
-    addresses: np.ndarray,
-    sizes: np.ndarray,
-    geometry,
-    ctt_index: classify.CttIndex,
-    ctc_entries: int,
-) -> CtcProbeResult:
-    """Probe an access window through a cold, fully associative CTC.
-
-    ``addresses``/``sizes`` are int64 arrays (sizes already floored to
-    1) of the accesses that reached the CTC (i.e. survived TLB
-    screening, or all accesses when TLB bits are disabled).
-    """
-    flags = probe_flags(addresses, sizes, geometry, ctt_index)
-    stats = simulate_lru(flags.word_sequence, ways=ctc_entries)
-    return CtcProbeResult(
-        tainted=flags.tainted,
-        accesses=stats.accesses,
-        hits=stats.hits,
-        misses=stats.misses,
-        evictions=stats.evictions,
-    )

@@ -51,8 +51,8 @@ class LruState:
 
     Holds the per-set ordered dicts the boundary loop mutates, so a
     single logical access sequence can be fed in several consecutive
-    chunks (shards) and accumulate exactly the counters one whole-window
-    :func:`simulate_lru` call would.  Duplicating the id at a chunk
+    chunks (shards) and accumulate exactly the counters one chunk
+    holding the whole sequence would.  Duplicating the id at a chunk
     boundary is harmless: the second occurrence is a guaranteed hit on
     the MRU-resident line, which exactly compensates the within-run hit
     the run compression loses by splitting the run in two, and the
@@ -145,41 +145,3 @@ def compress_runs(ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     starts = np.flatnonzero(change)
     run_lengths = np.diff(np.append(starts, n))
     return starts, run_lengths
-
-
-def simulate_lru(
-    ids: np.ndarray,
-    ways: int,
-    num_sets: int = 1,
-    writes: Optional[np.ndarray] = None,
-) -> LruStats:
-    """Exact set-associative LRU simulation of a line-id sequence.
-
-    Args:
-        ids: line numbers in access order (``num_sets=1`` models a
-            fully associative structure keyed by any hashable id).
-        ways: associativity (lines per set).
-        num_sets: number of sets; a line maps to set ``id % num_sets``.
-        writes: optional per-access write flags (dirty/writeback
-            accounting); None models a read-only probe stream.
-
-    Returns:
-        :class:`LruStats` with exact hit/miss/eviction/writeback counts.
-    """
-    n = len(ids)
-    if n == 0:
-        return LruStats(0, 0, 0, 0, 0)
-    run_ids, run_writes = run_boundaries(ids, writes)
-    state = LruState(ways=ways, num_sets=num_sets)
-    boundary = state.apply_runs(
-        run_ids.tolist(),
-        None if run_writes is None else run_writes.tolist(),
-    )
-    return LruStats(
-        accesses=n,
-        # Within-run repeats always hit, plus the boundary-loop hits.
-        hits=(n - len(run_ids)) + boundary.hits,
-        misses=boundary.misses,
-        evictions=boundary.evictions,
-        writebacks=boundary.writebacks,
-    )

@@ -15,7 +15,6 @@ import numpy as np
 
 from repro.kernels import classify
 from repro.kernels.backend import observe_batch
-from repro.kernels.lru import LruStats, simulate_lru
 
 
 def line_sequence(
@@ -28,9 +27,10 @@ def line_sequence(
 
     Returns ``(sequence, sequence_writes)``: one line id per lookup
     (straddling operands contribute two), with the per-lookup write
-    flags repeated alongside (None when ``writes`` is None).  This is
-    the stateless half of :func:`simulate_window`; the sharded replay
-    run-compresses the pair and defers the set-associative LRU
+    flags repeated alongside (None when ``writes`` is None).
+    ``config`` is a :class:`repro.hlatch.taint_cache.TaintCacheConfig`;
+    ``sizes`` must already carry the ``max(size, 1)`` floor.  The
+    replay run-compresses the pair and defers the set-associative LRU
     accounting to a carry-over :class:`~repro.kernels.lru.LruState`.
     """
     n = len(addresses)
@@ -56,25 +56,3 @@ def line_sequence(
     if writes is not None:
         sequence_writes = np.repeat(np.asarray(writes, dtype=bool), counts)
     return sequence, sequence_writes
-
-
-def simulate_window(
-    addresses: np.ndarray,
-    sizes: np.ndarray,
-    writes: Optional[np.ndarray],
-    config,
-) -> LruStats:
-    """Simulate a taint-cache access window from a cold cache.
-
-    ``config`` is a :class:`repro.hlatch.taint_cache.TaintCacheConfig`;
-    ``sizes`` must already carry the ``max(size, 1)`` floor.  Returns
-    the exact :class:`~repro.kernels.lru.LruStats` the scalar cache
-    would accumulate.
-    """
-    sequence, sequence_writes = line_sequence(addresses, sizes, writes, config)
-    if len(sequence) == 0:
-        return LruStats(0, 0, 0, 0, 0)
-    return simulate_lru(
-        sequence, ways=config.ways, num_sets=config.sets,
-        writes=sequence_writes,
-    )

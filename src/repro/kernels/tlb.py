@@ -18,22 +18,8 @@ import numpy as np
 
 from repro.kernels import classify
 from repro.kernels.backend import observe_batch
-from repro.kernels.lru import simulate_lru
 
 _MASK32 = 0xFFFFFFFF
-
-
-@dataclass(frozen=True)
-class TlbScreenResult:
-    """Outcome of screening one access window through the TLB bits."""
-
-    page_hot: np.ndarray  # bool per access: must proceed to the CTC
-    checks: int           # page-domain taint-bit consultations
-    hot_checks: int       # consultations that found a hot page-domain
-    accesses: int         # TLB translations performed
-    hits: int
-    misses: int
-    evictions: int
 
 
 @dataclass(frozen=True)
@@ -41,7 +27,7 @@ class TlbScreenFlags:
     """The stateless half of a TLB screen (no LRU accounting yet).
 
     ``checked_pages`` is the page-id sequence the TLB would translate,
-    in access order — the sharded replay run-compresses it and defers
+    in access order — the replay run-compresses it and defers
     the LRU hit/miss accounting to a carry-over
     :class:`~repro.kernels.lru.LruState`.
     """
@@ -58,8 +44,8 @@ def screen_flags(
     geometry,
     ctt_index: classify.CttIndex,
 ) -> TlbScreenFlags:
-    """Pure-CTT half of :func:`screen_window`: flags and the page-id
-    sequence, without touching any LRU state.
+    """Page-hot flags and the TLB page-id sequence of an access window,
+    without touching any LRU state.
 
     ``addresses``/``sizes`` are int64 arrays (sizes already floored to
     1); ``geometry`` is the :class:`repro.core.domains.DomainGeometry`
@@ -122,30 +108,4 @@ def screen_flags(
         checks=checks,
         hot_checks=hot_checks,
         checked_pages=checked_pages,
-    )
-
-
-def screen_window(
-    addresses: np.ndarray,
-    sizes: np.ndarray,
-    geometry,
-    ctt_index: classify.CttIndex,
-    tlb_entries: int,
-) -> TlbScreenResult:
-    """Screen an access window against page-level taint bits.
-
-    Composes :func:`screen_flags` with a cold-start LRU simulation of
-    the TLB translations; counters are bit-identical to the scalar
-    screen of ``check_memory``.
-    """
-    flags = screen_flags(addresses, sizes, geometry, ctt_index)
-    stats = simulate_lru(flags.checked_pages, ways=tlb_entries)
-    return TlbScreenResult(
-        page_hot=flags.page_hot,
-        checks=flags.checks,
-        hot_checks=flags.hot_checks,
-        accesses=stats.accesses,
-        hits=stats.hits,
-        misses=stats.misses,
-        evictions=stats.evictions,
     )

@@ -108,13 +108,8 @@ def _job_page_taint(spec, registry, trace_cache, in_subprocess) -> None:
     ).set(stats.tainted_percent)
 
 
-def _job_hlatch(spec, registry, trace_cache, in_subprocess) -> None:
-    """Tables 6/7 + Figure 16: the filtered and baseline taint caches."""
-    trace = _access_trace(spec, _generator(spec), trace_cache)
-    with maybe_span("worker.hlatch_replay", workload=spec.workload):
-        hlatch = run_hlatch(trace)
-    with maybe_span("worker.baseline_replay", workload=spec.workload):
-        baseline = run_baseline(trace)
+def _publish_hlatch_gauges(registry, hlatch, baseline) -> None:
+    """The Tables 6/7 and Figure 16 gauges of one H-LATCH/baseline pair."""
     gauges = {
         "hlatch.ctc_miss_percent": (
             hlatch.ctc_miss_percent, "percent",
@@ -153,6 +148,16 @@ def _job_hlatch(spec, registry, trace_cache, in_subprocess) -> None:
             f"hlatch.resolved.{level}", unit="fraction",
             description=f"Accesses resolved at the {level} level (Figure 16)",
         ).set(fraction)
+
+
+def _job_hlatch(spec, registry, trace_cache, in_subprocess) -> None:
+    """Tables 6/7 + Figure 16: the filtered and baseline taint caches."""
+    trace = _access_trace(spec, _generator(spec), trace_cache)
+    with maybe_span("worker.hlatch_replay", workload=spec.workload):
+        hlatch = run_hlatch(trace)
+    with maybe_span("worker.baseline_replay", workload=spec.workload):
+        baseline = run_baseline(trace)
+    _publish_hlatch_gauges(registry, hlatch, baseline)
 
 
 def _job_slatch(spec, registry, trace_cache, in_subprocess) -> None:
@@ -262,46 +267,7 @@ def _job_trace_replay(spec, registry, trace_cache, in_subprocess) -> None:
     with maybe_span("worker.trace_replay", workload=spec.workload,
                     shards=shards):
         result = replay_columnar(source, shards=shards)
-    hlatch = result.hlatch
-    baseline = result.baseline
-    gauges = {
-        "hlatch.ctc_miss_percent": (
-            hlatch.ctc_miss_percent, "percent",
-            "CTC misses as % of accesses (Tables 6/7)",
-        ),
-        "hlatch.tcache_miss_percent": (
-            hlatch.tcache_miss_percent, "percent",
-            "Precise taint-cache misses as % of accesses (Tables 6/7)",
-        ),
-        "hlatch.combined_miss_percent": (
-            hlatch.combined_miss_percent, "percent",
-            "CTC + precise misses as % of accesses (Tables 6/7)",
-        ),
-        "hlatch.ctc_misses": (
-            hlatch.ctc_misses, "accesses", "CTC miss count",
-        ),
-        "hlatch.tcache_misses": (
-            hlatch.tcache_misses, "accesses", "Precise taint-cache miss count",
-        ),
-        "hlatch.avoided_percent": (
-            hlatch.misses_avoided_percent(baseline.misses), "percent",
-            "Baseline misses the LATCH stack filtered away (Tables 6/7)",
-        ),
-        "baseline.miss_percent": (
-            baseline.miss_percent, "percent",
-            "Conventional 4 KB taint-cache miss rate (Tables 6/7)",
-        ),
-        "baseline.misses": (
-            baseline.misses, "accesses", "Conventional taint-cache miss count",
-        ),
-    }
-    for name, (value, unit, description) in gauges.items():
-        registry.gauge(name, unit=unit, description=description).set(value)
-    for level, fraction in hlatch.resolution_split().items():
-        registry.gauge(
-            f"hlatch.resolved.{level}", unit="fraction",
-            description=f"Accesses resolved at the {level} level (Figure 16)",
-        ).set(fraction)
+    _publish_hlatch_gauges(registry, result.hlatch, result.baseline)
     # Deterministic trace.* rows only; trace.merge.seconds is wall
     # clock and must stay out of cacheable job snapshots.
     publish_trace_metrics(registry, result)

@@ -27,7 +27,8 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.core.latch import LatchConfig, LatchModule
-from repro.kernels import replay_check_memory, shadow_domain_ids
+from repro.kernels import shadow_domain_ids
+from repro.kernels.replay import merge_latch_partials, shard_partial
 from repro.obs.spans import maybe_span
 from repro.slatch.costs import SLatchCostModel
 from repro.workloads.profiles import WorkloadProfile
@@ -179,7 +180,9 @@ def measure_hw_rates(
 
     with maybe_span("slatch.hw_replay", workload=trace.name,
                     accesses=int(len(addresses))):
-        replay_check_memory(latch, addresses, sizes)
+        merge_latch_partials(
+            [shard_partial(addresses, sizes, None, latch)], latch
+        )
     fp = latch.stats.sent_to_precise
     misses = latch.ctc.stats.misses
     return HwRates(

@@ -1,6 +1,6 @@
 """repro.trace — the zero-copy columnar trace format and sharded replay.
 
-The ``.ltrace`` container (ISSUE 8) is the on-disk/wire representation
+The ``.ltrace`` container is the on-disk/wire representation
 of the reproduction's traces: versioned, checksummed, mmap-friendly
 numpy sections a reader maps once and replays without materialising
 per-event python objects.
@@ -17,15 +17,15 @@ per-event python objects.
   stream, and :func:`replay_events` to drive any observer from it;
 * :mod:`~repro.trace.shard` — shard planning (epoch-snapped cuts, the
   ``REPRO_TRACE_SHARDS`` knob);
-* :mod:`~repro.trace.replay` — the sharded replay: stateless
-  :func:`shard_partial` per shard, exact carry-over
-  :func:`merge_partials` in the parent, in-process and runner-pool
-  entry points.
+* :mod:`~repro.trace.replay` — the sharded replay: the stateless
+  :func:`shard_partial` of :mod:`repro.kernels.replay` per shard, its
+  exact carry-over :func:`merge_partials` in the parent, in-process
+  and runner-pool entry points.
 
 The load-bearing invariant, enforced by ``tests/test_trace_format.py``
 / ``tests/test_trace_shards.py`` and re-proved by ``repro-check``'s
 ``columnar`` oracle path: a sharded multicore columnar replay is
-bit-identical to the single-core scalar replay, for any shard plan.
+bit-identical to the per-access scalar replay, for any shard plan.
 ``docs/TRACE.md`` documents the format and knobs.
 """
 
@@ -65,7 +65,6 @@ from repro.trace.replay import (
     replay_baseline_columnar,
     replay_columnar,
     replay_columnar_pooled,
-    replay_hlatch_columnar,
     shard_job_specs,
     shard_partial,
 )
@@ -105,7 +104,6 @@ __all__ = [
     "replay_columnar",
     "replay_columnar_pooled",
     "replay_events",
-    "replay_hlatch_columnar",
     "resolve_shard_count",
     "save_columnar_epochs",
     "save_columnar_trace",

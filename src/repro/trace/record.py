@@ -239,6 +239,48 @@ def _as_event_file(source: Union[PathLike, bytes, ColumnarFile]) -> ColumnarFile
     return handle
 
 
+#: Each CSR offset section and the data section its entries index.
+_OFFSET_SECTIONS = {
+    "regs_read_offsets": "regs_read",
+    "regs_written_offsets": "regs_written",
+    "reads_offsets": "accesses",
+    "writes_offsets": "accesses",
+}
+
+
+def _checked_pool(handle: ColumnarFile, inputs, outputs) -> List[str]:
+    """The string pool, once it is a list of ``str`` that every
+    source/sink index of ``inputs``/``outputs`` falls inside."""
+    pool = handle.meta.get("strings", [])
+    if not isinstance(pool, list) or not all(
+        isinstance(text, str) for text in pool
+    ):
+        raise handle._fail("string pool is not a list of strings")
+    for table, prefix in ((inputs, "source"), (outputs, "sink")):
+        for name in (f"{prefix}_kind", f"{prefix}_name"):
+            ids = table[name]
+            if ids.size and not 0 <= ids.min() <= ids.max() < len(pool):
+                raise handle._fail(
+                    f"{name} index outside the {len(pool)}-entry string pool"
+                )
+    return pool
+
+
+def _check_offsets(handle: ColumnarFile, steps: int) -> None:
+    """Every CSR offset section must hold ``steps + 1`` non-decreasing
+    integers inside its data section."""
+    for name, data in _OFFSET_SECTIONS.items():
+        offsets = handle.array(name)
+        rows = len(handle.array(data))
+        if (offsets.dtype.kind not in "iu" or offsets.shape != (steps + 1,)
+                or (offsets[1:] < offsets[:-1]).any()
+                or offsets[0] < 0 or offsets[-1] > rows):
+            raise handle._fail(
+                f"{name} is not {steps + 1} non-decreasing offsets into "
+                f"{data} ({rows} rows)"
+            )
+
+
 def iter_events(
     source: Union[PathLike, bytes, ColumnarFile]
 ) -> Iterator[Union[StepEvent, InputEvent, OutputEvent]]:
@@ -248,8 +290,11 @@ def iter_events(
     compares equal to the one the live CPU emitted.
     """
     handle = _as_event_file(source)
-    pool = [str(s) for s in handle.meta.get("strings", [])]
     steps = handle.array("steps")
+    inputs = handle.array("inputs")
+    outputs = handle.array("outputs")
+    pool = _checked_pool(handle, inputs, outputs)
+    _check_offsets(handle, len(steps))
     regs_read = handle.array("regs_read")
     regs_written = handle.array("regs_written")
     # Register ids index fixed-size register files downstream, opcodes
@@ -275,8 +320,6 @@ def iter_events(
     accesses = handle.array("accesses").tolist()
     reads_off = handle.array("reads_offsets").tolist()
     writes_off = handle.array("writes_offsets").tolist()
-    inputs = handle.array("inputs")
-    outputs = handle.array("outputs")
     data = handle.array("data").tobytes()
 
     def step_at(row: int) -> StepEvent:

@@ -313,26 +313,21 @@ def clustered_stream(generator, free_lengths, tainted_lengths, tainted_marks, rn
 def install_oracle_kernels(monkeypatch) -> None:
     """Route every product replay entry point through the loops above.
 
-    Patches each batch kernel where its consumer looks it up, so the
-    runner's suites execute end to end on the reference semantics.
+    Patches each batch kernel — and each replay entry point, whose
+    product body is one :func:`~repro.kernels.replay.shard_partial`
+    merged back — where its consumer looks it up, so the runner's
+    suites execute end to end on the reference semantics.
     """
+    monkeypatch.setattr("repro.runner.worker.run_hlatch", run_hlatch)
+    monkeypatch.setattr("repro.runner.worker.run_baseline", run_baseline)
     monkeypatch.setattr(
-        "repro.hlatch.system.replay_hlatch_window", access_loop
-    )
-    monkeypatch.setattr(
-        "repro.hlatch.baseline.replay_taint_cache", access_loop
-    )
-    monkeypatch.setattr(
-        "repro.slatch.simulator.replay_check_memory", check_memory_loop
+        "repro.runner.worker.measure_hw_rates", measure_hw_rates
     )
     monkeypatch.setattr(
         "repro.analysis.temporal.duration_profile", duration_profile
     )
     monkeypatch.setattr(
         "repro.kernels.domains_from_extents", domains_from_extents
-    )
-    monkeypatch.setattr(
-        "repro.slatch.simulator.shadow_domain_ids", shadow_domain_ids
     )
     monkeypatch.setattr(
         "repro.hlatch.system.HLatchSystem.load_taint", load_taint

@@ -1,15 +1,17 @@
-"""Reuse-distance tests, including equivalence with the LRU cache model."""
+"""Reuse-distance tests, including equivalence with the LRU cache model
+and, by Mattson's inclusion property, with the replay's LRU core."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.reuse import (
+from tests.reuse_oracle import (
     COLD,
     ReuseProfile,
     lru_hit_rate,
     reuse_distances,
 )
+from repro.kernels.lru import LruState, run_boundaries
 from repro.mem.cache import SetAssociativeCache
 
 
@@ -94,3 +96,62 @@ class TestProfile:
             reuse_distances(scan, 16), 16
         )
         assert hot_profile.cold_fraction < scan_profile.cold_fraction
+
+
+#: The fully associative structures the replay runs through LruState:
+#: the H-LATCH CTC (16 one-word lines) and the TLB (128 entries).
+CTC_ENTRIES = 16
+TLB_ENTRIES = 128
+
+
+def _lru_state_hits(ids, capacity, cuts):
+    """Hits of ``ids`` fed through one LruState, chunk by chunk, the way
+    the replay merge feeds shard runs."""
+    state = LruState(ways=capacity)
+    edges = [0, *sorted({c for c in cuts if 0 < c < len(ids)}), len(ids)]
+    hits = 0
+    for start, stop in zip(edges, edges[1:]):
+        runs, _ = run_boundaries(ids[start:stop])
+        boundary = state.apply_runs(runs.tolist())
+        hits += (stop - start - len(runs)) + boundary.hits
+    return hits
+
+
+class TestMattsonInclusion:
+    """A fully associative LRU access hits iff its reuse distance is
+    below the capacity, so the Fenwick distances predict LruState's hit
+    count exactly — whole or split into chunks."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ids=st.lists(
+            # Small alphabets make CTC-scale reuse likely; wide ones
+            # push distances past the TLB's 128 entries.
+            st.one_of(st.integers(0, 24), st.integers(0, 400)),
+            max_size=600,
+        ),
+        capacity=st.sampled_from([CTC_ENTRIES, TLB_ENTRIES]),
+        cuts=st.lists(st.integers(0, 600), max_size=5),
+    )
+    def test_lru_state_hits_match_reuse_distances(self, ids, capacity, cuts):
+        array = np.array(ids, dtype=np.int64)
+        distances = reuse_distances(array, granularity=1)
+        predicted = int(np.count_nonzero(
+            (distances >= 0) & (distances < capacity)
+        ))
+        assert _lru_state_hits(array, capacity, ()) == predicted
+        assert _lru_state_hits(array, capacity, cuts) == predicted
+
+    def test_capacity_edge_is_exact(self):
+        # A cyclic sweep over exactly `capacity` ids hits from the second
+        # lap on; one more id than the capacity never hits under LRU.
+        for capacity in (CTC_ENTRIES, TLB_ENTRIES):
+            fits = np.tile(np.arange(capacity, dtype=np.int64), 3)
+            spills = np.tile(np.arange(capacity + 1, dtype=np.int64), 3)
+            assert _lru_state_hits(fits, capacity, (capacity + 3,)) == (
+                2 * capacity
+            )
+            assert _lru_state_hits(spills, capacity, (5,)) == 0
+            assert lru_hit_rate(
+                reuse_distances(spills, granularity=1), capacity
+            ) == 0.0

@@ -8,7 +8,7 @@ independent model of the same quantity surfaces here.
 import numpy as np
 import pytest
 
-from repro.analysis.reuse import lru_hit_rate, reuse_distances
+from tests.reuse_oracle import lru_hit_rate, reuse_distances
 from repro.core.latch import LatchConfig
 from repro.hlatch import run_hlatch
 from repro.workloads import WorkloadGenerator, get_profile

@@ -22,12 +22,13 @@ from hypothesis import given, settings, strategies as st
 from repro.core.latch import LatchConfig, LatchModule
 from repro.dift.engine import DIFTEngine
 from repro.dift.tags import ShadowMemory
-from repro.kernels import replay_check_memory
+from repro.kernels import merge_latch_partials, shard_partial
 from repro.isa.assembler import assemble
 from repro.machine.cpu import CPU
 from repro.machine.devices import DeviceTable, VirtualFile
 from repro.slatch.controller import SLatchSystem
 from repro.slatch.costs import SLatchCostModel
+from repro.trace.shard import explicit_plan
 
 pytestmark = pytest.mark.fuzz
 
@@ -192,6 +193,18 @@ def _taint_windows(draw):
     return extents, addresses, sizes
 
 
+def _sharded_coarse_flags(latch, addresses, sizes, plan):
+    """Per-access coarse verdicts of the product replay over ``plan``."""
+    partials = [
+        shard_partial(addresses[start:stop], sizes[start:stop], None, latch)
+        for start, stop in plan
+    ]
+    merge_latch_partials(partials, latch)
+    return np.concatenate(
+        [partial.coarse for partial in partials] or [np.zeros(0, bool)]
+    )
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     window=_taint_windows(),
@@ -202,8 +215,9 @@ def _taint_windows(draw):
         tlb_entries=st.sampled_from([2, 128]),
         use_tlb_bits=st.booleans(),
     ),
+    cuts=st.lists(st.integers(0, 48), max_size=3),
 )
-def test_vector_coarse_check_against_precise_engine(window, config):
+def test_vector_coarse_check_against_precise_engine(window, config, cuts):
     extents, address_list, size_list = window
     shadow = ShadowMemory()
     for start, length in extents:
@@ -211,10 +225,18 @@ def test_vector_coarse_check_against_precise_engine(window, config):
 
     addresses = np.array(address_list, dtype=np.int64)
     sizes = np.array(size_list, dtype=np.int64)
+    n = len(addresses)
 
     vector_latch = LatchModule(config)
     vector_latch.bulk_load_from_shadow(shadow)
-    coarse_vector = replay_check_memory(vector_latch, addresses, sizes)
+    coarse_vector = _sharded_coarse_flags(
+        vector_latch, addresses, sizes, [(0, n)]
+    )
+    sharded_latch = LatchModule(config)
+    sharded_latch.bulk_load_from_shadow(shadow)
+    coarse_sharded = _sharded_coarse_flags(
+        sharded_latch, addresses, sizes, explicit_plan(n, cuts)
+    )
 
     scalar_latch = LatchModule(config)
     scalar_latch.bulk_load_from_shadow(shadow)
@@ -236,5 +258,9 @@ def test_vector_coarse_check_against_precise_engine(window, config):
 
     # Soundness: the coarse filter never clears a precisely tainted access.
     assert not np.any(precise & ~coarse_vector)
-    # Exactness: the vector kernel's false-positive set is the scalar's.
+    # Exactness: the vector kernel's false-positive set is the scalar's,
+    # whether the window replays as one shard or under any shard plan.
     assert np.array_equal(coarse_vector, coarse_scalar)
+    assert np.array_equal(coarse_sharded, coarse_scalar)
+    assert sharded_latch.stats == scalar_latch.stats
+    assert vector_latch.ctc.stats == scalar_latch.ctc.stats

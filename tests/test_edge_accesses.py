@@ -3,7 +3,8 @@
 The machine's :class:`~repro.machine.memory.PagedMemory` wraps at the
 top of the 32-bit space and accepts zero-length transfers; the coarse
 structures must agree on both conventions, and per-access
-``check_memory`` and the batch ``replay_check_memory`` kernel must
+``check_memory`` and the product replay (``shard_partial`` merged by
+``merge_latch_partials``, as one shard or under any shard plan) must
 produce identical flags *and* counters for them.
 """
 
@@ -12,10 +13,22 @@ import pytest
 
 from repro.core.latch import LatchConfig, LatchModule
 from repro.dift.tags import ShadowMemory
-from repro.kernels.replay import replay_check_memory
+from repro.kernels.replay import merge_latch_partials, shard_partial
 from repro.machine.memory import PagedMemory
 
 _TOP = 0xFFFF_FFFF
+
+
+def product_coarse_flags(latch, addresses, sizes, cuts=()):
+    """Coarse flags of the product replay over the shards ``cuts`` make
+    (the whole window as one shard by default)."""
+    edges = [0, *cuts, len(addresses)]
+    partials = [
+        shard_partial(addresses[start:stop], sizes[start:stop], None, latch)
+        for start, stop in zip(edges, edges[1:])
+    ]
+    merge_latch_partials(partials, latch)
+    return np.concatenate([partial.coarse for partial in partials])
 
 
 class TestMemoryEdges:
@@ -66,7 +79,7 @@ class TestLatchEdges:
 
 
 class TestBackendAgreementOnEdges:
-    """Scalar check_memory loop vs the vector replay kernel."""
+    """Scalar check_memory loop vs the product replay."""
 
     EDGE_ACCESSES = [
         (0x1000, 0),          # zero length, tainted domain
@@ -98,19 +111,23 @@ class TestBackendAgreementOnEdges:
             for address, size in self.EDGE_ACCESSES
         ]
 
-        vector = LatchModule(config)
-        vector.bulk_load_from_shadow(shadow)
         addresses = np.array([a for a, _ in self.EDGE_ACCESSES])
         sizes = np.array([s for _, s in self.EDGE_ACCESSES])
-        vector_flags = replay_check_memory(vector, addresses, sizes)
+        # One shard (the product's whole-window call), then shard plans
+        # cutting between the wrap and straddle accesses.
+        for cuts in ((), (3,), (1, 2, 5, 7)):
+            vector = LatchModule(config)
+            vector.bulk_load_from_shadow(shadow)
+            vector_flags = product_coarse_flags(vector, addresses, sizes, cuts)
 
-        assert list(vector_flags) == scalar_flags
-        assert vector.stats == scalar.stats
-        assert vector.ctc.stats == scalar.ctc.stats
-        if use_tlb:
-            assert vector.tlb_bits.tlb.stats == scalar.tlb_bits.tlb.stats
-            assert vector.tlb_bits.checks == scalar.tlb_bits.checks
-            assert vector.tlb_bits.hot_checks == scalar.tlb_bits.hot_checks
+            assert list(vector_flags) == scalar_flags, cuts
+            assert vector.stats == scalar.stats, cuts
+            assert vector.ctc.stats == scalar.ctc.stats, cuts
+            if use_tlb:
+                tlb, reference = vector.tlb_bits, scalar.tlb_bits
+                assert tlb.tlb.stats == reference.tlb.stats, cuts
+                assert tlb.checks == reference.checks, cuts
+                assert tlb.hot_checks == reference.hot_checks, cuts
 
     @pytest.mark.parametrize("use_tlb", [True, False])
     def test_every_tainted_byte_flagged_on_both_backends(self, use_tlb):
@@ -123,7 +140,7 @@ class TestBackendAgreementOnEdges:
                 if backend == "scalar":
                     flag = latch.check_memory(byte, 1).coarse_tainted
                 else:
-                    flag = bool(
-                        replay_check_memory(latch, [byte], [1])[0]
-                    )
+                    flag = bool(product_coarse_flags(
+                        latch, np.array([byte]), np.array([1])
+                    )[0])
                 assert flag, f"{backend} missed byte {byte:#x}"

@@ -13,9 +13,10 @@ for provenance).  These tests serve two purposes:
   path is exercised against genuine on-disk corruption rather than a
   synthetic monkeypatched error.
 
-Every golden trace replays twice — ``vector`` through the product
-kernels, ``scalar`` through the per-access oracles in
-``tests/kernel_oracles.py`` — and both must match the golden snapshot
+Every golden trace replays through the per-access oracles in
+``tests/kernel_oracles.py`` (``scalar``) and through the product
+kernels — the whole window as one shard (``vector``) and cut into
+three shards (``sharded``) — and each must match the golden snapshot
 byte for byte.
 """
 
@@ -29,7 +30,7 @@ import pytest
 from repro.analysis.temporal import epoch_duration_profile
 from repro.hlatch.baseline import run_baseline
 from repro.hlatch.system import HLatchSystem
-from repro.kernels import replay_hlatch_window
+from repro.kernels import merge_partials, shard_partial
 from repro.trace.convert import load_columnar_epochs, load_columnar_trace
 from repro.trace.format import StorageFormatError
 
@@ -56,13 +57,23 @@ def _replay_snapshot(trace, replay_path):
         return kernel_oracles.hlatch_snapshot(trace)
     system = HLatchSystem()
     system.load_taint(trace.layout)
-    replay_hlatch_window(system, trace.addresses, trace.sizes, trace.is_write)
+    n = trace.access_count
+    cuts = [0, n] if replay_path == "vector" else [0, n // 3, n // 2, n]
+    partials = [
+        shard_partial(
+            trace.addresses[start:stop], trace.sizes[start:stop],
+            trace.is_write[start:stop], system.latch,
+            system.tcache.config,
+        )
+        for start, stop in zip(cuts, cuts[1:])
+    ]
+    merge_partials(partials, system)
     return system.snapshot()
 
 
 class TestGoldenReplay:
     @pytest.mark.parametrize("name", WORKLOADS)
-    @pytest.mark.parametrize("replay_path", REPLAYS)
+    @pytest.mark.parametrize("replay_path", REPLAYS + ("sharded",))
     def test_hlatch_snapshot_matches_golden(self, name, replay_path):
         trace = load_access_trace(_trace_path(name))
         snapshot = _replay_snapshot(trace, replay_path)

@@ -32,10 +32,11 @@ from repro.hlatch.taint_cache import (
     CONVENTIONAL_TAINT_CACHE,
     HLATCH_TAINT_CACHE,
 )
-from repro.kernels import epoch_stream_from_trace, replay_hlatch_window
+from repro.kernels import epoch_stream_from_trace, merge_partials, shard_partial
 from repro.runner.specs import suite_jobs
 from repro.runner.worker import execute_job
 from repro.slatch.simulator import measure_hw_rates
+from repro.trace.shard import explicit_plan
 from repro.workloads.suites import EXPERIMENT_SUITES
 from repro.workloads.trace import AccessTrace, EpochStream, TaintLayout
 
@@ -124,11 +125,21 @@ def windows(draw):
     )
 
 
-def _hlatch_snapshot(trace, latch_config, tcache_config):
-    """Replay a window through a fresh stack's kernels; freeze counters."""
+def _hlatch_snapshot(trace, latch_config, tcache_config, plan=None):
+    """Replay a window through a fresh stack's kernels, shard by shard
+    (the whole window as one shard by default); freeze counters."""
     system = HLatchSystem(latch_config, tcache_config)
     system.load_taint(trace.layout)
-    replay_hlatch_window(system, trace.addresses, trace.sizes, trace.is_write)
+    if plan is None:
+        plan = [(0, trace.access_count)]
+    partials = [
+        shard_partial(
+            trace.addresses[start:stop], trace.sizes[start:stop],
+            trace.is_write[start:stop], system.latch, tcache_config,
+        )
+        for start, stop in plan
+    ]
+    merge_partials(partials, system)
     return system.snapshot()
 
 
@@ -136,12 +147,17 @@ def assert_window_equivalent(
     trace,
     latch_config=None,
     tcache_config=HLATCH_TAINT_CACHE,
+    cuts=(),
 ):
-    """The core check: oracle and kernel snapshots are byte-identical."""
+    """The core check: oracle and kernel snapshots are byte-identical,
+    for the one-shard product and for the shard plan ``cuts`` makes."""
     latch_config = latch_config or LatchConfig()
     oracle = kernel_oracles.hlatch_snapshot(trace, latch_config, tcache_config)
     kernel = _hlatch_snapshot(trace, latch_config, tcache_config)
     assert oracle.to_json() == kernel.to_json()
+    plan = explicit_plan(trace.access_count, list(cuts))
+    sharded = _hlatch_snapshot(trace, latch_config, tcache_config, plan)
+    assert oracle.to_json() == sharded.to_json(), f"plan={plan}"
 
 
 def _trace(addresses, sizes=None, writes=None, extents=()):
@@ -169,11 +185,12 @@ class TestHLatchEquivalence:
 
     @settings(max_examples=60, deadline=None)
     @given(trace=windows(), latch_config=LATCH_CONFIGS,
-           tcache_config=TCACHE_CONFIGS)
+           tcache_config=TCACHE_CONFIGS,
+           cuts=st.lists(st.integers(0, 40), max_size=4))
     def test_snapshots_byte_identical(
-        self, trace, latch_config, tcache_config
+        self, trace, latch_config, tcache_config, cuts
     ):
-        assert_window_equivalent(trace, latch_config, tcache_config)
+        assert_window_equivalent(trace, latch_config, tcache_config, cuts)
 
     def test_run_hlatch_backend_switch(self):
         """``run_hlatch`` equals the per-access loop that used to sit

@@ -206,15 +206,20 @@ _start:
     @pytest.mark.parametrize("forgery", [
         "missing-offset", "missing-dtype", "missing-shape",
         "entry-not-an-object",
+        # Intact directory, hostile contents: the string pool and the
+        # CSR offsets are checked before the first event.
+        "strings-not-a-list", "strings-empty", "reads-offsets-short",
     ])
     def test_forged_directory_answers_job_error(self, forgery):
         # The directory checksum matches, so only the per-entry checks
-        # stand between a forged section entry and the replay.
+        # (and the event decoder's content checks) stand between a
+        # forged trace and the replay.
         import base64
 
         from repro.trace.record import TraceRecorder
         from tests.test_trace_format import (
             FORGED_DIRECTORIES,
+            HOSTILE_EVENT_TRACES,
             _forge_directory,
         )
 
@@ -222,9 +227,12 @@ _start:
         recorder = TraceRecorder(name="forged")
         cpu.attach(recorder)
         cpu.run(200_000)
-        blob = _forge_directory(
-            recorder.to_bytes(), FORGED_DIRECTORIES[forgery]
-        )
+        if forgery in HOSTILE_EVENT_TRACES:
+            blob = HOSTILE_EVENT_TRACES[forgery][0](recorder)
+        else:
+            blob = _forge_directory(
+                recorder.to_bytes(), FORGED_DIRECTORIES[forgery]
+            )
         job = {"trace": base64.b64encode(blob).decode("ascii")}
         with running_server() as (server, (host, port)):
             with ServeClient(host, port, tenant="forged") as client:

@@ -435,6 +435,67 @@ FORGED_DIRECTORIES = {
 }
 
 
+def _checksum_recorder():
+    """A recorded run of the ``checksum`` program (it reads a file, so
+    its trace carries an input event that indexes the string pool)."""
+    from repro.workloads import programs
+
+    cpu = programs.checksum().make_cpu()
+    recorder = TraceRecorder(name="checksum")
+    cpu.attach(recorder)
+    cpu.run(200_000)
+    return recorder
+
+
+def _forge_meta(field, value):
+    def forge(recorder):
+        def edit(directory):
+            directory["meta"][field] = value
+        return _forge_directory(recorder.to_bytes(), edit)
+    return forge
+
+
+def _short_reads_offsets(recorder):
+    recorder._reads_offsets.pop()
+    return recorder.to_bytes()
+
+
+#: Event traces with an intact directory and checksums whose contents a
+#: decoder still must not trust, with the problem each must report.
+HOSTILE_EVENT_TRACES = {
+    "strings-not-a-list": (
+        _forge_meta("strings", 5), "string pool is not a list",
+    ),
+    "strings-empty": (
+        _forge_meta("strings", []), "outside the 0-entry string pool",
+    ),
+    "reads-offsets-short": (
+        _short_reads_offsets, "reads_offsets is not",
+    ),
+}
+
+
+class TestHostileEventContents:
+    """Pool and CSR offsets are validated before the first event, so a
+    hostile trace is a :class:`StorageFormatError` naming the file, not
+    a bare ``TypeError``/``IndexError`` from deep in the decoder."""
+
+    @pytest.mark.parametrize("forgery", sorted(HOSTILE_EVENT_TRACES))
+    def test_hostile_contents_are_a_format_error(self, forgery, tmp_path):
+        forge, problem = HOSTILE_EVENT_TRACES[forgery]
+        path = tmp_path / f"{forgery}.ltrace"
+        path.write_bytes(forge(_checksum_recorder()))
+        sink = _EventLog()
+        with pytest.raises(StorageFormatError, match=problem) as excinfo:
+            replay_events(path, sink)
+        assert str(path) in str(excinfo.value)
+        assert sink.events == [], "rejected before any event is replayed"
+
+    def test_intact_checksum_trace_still_decodes(self):
+        events = list(iter_events(_checksum_recorder().to_bytes()))
+        assert any(isinstance(event, InputEvent) for event in events)
+
+
 class TestForgedDirectory:
     """A checksummed directory is still untrusted input: every ill-typed,
     missing or negative entry field is a :class:`StorageFormatError`,

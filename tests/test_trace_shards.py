@@ -12,9 +12,9 @@ Coverage:
 
 * seeded random shard plans over the golden gcc/curl windows, including
   empty shards, single-access shards, and cut points at 0/1/n-1/n;
-* the kernel object replay (``vector``) and the per-access oracle
-  (``scalar``, ``tests/kernel_oracles.py``) as the references — the
-  columnar result must match both;
+* the per-access oracle (``scalar``, ``tests/kernel_oracles.py``) as
+  the reference, with the one-shard product (``vector``: ``run_hlatch``
+  / ``run_baseline``) alongside — the columnar result must match both;
 * the 32-bit wrap-around reproducers from ``tests/corpus/`` (address
   masking straddles shard boundaries there);
 * the planner's partition/snapping invariants and the
@@ -39,7 +39,6 @@ from repro.hlatch.taint_cache import (
     CONVENTIONAL_TAINT_CACHE,
     HLATCH_TAINT_CACHE,
 )
-from repro.kernels.replay import replay_check_memory
 from repro.trace.convert import (
     columnar_trace_bytes,
     load_columnar_trace,
@@ -330,7 +329,7 @@ class TestCorpusWrapStraddles:
 
             reference = LatchModule(cp.config)
             reference.bulk_load_from_shadow(engine.shadow)
-            replay_check_memory(reference, addresses, sizes)
+            kernel_oracles.check_memory_loop(reference, addresses, sizes)
             want = latch_counters(reference)
 
             for cut in range(n + 1):
