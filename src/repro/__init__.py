@@ -33,89 +33,32 @@ Quickstart::
     print(engine.stats.tainted_fraction, engine.alerts)
 """
 
-from repro.isa import Instruction, Opcode, Program, assemble, disassemble
-from repro.machine import (
-    CPU,
-    DeviceTable,
-    InputEvent,
-    MemoryAccess,
-    OutputEvent,
-    PagedMemory,
-    StepEvent,
-    Syscall,
-    VirtualFile,
-    VirtualSocket,
-)
-from repro.dift import (
-    AlertKind,
-    DIFTEngine,
-    SecurityAlert,
-    ShadowMemory,
-    TaintPolicy,
-    TaintRegisterFile,
-)
-from repro.core import (
-    CoarseTaintCache,
-    CoarseTaintTable,
-    DomainGeometry,
-    LatchConfig,
-    LatchModule,
-    TlbTaintBits,
-)
-from repro.obs import MetricsRegistry, StatsSnapshot, Tracer
-from repro.slatch import SLatchCostModel, SLatchSystem, simulate_slatch
-from repro.platch import analytic_platch, TwoCoreQueueSimulator
-from repro.hlatch import HLatchSystem, run_baseline, run_hlatch
-from repro.workloads import (
-    WorkloadGenerator,
-    WorkloadProfile,
-    all_profiles,
-    get_profile,
-)
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AlertKind",
-    "CPU",
-    "CoarseTaintCache",
-    "CoarseTaintTable",
-    "DIFTEngine",
-    "DeviceTable",
-    "DomainGeometry",
-    "HLatchSystem",
-    "InputEvent",
-    "Instruction",
-    "LatchConfig",
-    "LatchModule",
-    "MemoryAccess",
-    "MetricsRegistry",
-    "Opcode",
-    "OutputEvent",
-    "PagedMemory",
-    "Program",
-    "SLatchCostModel",
-    "SLatchSystem",
-    "SecurityAlert",
-    "ShadowMemory",
-    "StatsSnapshot",
-    "StepEvent",
-    "Syscall",
-    "TaintPolicy",
-    "TaintRegisterFile",
-    "TlbTaintBits",
-    "Tracer",
-    "TwoCoreQueueSimulator",
-    "VirtualFile",
-    "VirtualSocket",
-    "WorkloadGenerator",
-    "WorkloadProfile",
-    "all_profiles",
-    "analytic_platch",
-    "assemble",
-    "disassemble",
-    "get_profile",
-    "run_baseline",
-    "run_hlatch",
-    "simulate_slatch",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.isa": ("Instruction", "Opcode", "Program", "assemble",
+                  "disassemble"),
+    "repro.machine": (
+        "CPU", "DeviceTable", "InputEvent", "MemoryAccess", "OutputEvent",
+        "PagedMemory", "StepEvent", "Syscall", "VirtualFile",
+        "VirtualSocket",
+    ),
+    "repro.dift": (
+        "AlertKind", "DIFTEngine", "SecurityAlert", "ShadowMemory",
+        "TaintPolicy", "TaintRegisterFile",
+    ),
+    "repro.core": (
+        "CoarseTaintCache", "CoarseTaintTable", "DomainGeometry",
+        "LatchConfig", "LatchModule", "TlbTaintBits",
+    ),
+    "repro.obs": ("MetricsRegistry", "StatsSnapshot", "Tracer"),
+    "repro.slatch": ("SLatchCostModel", "SLatchSystem", "simulate_slatch"),
+    "repro.platch": ("analytic_platch", "TwoCoreQueueSimulator"),
+    "repro.hlatch": ("HLatchSystem", "run_baseline", "run_hlatch"),
+    "repro.workloads": (
+        "WorkloadGenerator", "WorkloadProfile", "all_profiles",
+        "get_profile",
+    ),
+})

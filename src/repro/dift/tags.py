@@ -244,6 +244,10 @@ class TaintRegisterFile:
     bitmask view (:meth:`mask`, :meth:`load_mask`) supports the ``strf``
     instruction, which reloads the hardware TRF from a register bitmask
     after a software-DIFT epoch (Table 5 of the paper).
+
+    A per-register "any byte tainted" bitmask is kept up to date on
+    every write, so :meth:`is_tainted`, :meth:`any_tainted` and
+    :meth:`register_mask` are integer operations.
     """
 
     REGISTER_COUNT = 16
@@ -253,6 +257,7 @@ class TaintRegisterFile:
         self._tags: List[bytearray] = [
             bytearray(self.BYTES_PER_REGISTER) for _ in range(self.REGISTER_COUNT)
         ]
+        self._live = 0  # bit r set iff any byte of register r is tainted
 
     def get(self, register: int) -> bytes:
         """The four tag bytes of ``register``."""
@@ -266,6 +271,10 @@ class TaintRegisterFile:
             self.BYTES_PER_REGISTER, b"\x00"
         )
         self._tags[register][:] = padded
+        if any(padded):
+            self._live |= 1 << register
+        else:
+            self._live &= ~(1 << register)
 
     def taint(self, register: int, tag: int = 1) -> None:
         """Taint every byte of ``register`` with ``tag``."""
@@ -274,14 +283,19 @@ class TaintRegisterFile:
     def clear(self, register: int) -> None:
         """Remove taint from ``register``."""
         self._tags[register][:] = bytes(self.BYTES_PER_REGISTER)
+        self._live &= ~(1 << register)
 
     def is_tainted(self, register: int) -> bool:
         """True if any byte of ``register`` is tainted."""
-        return any(self._tags[register])
+        return bool(self._live >> register & 1)
 
     def any_tainted(self, registers) -> bool:
         """True if any of ``registers`` carries taint."""
-        return any(self.is_tainted(register) for register in registers)
+        live = self._live
+        for register in registers:
+            if live >> register & 1:
+                return True
+        return False
 
     def union(self, *registers: int) -> bytes:
         """Byte-wise union (max) of the tags of several registers."""
@@ -307,6 +321,10 @@ class TaintRegisterFile:
                 bit = 1 << (register * self.BYTES_PER_REGISTER + byte_index)
                 self._tags[register][byte_index] = tag if (mask & bit) else 0
         self._tags[0][:] = bytes(self.BYTES_PER_REGISTER)
+        self._live = sum(
+            1 << register for register, tags in enumerate(self._tags)
+            if any(tags)
+        )
 
     def register_mask(self) -> int:
         """Pack the TRF into a 16-bit mask: bit r = register r tainted.
@@ -314,11 +332,7 @@ class TaintRegisterFile:
         This is the coarse view a 32-bit ``strf`` operand can carry; the
         byte-precise :meth:`mask` needs 64 bits and is used internally.
         """
-        value = 0
-        for register in range(self.REGISTER_COUNT):
-            if any(self._tags[register]):
-                value |= 1 << register
-        return value
+        return self._live
 
     def load_register_mask(self, mask: int, tag: int = 1) -> None:
         """Reload the TRF from a per-register bitmask (``strf`` semantics)."""
@@ -332,11 +346,12 @@ class TaintRegisterFile:
         """Remove taint from every register."""
         for tags in self._tags:
             tags[:] = bytes(self.BYTES_PER_REGISTER)
+        self._live = 0
 
     def tainted_registers(self) -> Tuple[int, ...]:
         """Registers carrying any taint."""
         return tuple(
             register
             for register in range(self.REGISTER_COUNT)
-            if any(self._tags[register])
+            if self._live >> register & 1
         )

@@ -18,26 +18,15 @@ Public surface:
 * :mod:`~repro.machine.syscalls` — syscall numbers and semantics.
 """
 
-from repro.machine.memory import PAGE_SIZE, MemoryFault, PagedMemory
-from repro.machine.events import InputEvent, MemoryAccess, OutputEvent, StepEvent
-from repro.machine.devices import DeviceTable, VirtualFile, VirtualSocket
-from repro.machine.syscalls import Syscall
-from repro.machine.cpu import CPU, ExecutionError
-from repro.machine.tracing import TraceRecorder
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CPU",
-    "DeviceTable",
-    "ExecutionError",
-    "InputEvent",
-    "MemoryAccess",
-    "MemoryFault",
-    "OutputEvent",
-    "PAGE_SIZE",
-    "PagedMemory",
-    "StepEvent",
-    "Syscall",
-    "TraceRecorder",
-    "VirtualFile",
-    "VirtualSocket",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.machine.memory": ("PAGE_SIZE", "MemoryFault", "PagedMemory"),
+    "repro.machine.events": (
+        "InputEvent", "MemoryAccess", "OutputEvent", "StepEvent",
+    ),
+    "repro.machine.devices": ("DeviceTable", "VirtualFile", "VirtualSocket"),
+    "repro.machine.syscalls": ("Syscall",),
+    "repro.machine.cpu": ("CPU", "ExecutionError"),
+    "repro.machine.tracing": ("TraceRecorder",),
+})

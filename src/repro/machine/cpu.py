@@ -1,11 +1,26 @@
 """Fetch/decode/execute CPU for the toy ISA.
 
-The CPU commits one instruction per :meth:`CPU.step` call and notifies
-attached observers with a :class:`~repro.machine.events.StepEvent`
-describing the architectural effects (registers and memory touched).
-This commit-time event stream is what the LATCH hardware module taps in
-the paper (Figure 7: extraction logic operates on committed instructions),
-and what a Pin-based DIFT tool observes in the software systems.
+Each :class:`~repro.isa.program.Program` is decoded once into a per-pc
+table (:func:`decode_program`).  An entry holds a handler that executes
+the instruction and returns the next pc, the static ``regs_read`` /
+``regs_written`` tuples with their register bitmasks (what the paper's
+extraction logic derives at decode, Figure 7), and the memory operand's
+kind and size.  Instruction semantics live only in those handlers.
+
+:meth:`CPU.step` commits one instruction and notifies attached
+observers with a :class:`~repro.machine.events.StepEvent` describing the
+architectural effects (registers and memory touched).  This commit-time
+event stream is what the LATCH hardware module taps in the paper
+(Figure 7: extraction logic operates on committed instructions), and
+what a Pin-based DIFT tool observes in the software systems.
+
+:meth:`CPU.run` is LATCH's hardware mode.  While the machine is
+unobserved, or its only observer offers a *quiet snapshot*
+(:meth:`~repro.machine.events.Observer.quiet_snapshot`) that proves the
+next instructions taint-free, it runs them straight off the table as a
+*quiet stretch*: no event, no observer call, one bulk
+:meth:`~repro.machine.events.Observer.on_quiet` at the end.  Events are
+emitted only for instructions, and to observers, that need every step.
 
 The three S-LATCH instructions (``strf``, ``stnt``, ``ltnt``) are executed
 by delegating to an attached ``latch_port`` — an object implementing the
@@ -15,9 +30,17 @@ any particular LATCH implementation.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+import operator
+from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.isa.instructions import Instruction, Opcode
+from repro.isa.instructions import (
+    JUMP_OPCODES,
+    LOAD_SIZES,
+    STORE_SIZES,
+    Format,
+    Instruction,
+    Opcode,
+)
 from repro.isa.program import Program
 from repro.machine.devices import DeviceTable
 from repro.machine.events import (
@@ -62,6 +85,124 @@ class LatchPort:
         return 0
 
 
+# ------------------------------------------------------------------ decode
+
+#: ``handler(cpu, registers) -> next_pc``: one instruction's semantics.
+Handler = Callable[["CPU", List[int]], int]
+
+#: Memory-operand kinds of a decoded instruction.
+LOAD = "load"
+STORE = "store"
+
+
+class DecodedInstruction:
+    """One text slot, decoded once: handler plus static operand facts.
+
+    Attributes:
+        instruction: the instruction itself.
+        execute: ``execute(cpu, registers)`` runs it and returns the
+            next pc.
+        regs_read / regs_written: the registers the committed
+            :class:`StepEvent` reports (SYSCALL's are the fixed
+            ``(3, 4, 5, 6)`` / ``(3,)``).
+        read_mask / write_mask: the same registers as bitmasks.
+        memory: ``LOAD``, ``STORE`` or ``None``.
+        size: memory access size in bytes (0 without a memory operand).
+    """
+
+    __slots__ = (
+        "instruction", "execute", "regs_read", "regs_written",
+        "read_mask", "write_mask", "memory", "size",
+    )
+
+    def __init__(self, instruction: Instruction, pc: int) -> None:
+        op = instruction.opcode
+        self.instruction = instruction
+        self.execute: Handler = _SEMANTICS[op](instruction, pc)
+        self.memory: Optional[str] = (
+            LOAD if op in LOAD_SIZES else STORE if op in STORE_SIZES
+            else None
+        )
+        self.size = instruction.memory_size
+        reads, writes = _register_use(instruction)
+        self.regs_read: Tuple[int, ...] = reads
+        self.regs_written: Tuple[int, ...] = writes
+        self.read_mask = _bits(reads)
+        self.write_mask = _bits(writes)
+
+
+class DecodedProgram:
+    """A program's per-pc decode table.
+
+    ``entries`` maps every text address to its
+    :class:`DecodedInstruction`.  ``quiet`` is the same table cut down
+    for quiet stretches: only instructions that may run without an
+    event (all but SYSCALL, HALT and the S-LATCH opcodes), each as a
+    flat ``(execute, touch_mask, size, rs1, imm)`` tuple, where
+    ``touch_mask = read_mask | write_mask`` and ``size`` is 0 without
+    a memory operand.
+    """
+
+    def __init__(self, program: Program) -> None:
+        self.entries: Dict[int, DecodedInstruction] = {}
+        self.quiet: Dict[int, tuple] = {}
+        for index, instruction in enumerate(program.instructions):
+            pc = program.text_base + 4 * index
+            entry = DecodedInstruction(instruction, pc)
+            self.entries[pc] = entry
+            if instruction.opcode not in _PER_STEP_OPCODES:
+                self.quiet[pc] = (
+                    entry.execute, entry.read_mask | entry.write_mask,
+                    entry.size, instruction.rs1, instruction.imm,
+                )
+
+
+def decode_program(program: Program) -> DecodedProgram:
+    """The decode table of ``program``, built on first use.
+
+    Program images are immutable once assembled (instructions are never
+    fetched from data memory), so the table is cached on the program and
+    every CPU running it shares one decode.
+    """
+    table = program.__dict__.get("_decoded")
+    if table is None:
+        table = DecodedProgram(program)
+        program.__dict__["_decoded"] = table
+    return table
+
+
+def _register_use(instruction: Instruction) -> Tuple[tuple, tuple]:
+    """``(regs_read, regs_written)``: fixed by the encoding format."""
+    op, fmt = instruction.opcode, instruction.format
+    rd, rs1, rs2 = instruction.rd, instruction.rs1, instruction.rs2
+    if op is Opcode.SYSCALL:
+        return (3, 4, 5, 6), (3,)
+    if op is Opcode.STRF:
+        return (rs1,), ()
+    if fmt is Format.R:
+        return (rs1, rs2), (rd,)
+    if fmt is Format.S or fmt is Format.B:
+        return (rs1, rs2), ()
+    if fmt is Format.U or op is Opcode.LTNT:
+        return (), (rd,)
+    reads = (rs1,) if fmt is Format.I else ()  # JAL is J-format
+    if op in JUMP_OPCODES and rd == 0:  # no link register written
+        return reads, ()
+    if fmt is Format.I or fmt is Format.J:
+        return reads, (rd,)
+    return (), ()  # NOP, HALT
+
+
+def _bits(registers: Tuple[int, ...]) -> int:
+    mask = 0
+    for register in registers:
+        mask |= 1 << register
+    return mask
+
+
+# ------------------------------------------------------------------- CPU
+
+
 class CPU:
     """A single-core machine executing one program.
 
@@ -94,6 +235,7 @@ class CPU:
         self.console = bytearray()
         self.latch_port: LatchPort = LatchPort()
         self._observers: List[Observer] = []
+        self._decoded = decode_program(program)
         self._load_data()
 
     def _load_data(self) -> None:
@@ -139,15 +281,45 @@ class CPU:
         """
         if self.halted:
             raise ExecutionError("machine is halted")
-        try:
-            instruction = self.program.instruction_at(self.pc)
-        except IndexError as exc:
-            raise ExecutionError(str(exc)) from exc
-
-        event = self._execute(instruction)
-        self.registers[0] = 0  # r0 is hard-wired to zero
+        pc = self.pc
+        entry = self._decoded.entries.get(pc)
+        if entry is None:  # the table holds every valid pc
+            try:
+                self.program.instruction_at(pc)
+            except IndexError as exc:
+                raise ExecutionError(str(exc)) from exc
+        regs = self.registers
+        reads: tuple = ()
+        writes: tuple = ()
+        if entry.memory is not None:
+            access = MemoryAccess(
+                (regs[entry.instruction.rs1] + entry.instruction.imm)
+                & _MASK32,
+                entry.size,
+                is_write=entry.memory == STORE,
+            )
+            if access.is_write:
+                writes = (access,)
+            else:
+                reads = (access,)
+        syscall_number = (
+            regs[3] if entry.instruction.opcode is Opcode.SYSCALL else None
+        )
+        next_pc = entry.execute(self, regs)
+        regs[0] = 0  # r0 is hard-wired to zero
+        event = StepEvent(
+            index=self.step_count,
+            pc=pc,
+            instruction=entry.instruction,
+            regs_read=entry.regs_read,
+            regs_written=entry.regs_written,
+            reads=reads,
+            writes=writes,
+            next_pc=next_pc,
+            syscall_number=syscall_number,
+        )
         self.step_count += 1
-        self.pc = event.next_pc
+        self.pc = next_pc
         for observer in self._observers:
             observer.on_step(event)
         if self.halted:
@@ -156,11 +328,81 @@ class CPU:
         return event
 
     def run(self, max_steps: int = 10_000_000) -> int:
-        """Run until halt or ``max_steps``; returns committed step count."""
+        """Run until halt or ``max_steps``; returns committed step count.
+
+        With no observer, or with one observer whose
+        :meth:`~repro.machine.events.Observer.quiet_snapshot` returns a
+        snapshot, instructions run in quiet stretches (see
+        :meth:`_run_quiet`); every other instruction goes through
+        :meth:`step`.
+        """
         start = self.step_count
-        while not self.halted and self.step_count - start < max_steps:
+        observers = self._observers
+        while not self.halted:
+            budget = max_steps - (self.step_count - start)
+            if budget <= 0:
+                break
+            observer = observers[0] if observers else None
+            if observer is None:
+                snapshot = (0, None)
+            elif len(observers) == 1:
+                # Duck-typed observers without the hook see every step.
+                offer = getattr(observer, "quiet_snapshot", None)
+                snapshot = offer() if offer is not None else None
+            else:
+                snapshot = None
+            if (snapshot is not None
+                    and self._run_quiet(budget, observer, *snapshot) == budget):
+                break
             self.step()
         return self.step_count - start
+
+    def _run_quiet(
+        self,
+        budget: int,
+        observer: Optional[Observer],
+        register_mask: int,
+        memory_probe: Optional[Callable[[int, int], bool]],
+    ) -> int:
+        """Run a quiet stretch of at most ``budget`` instructions.
+
+        The snapshot — ``register_mask`` (registers whose use needs the
+        observer) and ``memory_probe(address, size)`` (True when a
+        memory operand needs it; ``None`` for never) — is frozen for the
+        whole stretch, because only the per-step path can change it.
+        The stretch stops *before* the first instruction that touches a
+        masked register, has a probed memory operand, is not in the
+        quiet table (see :class:`DecodedProgram`) or sits at a bad pc,
+        so that instruction goes through :meth:`step`.  The committed
+        count is reported through ``observer.on_quiet`` even when an
+        instruction raises, and the pc then stays on the faulting
+        instruction.
+        """
+        table = self._decoded.quiet
+        regs = self.registers
+        pc = self.pc
+        count = 0
+        try:
+            while count < budget:
+                entry = table.get(pc)
+                if entry is None:
+                    break
+                execute, touch_mask, size, rs1, imm = entry
+                if touch_mask & register_mask:
+                    break
+                if (size and memory_probe is not None
+                        and memory_probe((regs[rs1] + imm) & _MASK32, size)):
+                    break
+                pc = execute(self, regs)
+                regs[0] = 0
+                count += 1
+        finally:
+            self.pc = pc
+            if count:
+                self.step_count += count
+                if observer is not None:
+                    observer.on_quiet(count)
+        return count
 
     # ------------------------------------------------------------- metrics
 
@@ -185,102 +427,11 @@ class CPU:
             callback=lambda: int(self.halted),
         )
 
-    # ----------------------------------------------------------- semantics
 
-    def _execute(self, instruction: Instruction) -> StepEvent:
-        op = instruction.opcode
-        regs = self.registers
-        rd = instruction.rd
-        rs1 = instruction.rs1
-        rs2 = instruction.rs2
-        imm = instruction.imm
-        next_pc = (self.pc + 4) & _MASK32
-        reads: tuple = ()
-        writes: tuple = ()
-        regs_read: tuple = ()
-        regs_written: tuple = ()
-        syscall_number: Optional[int] = None
-
-        if op == Opcode.NOP:
-            pass
-        elif op == Opcode.HALT:
-            self.halt(exit_code=regs[3])
-        elif op == Opcode.SYSCALL:
-            syscall_number = regs[3]
-            self.syscall_count += 1
-            regs_read = (3, 4, 5, 6)
-            result = self.syscalls.dispatch(self, syscall_number)
-            regs[3] = result & _MASK32
-            regs_written = (3,)
-        elif op in _ALU_REG_OPS:
-            value = _ALU_REG_OPS[op](regs[rs1], regs[rs2])
-            regs[rd] = value & _MASK32
-            regs_read = (rs1, rs2)
-            regs_written = (rd,)
-        elif op in _ALU_IMM_OPS:
-            value = _ALU_IMM_OPS[op](regs[rs1], imm)
-            regs[rd] = value & _MASK32
-            regs_read = (rs1,)
-            regs_written = (rd,)
-        elif op == Opcode.LUI:
-            regs[rd] = (imm << 16) & _MASK32
-            regs_written = (rd,)
-        elif op in _LOAD_OPS:
-            address = (regs[rs1] + imm) & _MASK32
-            size, signed = _LOAD_OPS[op]
-            raw = self.memory.read_uint(address, size)
-            if signed and raw & (1 << (8 * size - 1)):
-                raw -= 1 << (8 * size)
-            regs[rd] = raw & _MASK32
-            reads = (MemoryAccess(address, size, is_write=False),)
-            regs_read = (rs1,)
-            regs_written = (rd,)
-        elif op in _STORE_OPS:
-            address = (regs[rs1] + imm) & _MASK32
-            size = _STORE_OPS[op]
-            self.memory.write_uint(address, regs[rs2], size)
-            writes = (MemoryAccess(address, size, is_write=True),)
-            regs_read = (rs1, rs2)
-        elif op in _BRANCH_OPS:
-            taken = _BRANCH_OPS[op](regs[rs1], regs[rs2])
-            regs_read = (rs1, rs2)
-            if taken:
-                next_pc = (self.pc + imm) & _MASK32
-        elif op == Opcode.JAL:
-            if rd != 0:
-                regs[rd] = (self.pc + 4) & _MASK32
-                regs_written = (rd,)
-            next_pc = (self.pc + imm) & _MASK32
-        elif op == Opcode.JALR:
-            target = (regs[rs1] + imm) & _MASK32 & ~3
-            regs_read = (rs1,)
-            if rd != 0:
-                regs[rd] = (self.pc + 4) & _MASK32
-                regs_written = (rd,)
-            next_pc = target
-        elif op == Opcode.STRF:
-            regs_read = (rs1,)
-            self.latch_port.set_trf(regs[rs1])
-        elif op == Opcode.STNT:
-            regs_read = (rs1, rs2)
-            self.latch_port.set_taint(regs[rs1], regs[rs2])
-        elif op == Opcode.LTNT:
-            regs[rd] = self.latch_port.last_exception_address() & _MASK32
-            regs_written = (rd,)
-        else:  # pragma: no cover - opcodes are exhaustive
-            raise ExecutionError(f"unimplemented opcode {op.name}")
-
-        return StepEvent(
-            index=self.step_count,
-            pc=self.pc,
-            instruction=instruction,
-            regs_read=regs_read,
-            regs_written=regs_written,
-            reads=reads,
-            writes=writes,
-            next_pc=next_pc,
-            syscall_number=syscall_number,
-        )
+# --------------------------------------------------------------- semantics
+#
+# One handler factory per opcode: ``factory(instruction, pc)`` returns
+# ``handler(cpu, registers) -> next_pc`` with the operands bound.
 
 
 def _div(a: int, b: int) -> int:
@@ -298,48 +449,168 @@ def _rem(a: int, b: int) -> int:
     return _signed(a) - _div(a, b) * _signed(b)
 
 
-_ALU_REG_OPS = {
-    Opcode.ADD: lambda a, b: a + b,
-    Opcode.SUB: lambda a, b: a - b,
-    Opcode.AND: lambda a, b: a & b,
-    Opcode.OR: lambda a, b: a | b,
-    Opcode.XOR: lambda a, b: a ^ b,
-    Opcode.SLL: lambda a, b: a << (b & 31),
-    Opcode.SRL: lambda a, b: (a & _MASK32) >> (b & 31),
-    Opcode.SRA: lambda a, b: _signed(a) >> (b & 31),
-    Opcode.SLT: lambda a, b: int(_signed(a) < _signed(b)),
-    Opcode.SLTU: lambda a, b: int((a & _MASK32) < (b & _MASK32)),
-    Opcode.MUL: lambda a, b: a * b,
-    Opcode.DIV: _div,
-    Opcode.REM: _rem,
+def _alu_reg(fn: Callable[[int, int], int]):
+    def factory(ins: Instruction, pc: int) -> Handler:
+        rd, rs1, rs2, nxt = ins.rd, ins.rs1, ins.rs2, (pc + 4) & _MASK32
+
+        def execute(cpu, regs):
+            regs[rd] = fn(regs[rs1], regs[rs2]) & _MASK32
+            return nxt
+        return execute
+    return factory
+
+
+def _alu_imm(fn: Callable[[int, int], int]):
+    def factory(ins: Instruction, pc: int) -> Handler:
+        rd, rs1, imm, nxt = ins.rd, ins.rs1, ins.imm, (pc + 4) & _MASK32
+
+        def execute(cpu, regs):
+            regs[rd] = fn(regs[rs1], imm) & _MASK32
+            return nxt
+        return execute
+    return factory
+
+
+def _branch(fn: Callable[[int, int], bool]):
+    def factory(ins: Instruction, pc: int) -> Handler:
+        rs1, rs2 = ins.rs1, ins.rs2
+        taken, nxt = (pc + ins.imm) & _MASK32, (pc + 4) & _MASK32
+
+        def execute(cpu, regs):
+            return taken if fn(regs[rs1], regs[rs2]) else nxt
+        return execute
+    return factory
+
+
+def _load(ins: Instruction, pc: int) -> Handler:
+    rd, rs1, imm, nxt = ins.rd, ins.rs1, ins.imm, (pc + 4) & _MASK32
+    size, signed = LOAD_SIZES[ins.opcode], ins.opcode in _SIGN_EXTENDED
+    sign_bit, span = 1 << (8 * size - 1), 1 << (8 * size)
+
+    def execute(cpu, regs):
+        raw = cpu.memory.read_uint((regs[rs1] + imm) & _MASK32, size)
+        if signed and raw & sign_bit:
+            raw -= span
+        regs[rd] = raw & _MASK32
+        return nxt
+    return execute
+
+
+def _store(ins: Instruction, pc: int) -> Handler:
+    rs1, rs2, imm, nxt = ins.rs1, ins.rs2, ins.imm, (pc + 4) & _MASK32
+    size = STORE_SIZES[ins.opcode]
+
+    def execute(cpu, regs):
+        cpu.memory.write_uint((regs[rs1] + imm) & _MASK32, regs[rs2], size)
+        return nxt
+    return execute
+
+
+def _lui(ins: Instruction, pc: int) -> Handler:
+    rd, value, nxt = ins.rd, (ins.imm << 16) & _MASK32, (pc + 4) & _MASK32
+
+    def execute(cpu, regs):
+        regs[rd] = value
+        return nxt
+    return execute
+
+
+def _jal(ins: Instruction, pc: int) -> Handler:
+    rd, link, target = ins.rd, (pc + 4) & _MASK32, (pc + ins.imm) & _MASK32
+
+    def execute(cpu, regs):
+        if rd != 0:
+            regs[rd] = link
+        return target
+    return execute
+
+
+def _jalr(ins: Instruction, pc: int) -> Handler:
+    rd, rs1, imm, link = ins.rd, ins.rs1, ins.imm, (pc + 4) & _MASK32
+
+    def execute(cpu, regs):
+        target = (regs[rs1] + imm) & _MASK32 & ~3
+        if rd != 0:
+            regs[rd] = link
+        return target
+    return execute
+
+
+def _fall_through(effect: Callable[["CPU", List[int], Instruction], None]):
+    """Factory for an instruction that only acts and goes to pc + 4."""
+    def factory(ins: Instruction, pc: int) -> Handler:
+        nxt = (pc + 4) & _MASK32
+
+        def execute(cpu, regs):
+            effect(cpu, regs, ins)
+            return nxt
+        return execute
+    return factory
+
+
+def _syscall(cpu: "CPU", regs: List[int], ins: Instruction) -> None:
+    cpu.syscall_count += 1
+    regs[3] = cpu.syscalls.dispatch(cpu, regs[3]) & _MASK32
+
+
+def _ltnt(cpu: "CPU", regs: List[int], ins: Instruction) -> None:
+    regs[ins.rd] = cpu.latch_port.last_exception_address() & _MASK32
+
+
+_SIGN_EXTENDED = frozenset({Opcode.LB, Opcode.LH})
+
+_SEMANTICS: Dict[Opcode, Callable[[Instruction, int], Handler]] = {
+    Opcode.ADD: _alu_reg(operator.add),
+    Opcode.SUB: _alu_reg(operator.sub),
+    Opcode.AND: _alu_reg(operator.and_),
+    Opcode.OR: _alu_reg(operator.or_),
+    Opcode.XOR: _alu_reg(operator.xor),
+    Opcode.SLL: _alu_reg(lambda a, b: a << (b & 31)),
+    Opcode.SRL: _alu_reg(lambda a, b: (a & _MASK32) >> (b & 31)),
+    Opcode.SRA: _alu_reg(lambda a, b: _signed(a) >> (b & 31)),
+    Opcode.SLT: _alu_reg(lambda a, b: int(_signed(a) < _signed(b))),
+    Opcode.SLTU: _alu_reg(lambda a, b: int((a & _MASK32) < (b & _MASK32))),
+    Opcode.MUL: _alu_reg(operator.mul),
+    Opcode.DIV: _alu_reg(_div),
+    Opcode.REM: _alu_reg(_rem),
+    Opcode.ADDI: _alu_imm(operator.add),
+    Opcode.ANDI: _alu_imm(lambda a, imm: a & (imm & 0xFFFF)),
+    Opcode.ORI: _alu_imm(lambda a, imm: a | (imm & 0xFFFF)),
+    Opcode.XORI: _alu_imm(lambda a, imm: a ^ (imm & 0xFFFF)),
+    Opcode.SLLI: _alu_imm(lambda a, imm: a << (imm & 31)),
+    Opcode.SRLI: _alu_imm(lambda a, imm: (a & _MASK32) >> (imm & 31)),
+    Opcode.SRAI: _alu_imm(lambda a, imm: _signed(a) >> (imm & 31)),
+    Opcode.SLTI: _alu_imm(lambda a, imm: int(_signed(a) < imm)),
+    Opcode.LUI: _lui,
+    **{opcode: _load for opcode in LOAD_SIZES},
+    **{opcode: _store for opcode in STORE_SIZES},
+    Opcode.BEQ: _branch(operator.eq),
+    Opcode.BNE: _branch(operator.ne),
+    Opcode.BLT: _branch(lambda a, b: _signed(a) < _signed(b)),
+    Opcode.BGE: _branch(lambda a, b: _signed(a) >= _signed(b)),
+    Opcode.BLTU: _branch(lambda a, b: (a & _MASK32) < (b & _MASK32)),
+    Opcode.BGEU: _branch(lambda a, b: (a & _MASK32) >= (b & _MASK32)),
+    Opcode.JAL: _jal,
+    Opcode.JALR: _jalr,
+    Opcode.NOP: _fall_through(lambda cpu, regs, ins: None),
+    Opcode.HALT: _fall_through(
+        lambda cpu, regs, ins: cpu.halt(exit_code=regs[3])
+    ),
+    Opcode.SYSCALL: _fall_through(_syscall),
+    Opcode.STRF: _fall_through(
+        lambda cpu, regs, ins: cpu.latch_port.set_trf(regs[ins.rs1])
+    ),
+    Opcode.STNT: _fall_through(
+        lambda cpu, regs, ins: cpu.latch_port.set_taint(
+            regs[ins.rs1], regs[ins.rs2]
+        )
+    ),
+    Opcode.LTNT: _fall_through(_ltnt),
 }
 
-_ALU_IMM_OPS = {
-    Opcode.ADDI: lambda a, imm: a + imm,
-    Opcode.ANDI: lambda a, imm: a & (imm & 0xFFFF),
-    Opcode.ORI: lambda a, imm: a | (imm & 0xFFFF),
-    Opcode.XORI: lambda a, imm: a ^ (imm & 0xFFFF),
-    Opcode.SLLI: lambda a, imm: a << (imm & 31),
-    Opcode.SRLI: lambda a, imm: (a & _MASK32) >> (imm & 31),
-    Opcode.SRAI: lambda a, imm: _signed(a) >> (imm & 31),
-    Opcode.SLTI: lambda a, imm: int(_signed(a) < imm),
-}
+#: Opcodes that always take the per-step path: they call out of the
+#: machine (devices, LATCH port) or stop it.
+_PER_STEP_OPCODES = frozenset({
+    Opcode.SYSCALL, Opcode.HALT, Opcode.STRF, Opcode.STNT, Opcode.LTNT,
+})
 
-_LOAD_OPS = {
-    Opcode.LB: (1, True),
-    Opcode.LBU: (1, False),
-    Opcode.LH: (2, True),
-    Opcode.LHU: (2, False),
-    Opcode.LW: (4, False),
-}
-
-_STORE_OPS = {Opcode.SB: 1, Opcode.SH: 2, Opcode.SW: 4}
-
-_BRANCH_OPS = {
-    Opcode.BEQ: lambda a, b: a == b,
-    Opcode.BNE: lambda a, b: a != b,
-    Opcode.BLT: lambda a, b: _signed(a) < _signed(b),
-    Opcode.BGE: lambda a, b: _signed(a) >= _signed(b),
-    Opcode.BLTU: lambda a, b: (a & _MASK32) < (b & _MASK32),
-    Opcode.BGEU: lambda a, b: (a & _MASK32) >= (b & _MASK32),
-}

@@ -93,10 +93,17 @@ class Observer:
     All hooks default to no-ops so subclasses override only what they
     need.  Observers are invoked synchronously at commit time, in the
     order they were attached.
+
+    An observer sees a :class:`StepEvent` for every committed
+    instruction unless it opts into quiet stretches by returning a
+    snapshot from :meth:`quiet_snapshot`.  The default returns ``None``,
+    so DIFT engines, recorders and collectors see every step.  The CPU
+    takes quiet stretches only while a single observer is attached: a
+    second observer always forces the per-step path.
     """
 
     def on_step(self, event: StepEvent) -> None:
-        """Called after every committed instruction."""
+        """Called after every committed instruction outside quiet stretches."""
 
     def on_input(self, event: InputEvent) -> None:
         """Called when a syscall writes external data into memory."""
@@ -106,3 +113,20 @@ class Observer:
 
     def on_halt(self, step_index: int) -> None:
         """Called once when the program halts."""
+
+    def quiet_snapshot(self):
+        """Which instructions this observer may skip, or ``None`` for none.
+
+        A snapshot is ``(register_mask, memory_probe)``: the CPU may
+        commit instructions without events as long as none reads or
+        writes a register in ``register_mask`` (bit r = register r) and,
+        for a memory operand, ``memory_probe(address, size)`` is false
+        (``None`` means never true).  The observer must guarantee that
+        :meth:`on_step` would do nothing for such an instruction beyond
+        what :meth:`on_quiet` accounts, and that the snapshot stays
+        valid until its next hook call.
+        """
+        return None
+
+    def on_quiet(self, count: int) -> None:
+        """Called once after ``count`` instructions committed quietly."""

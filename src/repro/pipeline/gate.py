@@ -88,3 +88,29 @@ class LatchGate:
                 return True
         self.stats.suppressed += 1
         return False
+
+    # -------------------------------------------------------------- quiet
+
+    def quiet_snapshot(self):
+        """The gate's inputs, frozen, for a quiet stretch.
+
+        Returns ``(register_mask, memory_probe)`` in the sense of
+        :meth:`repro.machine.events.Observer.quiet_snapshot`.  An
+        instruction that uses no register in the TRF mask and whose
+        memory operand the probe clears is one :meth:`admit` would
+        suppress.  Gates that must see every event (test oracles
+        overriding :meth:`memory_flags`) return ``None`` instead.
+        """
+        tainted = self.latch.ctt.any_domain_tainted
+        probe = tainted
+        if len(self.pending):
+            covers = self.pending.covers
+
+            def probe(address: int, size: int) -> bool:
+                return tainted(address, size) or covers(address, size)
+        return self.latch.trf.register_mask(), probe
+
+    def suppress(self, count: int) -> None:
+        """Account ``count`` instructions suppressed in a quiet stretch."""
+        self.stats.steps += count
+        self.stats.suppressed += count

@@ -11,7 +11,9 @@ step of ``cycles`` producer cycles carrying ``events`` events:
   capacity — the excess above capacity is producer stall time.
 
 This is the only copy of the recursion in the tree.  The streaming
-pipeline steps it once per committed instruction (``cycles=1``), and
+pipeline steps it once per committed instruction (``cycles=1``) or
+once per quiet stretch of n suppressed instructions (``commit(0, n)``,
+bit-identical to n single steps), and
 :class:`repro.platch.queue_sim.TwoCoreQueueSimulator` (Figure 15)
 steps it once per epoch (``cycles`` = epoch length).
 """

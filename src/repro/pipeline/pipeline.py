@@ -5,6 +5,9 @@ into stages that each do one thing:
 
 1. **Produce** — the monitored :class:`repro.machine.CPU` commits
    instructions; each :class:`StepEvent` is gated as it commits.
+   Instructions the gate would suppress commit in quiet stretches
+   without events (:meth:`StreamingPipeline.quiet_snapshot`,
+   :meth:`StreamingPipeline.on_quiet`; ``docs/PIPELINE.md``).
    Taint-source/sink syscalls (INPUT/OUTPUT) enter the queue as ordered
    control events, so the asynchronous consumer replays sources, sinks,
    and stores in exact commit order.
@@ -157,6 +160,34 @@ class StreamingPipeline(Observer):
         self._carried_events = 0
         if len(self.queue) >= self.config.drain_batch:
             self.drain(self.config.drain_batch)
+
+    def quiet_snapshot(self):
+        """The gate's snapshot while a suppressed step would be inert.
+
+        A suppressed :meth:`on_step` only counts and advances the stall
+        model by one idle cycle, provided no control event is waiting
+        to be charged and the queue is below the drain threshold.  The
+        gate's inputs (TRF, CTT, pending FIFO) change only in an
+        admitted :meth:`on_step`, in :meth:`drain` and in
+        :meth:`on_input`/:meth:`on_output`, so the snapshot holds for
+        the whole quiet stretch.
+        """
+        if self._carried_events or len(self.queue) >= self.config.drain_batch:
+            return None
+        return self.gate.quiet_snapshot()
+
+    def on_quiet(self, count: int) -> None:
+        """Account ``count`` gate-suppressed instructions in bulk.
+
+        ``model.commit(0, count)`` equals ``count`` calls of
+        ``commit(0)`` bit for bit: the backlog only falls, and a
+        binary64 backlog below 2**53 minus an integer no larger than it
+        is exact.
+        """
+        self.stats.instructions += count
+        self.stats.suppressed += count
+        self.gate.suppress(count)
+        self.model.commit(0, count)
 
     def on_input(self, event: InputEvent) -> None:
         """Queue the taint source in sequence with neighbouring steps.

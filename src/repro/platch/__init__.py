@@ -26,19 +26,11 @@ The running two-core system is :class:`repro.pipeline.StreamingPipeline`,
 which gates each instruction as it commits.
 """
 
-from repro.platch.lba import LBA_OPTIMIZED, LBA_SIMPLE, LbaParameters
-from repro.platch.model import PLatchReport, analytic_platch
-from repro.platch.pending import PendingEntry, PendingUpdateTracker
-from repro.platch.queue_sim import QueueReport, TwoCoreQueueSimulator
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "LBA_OPTIMIZED",
-    "LBA_SIMPLE",
-    "LbaParameters",
-    "PLatchReport",
-    "PendingEntry",
-    "PendingUpdateTracker",
-    "QueueReport",
-    "TwoCoreQueueSimulator",
-    "analytic_platch",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.platch.lba": ("LBA_OPTIMIZED", "LBA_SIMPLE", "LbaParameters"),
+    "repro.platch.model": ("PLatchReport", "analytic_platch"),
+    "repro.platch.pending": ("PendingEntry", "PendingUpdateTracker"),
+    "repro.platch.queue_sim": ("QueueReport", "TwoCoreQueueSimulator"),
+})

@@ -281,6 +281,32 @@ def _check_offsets(handle: ColumnarFile, steps: int) -> None:
             )
 
 
+def _check_accesses(handle: ColumnarFile) -> None:
+    """The ``accesses`` section must be an (N, 2) integer table."""
+    accesses = handle.array("accesses")
+    if accesses.dtype.kind not in "iu" or accesses.ndim != 2 \
+            or accesses.shape[1] != 2:
+        raise handle._fail(
+            f"accesses is not an (N, 2) integer table (shape "
+            f"{accesses.shape}, dtype {accesses.dtype})"
+        )
+
+
+def _check_inputs(handle: ColumnarFile, inputs, data_size: int) -> None:
+    """Every input payload must lie inside the ``data`` section."""
+    if not inputs.size:
+        return
+    start = inputs["data_off"]
+    length = inputs["data_len"]
+    bad = (start < 0) | (length < 0) | (length > data_size - start)
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise handle._fail(
+            f"input {row} payload [{int(start[row])}, +{int(length[row])}) "
+            f"lies outside the {data_size}-byte data section"
+        )
+
+
 def iter_events(
     source: Union[PathLike, bytes, ColumnarFile]
 ) -> Iterator[Union[StepEvent, InputEvent, OutputEvent]]:
@@ -294,7 +320,10 @@ def iter_events(
     inputs = handle.array("inputs")
     outputs = handle.array("outputs")
     pool = _checked_pool(handle, inputs, outputs)
+    _check_accesses(handle)
     _check_offsets(handle, len(steps))
+    data = handle.array("data").tobytes()
+    _check_inputs(handle, inputs, len(data))
     regs_read = handle.array("regs_read")
     regs_written = handle.array("regs_written")
     # Register ids index fixed-size register files downstream, opcodes
@@ -320,7 +349,6 @@ def iter_events(
     accesses = handle.array("accesses").tolist()
     reads_off = handle.array("reads_offsets").tolist()
     writes_off = handle.array("writes_offsets").tolist()
-    data = handle.array("data").tobytes()
 
     def step_at(row: int) -> StepEvent:
         record = steps[row]

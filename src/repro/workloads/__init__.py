@@ -17,59 +17,22 @@ Real toy-ISA *programs* for examples and integration tests live in
 :mod:`~repro.workloads.programs` and :mod:`~repro.workloads.attacks`.
 """
 
-from repro.workloads.trace import AccessTrace, Epoch, EpochStream, TaintLayout
-from repro.workloads.profiles import (
-    NETWORK_PROFILES,
-    SPEC_PROFILES,
-    WorkloadProfile,
-    all_profiles,
-    get_profile,
-)
-from repro.workloads.generator import WorkloadGenerator
-from repro.workloads.engines import (
-    SERVICE_PROFILES,
-    SERVICE_SUITE,
-    DynamicWorkload,
-    ImageLoadWorkload,
-    KeyValueWorkload,
-    Phase,
-    PhaseSchedule,
-    RequestParseWorkload,
-    ServiceWorkload,
-    TraceReplayWorkload,
-    bursty_schedule,
-    characterize,
-    diurnal_schedule,
-    engine_schedule,
-    make_generator,
-    storm_schedule,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AccessTrace",
-    "DynamicWorkload",
-    "Epoch",
-    "EpochStream",
-    "ImageLoadWorkload",
-    "KeyValueWorkload",
-    "NETWORK_PROFILES",
-    "Phase",
-    "PhaseSchedule",
-    "RequestParseWorkload",
-    "SERVICE_PROFILES",
-    "SERVICE_SUITE",
-    "SPEC_PROFILES",
-    "ServiceWorkload",
-    "TaintLayout",
-    "TraceReplayWorkload",
-    "WorkloadGenerator",
-    "WorkloadProfile",
-    "all_profiles",
-    "bursty_schedule",
-    "characterize",
-    "diurnal_schedule",
-    "engine_schedule",
-    "get_profile",
-    "make_generator",
-    "storm_schedule",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.workloads.trace": (
+        "AccessTrace", "Epoch", "EpochStream", "TaintLayout",
+    ),
+    "repro.workloads.profiles": (
+        "NETWORK_PROFILES", "SPEC_PROFILES", "WorkloadProfile",
+        "all_profiles", "get_profile",
+    ),
+    "repro.workloads.generator": ("WorkloadGenerator",),
+    "repro.workloads.engines": (
+        "SERVICE_PROFILES", "SERVICE_SUITE", "DynamicWorkload",
+        "ImageLoadWorkload", "KeyValueWorkload", "Phase", "PhaseSchedule",
+        "RequestParseWorkload", "ServiceWorkload", "TraceReplayWorkload",
+        "bursty_schedule", "characterize", "diurnal_schedule",
+        "engine_schedule", "make_generator", "storm_schedule",
+    ),
+})

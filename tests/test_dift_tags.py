@@ -220,3 +220,33 @@ class TestTaintRegisterFile:
             trf.taint(register)
         trf.clear_all()
         assert trf.tainted_registers() == ()
+
+    @given(st.lists(st.tuples(
+        st.sampled_from(["set", "taint", "clear", "load_mask",
+                         "load_register_mask", "clear_all"]),
+        st.integers(min_value=0, max_value=15),
+        st.binary(max_size=6),
+        st.integers(min_value=0, max_value=(1 << 64) - 1),
+    ), max_size=40))
+    def test_register_view_tracks_every_write(self, operations):
+        # register_mask / is_tainted / any_tainted read a bitmask kept
+        # up to date on each write; it must match the tag bytes.
+        trf = TaintRegisterFile()
+        for name, register, tags, mask in operations:
+            if name == "set":
+                trf.set(register, tags)
+            elif name == "taint":
+                trf.taint(register, tag=mask & 1)
+            elif name == "clear":
+                trf.clear(register)
+            elif name == "load_mask":
+                trf.load_mask(mask)
+            elif name == "load_register_mask":
+                trf.load_register_mask(mask & 0xFFFF)
+            else:
+                trf.clear_all()
+            live = [r for r in range(16) if any(trf.get(r))]
+            assert trf.register_mask() == sum(1 << r for r in live)
+            assert [r for r in range(16) if trf.is_tainted(r)] == live
+            assert trf.tainted_registers() == tuple(live)
+            assert trf.any_tainted(range(16)) == bool(live)

@@ -1,0 +1,63 @@
+"""Package exports resolve lazily, so the live path never loads numpy.
+
+``repro``, ``repro.machine``, ``repro.workloads`` and ``repro.platch``
+re-export names from submodules that import numpy.  Resolving the
+exports on first access keeps importing (and running) the live path —
+CPU, pipeline, DIFT engine, wire protocol, toy programs — numpy-free.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import repro
+import repro.machine
+import repro.platch
+import repro.workloads
+
+ROOT = Path(__file__).resolve().parent.parent
+
+LIVE_PATH = """
+import sys
+import repro.pipeline, repro.dift.engine, repro.serve.protocol
+import repro.workloads.programs
+assert 'numpy' not in sys.modules, 'numpy imported by the live path'
+from repro.pipeline import StreamingPipeline
+from repro.serve.protocol import canonical_signature
+cpu = repro.workloads.programs.phased_compute(clean_iterations=50).make_cpu()
+pipeline = StreamingPipeline(cpu)
+pipeline.run()
+canonical_signature(pipeline.engine)
+assert 'numpy' not in sys.modules, 'numpy imported by a monitored run'
+"""
+
+
+def test_live_path_imports_and_runs_without_numpy():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", LIVE_PATH],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize(
+    "package", [repro, repro.machine, repro.platch, repro.workloads],
+    ids=lambda package: package.__name__,
+)
+def test_every_export_resolves(package):
+    for name in package.__all__:
+        assert getattr(package, name) is not None
+        assert name in dir(package)
+    with pytest.raises(AttributeError, match="no attribute 'missing'"):
+        getattr(package, "missing")
+
+
+def test_star_import_and_from_import():
+    namespace = {}
+    exec("from repro import *", namespace)
+    assert set(repro.__all__) <= set(namespace)
+    from repro import CPU, DIFTEngine, simulate_slatch  # noqa: F401

@@ -172,6 +172,42 @@ class TestEventsAndObservers:
         assert set(event.regs_read) == {1, 2}
         assert event.next_pc == event.pc + 4
 
+    def test_register_use_per_opcode(self):
+        # regs_read / regs_written are fixed by the encoding: a link
+        # register is reported only when it is not r0, and SYSCALL
+        # reports its fixed argument/result registers.
+        program = assemble(
+            "add r3, r1, r2\naddi r3, r1, 5\nlui r3, 1\n"
+            "lw r3, 0(r2)\nsw r4, 0(r2)\nbeq r1, r2, next\n"
+            "next: jal r0, j1\nj1: jal ra, j2\nj2: lui r6, 0\n"
+            "jalr r0, 0(r6)\n"
+        )
+        expected = [
+            ((1, 2), (3,)), ((1,), (3,)), ((), (3,)), ((2,), (3,)),
+            ((2, 4), ()), ((1, 2), ()), ((), ()), ((), (1,)), ((), (6,)),
+            ((6,), ()),
+        ]
+        cpu = CPU(program)
+        cpu.registers[2] = 0x3000
+        events = [cpu.step() for _ in expected]
+        assert [(e.regs_read, e.regs_written) for e in events] == expected
+        assert [len(e.reads) for e in events][3] == 1
+        assert [len(e.writes) for e in events][4] == 1
+        assert all(e.syscall_number is None for e in events)
+
+        cpu = CPU(assemble(
+            "strf r1\nstnt r1, r2\nltnt r3\njalr ra, 0(r1)\n"
+            "addi r3, r0, 9\nsyscall\nnop\nhalt"
+        ))
+        cpu.registers[1] = cpu.pc + 16
+        events = [cpu.step() for _ in range(8)]
+        assert [(e.regs_read, e.regs_written) for e in events] == [
+            ((1,), ()), ((1, 2), ()), ((), (3,)), ((1,), (1,)),
+            ((0,), (3,)), ((3, 4, 5, 6), (3,)), ((), ()), ((), ()),
+        ]
+        assert events[5].syscall_number == 9
+        assert cpu.halted
+
     def test_branch_event_next_pc(self):
         cpu = CPU(assemble("beq r0, r0, target\nnop\ntarget: halt"))
         event = cpu.step()

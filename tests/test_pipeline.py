@@ -73,6 +73,9 @@ class CheckStepGate(LatchGate):
         check = self.latch.check_step(event)
         return any(result.coarse_tainted for result in check.memory_results)
 
+    def quiet_snapshot(self):
+        return None  # an oracle sees every event
+
 
 def attach_pipeline(cpu, policy_factory=None, gate="vector",
                     latch_config=None, **config_kwargs):
@@ -214,6 +217,9 @@ class OracleGate(LatchGate):
         return oracle_memory_flag(
             self.latch.ctt, self.latch.config.domain_size, event
         )
+
+    def quiet_snapshot(self):
+        return None  # an oracle sees every event
 
 
 class _Collector(Observer):

@@ -206,9 +206,11 @@ _start:
     @pytest.mark.parametrize("forgery", [
         "missing-offset", "missing-dtype", "missing-shape",
         "entry-not-an-object",
-        # Intact directory, hostile contents: the string pool and the
-        # CSR offsets are checked before the first event.
+        # Intact directory, hostile contents: the string pool, the CSR
+        # offsets, the access table's shape and the input payload bounds
+        # are checked before the first event.
         "strings-not-a-list", "strings-empty", "reads-offsets-short",
+        "accesses-1d", "input-past-data",
     ])
     def test_forged_directory_answers_job_error(self, forgery):
         # The directory checksum matches, so only the per-entry checks

@@ -460,6 +460,27 @@ def _short_reads_offsets(recorder):
     return recorder.to_bytes()
 
 
+def _forge_arrays(edit):
+    """Re-encode a recording after ``edit(arrays)``: fresh checksums."""
+    def forge(recorder):
+        arrays = recorder._arrays()
+        edit(arrays)
+        return to_bytes(EVENT_KIND, arrays, recorder._meta())
+    return forge
+
+
+def _flatten_accesses(arrays):
+    arrays["accesses"] = arrays["accesses"].ravel()
+
+
+def _input_past_data(arrays):
+    arrays["inputs"]["data_off"][0] = 10**6
+
+
+def _negative_input_length(arrays):
+    arrays["inputs"]["data_len"][0] = -1
+
+
 #: Event traces with an intact directory and checksums whose contents a
 #: decoder still must not trust, with the problem each must report.
 HOSTILE_EVENT_TRACES = {
@@ -472,11 +493,22 @@ HOSTILE_EVENT_TRACES = {
     "reads-offsets-short": (
         _short_reads_offsets, "reads_offsets is not",
     ),
+    "accesses-1d": (
+        _forge_arrays(_flatten_accesses), r"accesses is not an \(N, 2\)",
+    ),
+    "input-past-data": (
+        _forge_arrays(_input_past_data), "outside the .*-byte data section",
+    ),
+    "input-negative-length": (
+        _forge_arrays(_negative_input_length),
+        "outside the .*-byte data section",
+    ),
 }
 
 
 class TestHostileEventContents:
-    """Pool and CSR offsets are validated before the first event, so a
+    """Pool, CSR offsets, the access table and input payload bounds are
+    validated before the first event, so a
     hostile trace is a :class:`StorageFormatError` naming the file, not
     a bare ``TypeError``/``IndexError`` from deep in the decoder."""
 
