@@ -298,7 +298,12 @@ class Assembler:
     def _pass_two(self) -> List[Instruction]:
         instructions = []
         for statement in self._statements:
-            instructions.append(self._build(statement))
+            instruction = self._build(statement)
+            try:
+                instruction.validate()
+            except ValueError as exc:
+                raise AssemblyError(str(exc), statement.line_number) from exc
+            instructions.append(instruction)
         return instructions
 
     def _resolve(self, token: str, statement: _Statement) -> int:

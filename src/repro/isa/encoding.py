@@ -15,10 +15,9 @@ I-format immediates are sign-extended, except for the logical
 ``andi``/``ori``/``xori``, whose immediate is zero-extended (0..0xFFFF,
 so ``lui`` + ``ori`` can build any 32-bit constant).  To keep decode
 trivial, formats that carry both ``rs2`` and a 16-bit immediate (S and
-B) narrow the immediate to 12 bits (bits 11..0), sign-extended.  The
-assembler range-checks accordingly via
-:meth:`repro.isa.instructions.Instruction.validate` plus the stricter
-12-bit check here.
+B) narrow the immediate to 12 bits (bits 11..0), sign-extended.
+:meth:`repro.isa.instructions.Instruction.validate` holds every range
+check, so an instruction encodes exactly when it validates.
 """
 
 from __future__ import annotations
@@ -43,8 +42,14 @@ def _sign_extend(value: int, bits: int) -> int:
 
 
 def encode(instruction: Instruction) -> int:
-    """Encode a decoded instruction into its 32-bit word."""
-    instruction.validate()
+    """Encode a decoded instruction into its 32-bit word.
+
+    Raises :class:`EncodingError` when the instruction does not validate.
+    """
+    try:
+        instruction.validate()
+    except ValueError as error:
+        raise EncodingError(str(error)) from error
     opcode = int(instruction.opcode) & 0xFF
     fmt = instruction.format
     rd = instruction.rd or 0
@@ -57,27 +62,16 @@ def encode(instruction: Instruction) -> int:
     elif fmt == Format.I:
         word = (opcode << 24) | (rd << 20) | (rs1 << 16) | (imm & 0xFFFF)
     elif fmt in (Format.S, Format.B):
-        if not -(1 << 11) <= imm < (1 << 11):
-            raise EncodingError(
-                f"{fmt.value}-format immediate {imm} does not fit in 12 bits"
-            )
         # rs2 is stored in the rd slot (bits 23..20) so the immediate can
         # occupy bits 11..0.
         word = (opcode << 24) | (rs2 << 20) | (rs1 << 16) | (imm & 0xFFF)
     elif fmt == Format.J:
-        if not -(1 << 25) <= imm < (1 << 25):
-            raise EncodingError(f"J-format immediate {imm} does not fit")
         # J-format: opcode 31..24, rd 23..20, imm20 in 19..0 scaled by 4.
-        if imm % 4 != 0:
-            raise EncodingError("jump offsets must be 4-byte aligned")
-        scaled = imm >> 2
-        if not -(1 << 19) <= scaled < (1 << 19):
-            raise EncodingError(f"J-format offset {imm} out of 20-bit range")
-        word = (opcode << 24) | ((rd & 0xF) << 20) | (scaled & 0xFFFFF)
+        word = (opcode << 24) | (rd << 20) | ((imm >> 2) & 0xFFFFF)
     elif fmt == Format.U:
         word = (opcode << 24) | (rd << 20) | (imm & 0xFFFF)
     elif fmt == Format.N:
-        word = (opcode << 24) | ((rs1 if instruction.rs1 is not None else 0) << 16)
+        word = (opcode << 24) | (rs1 << 16)
     else:  # pragma: no cover - formats are exhaustive
         raise EncodingError(f"unknown format {fmt}")
     return word & _MASK32

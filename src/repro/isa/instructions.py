@@ -330,35 +330,51 @@ class Instruction:
         return tuple(regs)
 
     def validate(self) -> None:
-        """Check field consistency against the instruction's format.
+        """Check that the instruction is exactly representable in 32 bits.
 
-        Raises :class:`ValueError` on malformed instructions (e.g. an
-        R-format instruction with a missing source register).  The encoder
-        calls this before emitting bits.
+        Raises :class:`ValueError` on malformed instructions: a register
+        field the format requires is missing or out of range, a field
+        the format does not carry is set, or the immediate does not fit
+        its encoded field (16 bits for I/U, 12 for S/B, a 4-byte-aligned
+        20-bit word offset for J).  Every instruction that validates
+        encodes and decodes back to itself.
         """
         fmt = self.format
-        for name in required_registers(self.opcode):
-            if getattr(self, name) is None:
-                raise ValueError(
-                    f"{self.opcode.name} ({fmt.value}-format) requires {name}"
-                )
+        required = required_registers(self.opcode)
         for name in ("rd", "rs1", "rs2"):
             value = getattr(self, name)
-            if value is not None and not 0 <= value < REGISTER_COUNT:
+            if value is None:
+                if name in required:
+                    raise ValueError(
+                        f"{self.opcode.name} ({fmt.value}-format) "
+                        f"requires {name}"
+                    )
+            elif name not in required:
+                raise ValueError(f"{self.opcode.name} takes no {name}")
+            elif not 0 <= value < REGISTER_COUNT:
                 raise ValueError(f"{name}={value} out of range")
+        imm = self.imm
         if fmt == Format.J:
-            if not -(1 << 25) <= self.imm < (1 << 25):
-                raise ValueError(f"J-format immediate {self.imm} out of range")
-        elif self.opcode in LOGICAL_IMM_OPCODES:
-            if not 0 <= self.imm < (1 << 16):
+            if imm % 4 or not -(1 << 21) <= imm < (1 << 21):
                 raise ValueError(
-                    f"{self.opcode.name} immediate {self.imm} out of range"
+                    f"J-format offset {imm} is not a 4-byte-aligned "
+                    "20-bit word offset"
                 )
-        elif fmt in (Format.I, Format.S, Format.B):
-            if not -(1 << 15) <= self.imm < (1 << 15):
+        elif fmt in (Format.S, Format.B):
+            if not -(1 << 11) <= imm < (1 << 11):
                 raise ValueError(
-                    f"{fmt.value}-format immediate {self.imm} out of range"
+                    f"{fmt.value}-format immediate {imm} does not fit "
+                    "in 12 bits"
                 )
-        elif fmt == Format.U:
-            if not 0 <= self.imm < (1 << 16):
-                raise ValueError(f"U-format immediate {self.imm} out of range")
+        elif self.opcode in LOGICAL_IMM_OPCODES or fmt == Format.U:
+            if not 0 <= imm < (1 << 16):
+                raise ValueError(
+                    f"{self.opcode.name} immediate {imm} out of range"
+                )
+        elif fmt == Format.I and self.opcode != Opcode.LTNT:
+            if not -(1 << 15) <= imm < (1 << 15):
+                raise ValueError(
+                    f"I-format immediate {imm} out of range"
+                )
+        elif imm:
+            raise ValueError(f"{self.opcode.name} takes no immediate")

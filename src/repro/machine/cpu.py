@@ -1,11 +1,19 @@
 """Fetch/decode/execute CPU for the toy ISA.
 
+The static half of a committed step — the instruction, its
+``regs_read`` / ``regs_written``, and its memory operand's kind and size
+(what the paper's extraction logic derives at decode, Figure 7) — is a
+pure function of the 32-bit instruction word, computed in one place:
+:func:`decode_word`.  :func:`step_event` rebuilds a whole
+:class:`~repro.machine.events.StepEvent` from a step's dynamic fields
+(pc, word, address, next pc, syscall number); the wire codec and the
+``.ltrace`` event-trace decoder both build their events through it.
+
 Each :class:`~repro.isa.program.Program` is decoded once into a per-pc
 table (:func:`decode_program`).  An entry holds a handler that executes
-the instruction and returns the next pc, the static ``regs_read`` /
-``regs_written`` tuples with their register bitmasks (what the paper's
-extraction logic derives at decode, Figure 7), and the memory operand's
-kind and size.  Instruction semantics live only in those handlers.
+the instruction and returns the next pc, plus the word's static facts
+with their register bitmasks.  Instruction semantics live only in those
+handlers.
 
 :meth:`CPU.step` commits one instruction and notifies attached
 observers with a :class:`~repro.machine.events.StepEvent` describing the
@@ -30,9 +38,11 @@ any particular LATCH implementation.
 
 from __future__ import annotations
 
+import functools
 import operator
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.isa.encoding import EncodingError, decode, encode
 from repro.isa.instructions import (
     JUMP_OPCODES,
     LOAD_SIZES,
@@ -95,19 +105,98 @@ LOAD = "load"
 STORE = "store"
 
 
+#: Distinct words (and instructions) whose decode is kept.  A client
+#: of the service may send any number of distinct words, so the caches
+#: are bounded; every in-repo program uses far fewer.
+_DECODE_CACHE_SIZE = 4096
+
+
+# ``typed``: ``True`` and ``1.0`` must not hit the entry for word 1.
+@functools.lru_cache(maxsize=_DECODE_CACHE_SIZE, typed=True)
+def decode_word(word: int) -> Tuple[
+    Instruction, Tuple[int, ...], Tuple[int, ...], Optional[str], int
+]:
+    """``(instruction, regs_read, regs_written, memory, size)`` of ``word``.
+
+    The one owner of a step's static half.  ``regs_read`` /
+    ``regs_written`` are the registers a committed :class:`StepEvent`
+    reports (SYSCALL's are the fixed ``(3, 4, 5, 6)`` / ``(3,)``);
+    ``memory`` is ``LOAD``, ``STORE`` or ``None`` and ``size`` the
+    access size in bytes (0 without a memory operand).
+
+    Raises :class:`~repro.isa.encoding.EncodingError` unless ``word`` is
+    an int in ``[0, 2**32)`` whose opcode byte decodes.
+    """
+    if type(word) is not int or not 0 <= word <= _MASK32:
+        raise EncodingError(f"instruction word {word!r} is not a u32")
+    instruction = decode(word)
+    op = instruction.opcode
+    memory = LOAD if op in LOAD_SIZES else STORE if op in STORE_SIZES else None
+    return (instruction, *_register_use(instruction), memory,
+            instruction.memory_size)
+
+
+@functools.lru_cache(maxsize=_DECODE_CACHE_SIZE)
+def instruction_word(instruction: Instruction) -> int:
+    """The 32-bit word of ``instruction`` (inverse of :func:`decode_word`)."""
+    return encode(instruction)
+
+
+def step_event(
+    index: int,
+    pc: int,
+    word: int,
+    address: Optional[int],
+    next_pc: int,
+    syscall_number: Optional[int],
+) -> StepEvent:
+    """A committed step rebuilt from its dynamic fields.
+
+    ``address`` must be given exactly when the word's opcode accesses
+    memory, as an int in ``[0, 2**32)``; the access size and direction
+    come from the opcode alone.  Raises :class:`ValueError` (an
+    :class:`~repro.isa.encoding.EncodingError` for a bad word) on a
+    record the CPU could not have committed.
+    """
+    instruction, regs_read, regs_written, memory, size = decode_word(word)
+    reads: tuple = ()
+    writes: tuple = ()
+    if memory is None:
+        if address is not None:
+            raise ValueError(
+                f"{instruction.opcode.name} step carries an address"
+            )
+    elif type(address) is not int or not 0 <= address <= _MASK32:
+        raise ValueError(
+            f"{instruction.opcode.name} step needs a u32 address, "
+            f"got {address!r}"
+        )
+    elif memory == STORE:
+        writes = (MemoryAccess(address, size, is_write=True),)
+    else:
+        reads = (MemoryAccess(address, size, is_write=False),)
+    return StepEvent(
+        index=index,
+        pc=pc,
+        instruction=instruction,
+        regs_read=regs_read,
+        regs_written=regs_written,
+        reads=reads,
+        writes=writes,
+        next_pc=next_pc,
+        syscall_number=syscall_number,
+    )
+
+
 class DecodedInstruction:
     """One text slot, decoded once: handler plus static operand facts.
 
     Attributes:
         instruction: the instruction itself.
-        execute: ``execute(cpu, registers)`` runs it and returns the
-            next pc.
-        regs_read / regs_written: the registers the committed
-            :class:`StepEvent` reports (SYSCALL's are the fixed
-            ``(3, 4, 5, 6)`` / ``(3,)``).
+        execute: ``execute(cpu, registers) -> next_pc`` runs it.
+        regs_read / regs_written / memory / size: its word's static
+            facts (see :func:`decode_word`).
         read_mask / write_mask: the same registers as bitmasks.
-        memory: ``LOAD``, ``STORE`` or ``None``.
-        size: memory access size in bytes (0 without a memory operand).
     """
 
     __slots__ = (
@@ -116,19 +205,13 @@ class DecodedInstruction:
     )
 
     def __init__(self, instruction: Instruction, pc: int) -> None:
-        op = instruction.opcode
         self.instruction = instruction
-        self.execute: Handler = _SEMANTICS[op](instruction, pc)
-        self.memory: Optional[str] = (
-            LOAD if op in LOAD_SIZES else STORE if op in STORE_SIZES
-            else None
+        self.execute: Handler = _SEMANTICS[instruction.opcode](instruction, pc)
+        _, self.regs_read, self.regs_written, self.memory, self.size = (
+            decode_word(instruction_word(instruction))
         )
-        self.size = instruction.memory_size
-        reads, writes = _register_use(instruction)
-        self.regs_read: Tuple[int, ...] = reads
-        self.regs_written: Tuple[int, ...] = writes
-        self.read_mask = _bits(reads)
-        self.write_mask = _bits(writes)
+        self.read_mask = _bits(self.regs_read)
+        self.write_mask = _bits(self.regs_written)
 
 
 class DecodedProgram:

@@ -23,80 +23,28 @@ service (ROADMAP item: *serving*):
 See docs/SERVICE.md for the executable walkthrough.
 """
 
-from repro.serve.admission import (
-    AdmissionController,
-    InFlightTable,
-    RetryAdvice,
-    Slot,
-)
-from repro.serve.client import (
-    AsyncServeClient,
-    DecorrelatedBackoff,
-    RetryExhausted,
-    ServeClient,
-    ServeError,
-    ServedResult,
-    TraceRecorder,
-    fetch_telemetry,
-    local_reference,
-    record_trace,
-)
-from repro.serve.protocol import (
-    MAX_FRAME_BYTES,
-    PROTOCOL_VERSION,
-    FrameDecoder,
-    ProtocolError,
-    canonical_json,
-    canonical_signature,
-)
-from repro.serve.ratelimit import TokenBucket, backoff_hint_ms
-from repro.serve.server import (
-    ServeConfig,
-    ServerThread,
-    TaintServer,
-    running_server,
-)
-from repro.serve.session import JobRunner, StreamSession
-from repro.serve.tenant import (
-    TenantDirectory,
-    TenantLimits,
-    TenantNameError,
-    TenantState,
-    validate_tenant_name,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AdmissionController",
-    "AsyncServeClient",
-    "DecorrelatedBackoff",
-    "FrameDecoder",
-    "InFlightTable",
-    "JobRunner",
-    "MAX_FRAME_BYTES",
-    "PROTOCOL_VERSION",
-    "ProtocolError",
-    "RetryAdvice",
-    "RetryExhausted",
-    "ServeClient",
-    "ServeConfig",
-    "ServeError",
-    "ServedResult",
-    "ServerThread",
-    "Slot",
-    "StreamSession",
-    "TaintServer",
-    "TenantDirectory",
-    "TenantLimits",
-    "TenantNameError",
-    "TenantState",
-    "TokenBucket",
-    "TraceRecorder",
-    "backoff_hint_ms",
-    "canonical_json",
-    "canonical_signature",
-    "fetch_telemetry",
-    "local_reference",
-    "record_trace",
-    "running_server",
-    "validate_tenant_name",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.serve.admission": (
+        "AdmissionController", "InFlightTable", "RetryAdvice", "Slot",
+    ),
+    "repro.serve.client": (
+        "AsyncServeClient", "DecorrelatedBackoff", "RetryExhausted",
+        "ServeClient", "ServeError", "ServedResult", "TraceRecorder",
+        "fetch_telemetry", "local_reference", "record_trace",
+    ),
+    "repro.serve.protocol": (
+        "MAX_FRAME_BYTES", "PROTOCOL_VERSION", "FrameDecoder",
+        "ProtocolError", "canonical_json", "canonical_signature",
+    ),
+    "repro.serve.ratelimit": ("TokenBucket", "backoff_hint_ms"),
+    "repro.serve.server": (
+        "ServeConfig", "ServerThread", "TaintServer", "running_server",
+    ),
+    "repro.serve.session": ("JobRunner", "StreamSession"),
+    "repro.serve.tenant": (
+        "TenantDirectory", "TenantLimits", "TenantNameError",
+        "TenantState", "validate_tenant_name",
+    ),
+})

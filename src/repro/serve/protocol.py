@@ -59,12 +59,31 @@ Server → client:
                    ``sample`` (json)
 =================  =====================================================
 
-The event codec serialises the exact observer vocabulary of
+Event codec
+-----------
+
+The codec serialises the exact observer vocabulary of
 :mod:`repro.machine.events` — one dict per ``StepEvent`` /
-``InputEvent`` / ``OutputEvent`` plus a ``halt`` marker — with
-instructions carried as their 32-bit encoded words
-(:mod:`repro.isa.encoding`), so a remote trace rebuilds losslessly and
-the served verdict is bit-identical to a local run.
+``InputEvent`` / ``OutputEvent`` plus a ``halt`` marker — so a remote
+trace rebuilds losslessly and the served verdict is bit-identical to a
+local run.  A step record carries only a step's dynamic fields; its
+registers and access size are derived from the instruction word
+(:func:`repro.machine.cpu.step_event`), never transmitted:
+
+========  ==============================================================
+``k``     ``"s"``
+``i``     dynamic instruction index
+``pc``    instruction address
+``w``     32-bit instruction word (:mod:`repro.isa.encoding`): an int
+          in ``[0, 2**32)`` whose opcode byte decodes
+``a``     data address, present exactly when the opcode is a load or a
+          store: an int in ``[0, 2**32)``
+``np``    pc after the step
+``sy``    syscall number (SYSCALL steps only)
+========  ==============================================================
+
+A record that breaks any of these rules — or any other malformed
+record — is a :class:`ProtocolError`, answered ``code="events"``.
 """
 
 from __future__ import annotations
@@ -74,28 +93,19 @@ import json
 import struct
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.isa.encoding import decode as decode_instruction
-from repro.isa.encoding import encode as encode_instruction
-from repro.isa.instructions import REGISTER_COUNT
-from repro.machine.events import (
-    InputEvent,
-    MemoryAccess,
-    OutputEvent,
-    StepEvent,
-)
+from repro.machine.cpu import instruction_word, step_event
+from repro.machine.events import InputEvent, OutputEvent, StepEvent
 
 #: Protocol revision; ``hello`` carries it and the server refuses
-#: mismatches (a later revision may negotiate instead).
-PROTOCOL_VERSION = 1
+#: mismatches (a later revision may negotiate instead).  Revision 2
+#: dropped the register lists and access sizes from step records.
+PROTOCOL_VERSION = 2
 
 #: Hard ceiling on one frame's payload, guarding the length prefix
 #: against garbage (and tenants against each other's memory use).
 MAX_FRAME_BYTES = 8 * 1024 * 1024
 
 _LENGTH = struct.Struct(">I")
-
-#: Valid wire register ids (indices into the 16-entry register files).
-_REGISTER_IDS = frozenset(range(REGISTER_COUNT))
 
 
 class ProtocolError(Exception):
@@ -199,17 +209,12 @@ def encode_step(event: StepEvent) -> Dict:
         "k": "s",
         "i": event.index,
         "pc": event.pc,
-        "w": encode_instruction(event.instruction),
+        "w": instruction_word(event.instruction),
         "np": event.next_pc,
     }
-    if event.regs_read:
-        record["rr"] = list(event.regs_read)
-    if event.regs_written:
-        record["rw"] = list(event.regs_written)
-    if event.reads:
-        record["rd"] = [[a.address, a.size] for a in event.reads]
-    if event.writes:
-        record["wr"] = [[a.address, a.size] for a in event.writes]
+    accesses = event.memory_accesses
+    if accesses:
+        record["a"] = accesses[0].address
     if event.syscall_number is not None:
         record["sy"] = event.syscall_number
     return record
@@ -245,33 +250,16 @@ def encode_halt(step_index: int) -> Dict:
     return {"k": "h", "i": step_index}
 
 
-def _accesses(raw, write: bool) -> Tuple[MemoryAccess, ...]:
-    return tuple(
-        MemoryAccess(address=int(a), size=int(s), is_write=write)
-        for a, s in raw
-    )
-
-
-def _registers(raw) -> Tuple[int, ...]:
-    registers = tuple(int(r) for r in raw)
-    if not _REGISTER_IDS.issuperset(registers):
-        raise ProtocolError(f"register id out of range: {list(registers)}")
-    return registers
-
-
 def decode_event(record: Dict) -> WireEvent:
     """Inverse of the ``encode_*`` family; validates the shape."""
     try:
         kind = record["k"]
         if kind == "s":
-            return "step", StepEvent(
+            return "step", step_event(
                 index=int(record["i"]),
                 pc=int(record["pc"]),
-                instruction=decode_instruction(int(record["w"])),
-                regs_read=_registers(record.get("rr", ())),
-                regs_written=_registers(record.get("rw", ())),
-                reads=_accesses(record.get("rd", ()), write=False),
-                writes=_accesses(record.get("wr", ()), write=True),
+                word=record["w"],
+                address=record.get("a"),
                 next_pc=int(record["np"]),
                 syscall_number=(
                     None if record.get("sy") is None else int(record["sy"])

@@ -2,13 +2,18 @@
 
 :class:`TraceRecorder` is an :class:`~repro.machine.events.Observer`
 that encodes the full observer vocabulary — every
-:class:`~repro.machine.events.StepEvent` (with its ragged register and
-memory-access lists), :class:`~repro.machine.events.InputEvent` payload
-bytes, :class:`~repro.machine.events.OutputEvent`, and the final halt —
-into flat numpy columns while the CPU runs.  Ragged per-step lists use
-CSR encoding (a flat value array plus an ``offsets`` array of
-``n_steps + 1`` entries); syscall source/sink names go through a string
-pool in the container metadata.
+:class:`~repro.machine.events.StepEvent`, :class:`~repro.machine.events.InputEvent`
+payload bytes, :class:`~repro.machine.events.OutputEvent`, and the
+final halt — into flat numpy columns while the CPU runs.
+
+A step is stored as its dynamic fields only (:data:`STEP_DTYPE`): pc,
+instruction word, data address (``-1`` when the opcode has no memory
+operand), next pc and syscall number.  Its registers and access size
+and direction are pure functions of the word and are derived on decode
+(:func:`repro.machine.cpu.step_event`), so no stored field can
+contradict the instruction.  Syscall source/sink names go through a
+string pool in the container metadata; input payloads share one byte
+blob.
 
 A global ``seq`` number stamps every event, so replay reproduces the
 exact commit-time interleaving (a syscall's ``InputEvent`` fires
@@ -17,6 +22,13 @@ exact commit-time interleaving (a syscall's ``InputEvent`` fires
 :class:`~repro.dift.DIFTEngine`, a detached
 :class:`~repro.pipeline.StreamingPipeline` — and is asserted
 bit-identical to the live object path by the conformance suite.
+
+Every section is validated before the first event: exact dtypes, words
+that decode, an address present exactly when the opcode needs one and
+inside ``[0, 2**32)``, string-pool indices and input payload bounds.  A
+trace that fails any check — including one written with an older step
+layout — is a :class:`~repro.trace.format.StorageFormatError` naming
+the file.
 """
 
 from __future__ import annotations
@@ -25,15 +37,10 @@ from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.isa.instructions import (
-    REGISTER_COUNT,
-    Instruction,
-    Opcode,
-    required_registers,
-)
+from repro.isa.instructions import LOAD_SIZES, STORE_SIZES, Opcode
+from repro.machine.cpu import instruction_word, step_event
 from repro.machine.events import (
     InputEvent,
-    MemoryAccess,
     Observer,
     OutputEvent,
     StepEvent,
@@ -42,31 +49,27 @@ from repro.trace.format import ColumnarFile, PathLike, to_bytes, write_columnar
 
 EVENT_KIND = "event-trace"
 
-_OPCODES = np.array([int(opcode) for opcode in Opcode])
-
-#: Per register field, the opcodes whose step records must carry it.
-_OPCODES_REQUIRING = {
-    name: np.array([
-        int(opcode) for opcode in Opcode
-        if name in required_registers(opcode)
-    ])
-    for name in ("rd", "rs1", "rs2")
-}
-
-#: Fixed per-step fields as one structured record (v1 layout).  ``-1``
-#: encodes an absent register field / syscall number.
+#: One record per committed step.  ``address`` is ``-1`` for opcodes
+#: without a memory operand and ``syscall`` is ``-1`` off SYSCALL steps.
 STEP_DTYPE = np.dtype([
     ("seq", "<i8"),
     ("index", "<i8"),
     ("pc", "<i8"),
     ("next_pc", "<i8"),
-    ("opcode", "<u2"),
-    ("rd", "<i2"),
-    ("rs1", "<i2"),
-    ("rs2", "<i2"),
-    ("imm", "<i8"),
+    ("word", "<u4"),
+    ("address", "<i8"),
     ("syscall", "<i8"),
 ])
+
+#: Per opcode byte: whether it decodes, and its access size (0 without a
+#: memory operand) and direction.
+_DECODES = np.zeros(256, dtype=bool)
+_DECODES[[int(opcode) for opcode in Opcode]] = True
+_ACCESS_SIZE = np.zeros(256, dtype=np.int64)
+_ACCESS_SIZE[list(LOAD_SIZES)] = list(LOAD_SIZES.values())
+_ACCESS_SIZE[list(STORE_SIZES)] = list(STORE_SIZES.values())
+_IS_STORE = np.zeros(256, dtype=bool)
+_IS_STORE[list(STORE_SIZES)] = True
 
 #: Fixed per-input fields; ``data`` lives in the shared byte blob at
 #: ``[data_off, data_off + data_len)``; kinds/names index the pool.
@@ -103,13 +106,6 @@ class TraceRecorder(Observer):
         self.name = name
         self._seq = 0
         self._steps: List[Tuple] = []
-        self._regs_read: List[int] = []
-        self._regs_read_offsets: List[int] = [0]
-        self._regs_written: List[int] = []
-        self._regs_written_offsets: List[int] = [0]
-        self._accesses: List[Tuple[int, int]] = []   # (address, size)
-        self._reads_offsets: List[int] = [0]
-        self._writes_offsets: List[int] = [0]
         self._inputs: List[Tuple] = []
         self._outputs: List[Tuple] = []
         self._data = bytearray()
@@ -120,29 +116,16 @@ class TraceRecorder(Observer):
     # ------------------------------------------------------------- observer
 
     def on_step(self, event: StepEvent) -> None:
-        instruction = event.instruction
+        accesses = event.memory_accesses
         self._steps.append((
             self._next_seq(),
             event.index,
             event.pc,
             event.next_pc,
-            int(instruction.opcode),
-            -1 if instruction.rd is None else instruction.rd,
-            -1 if instruction.rs1 is None else instruction.rs1,
-            -1 if instruction.rs2 is None else instruction.rs2,
-            instruction.imm,
+            instruction_word(event.instruction),
+            accesses[0].address if accesses else -1,
             -1 if event.syscall_number is None else event.syscall_number,
         ))
-        self._regs_read.extend(event.regs_read)
-        self._regs_read_offsets.append(len(self._regs_read))
-        self._regs_written.extend(event.regs_written)
-        self._regs_written_offsets.append(len(self._regs_written))
-        for access in event.reads:
-            self._accesses.append((access.address, access.size))
-        self._reads_offsets.append(len(self._accesses))
-        for access in event.writes:
-            self._accesses.append((access.address, access.size))
-        self._writes_offsets.append(len(self._accesses))
 
     def on_input(self, event: InputEvent) -> None:
         offset = len(self._data)
@@ -196,19 +179,6 @@ class TraceRecorder(Observer):
     def _arrays(self) -> Dict[str, np.ndarray]:
         return {
             "steps": np.array(self._steps, dtype=STEP_DTYPE),
-            "regs_read": np.asarray(self._regs_read, dtype=np.uint8),
-            "regs_read_offsets": np.asarray(
-                self._regs_read_offsets, dtype=np.int64
-            ),
-            "regs_written": np.asarray(self._regs_written, dtype=np.uint8),
-            "regs_written_offsets": np.asarray(
-                self._regs_written_offsets, dtype=np.int64
-            ),
-            "accesses": np.asarray(
-                self._accesses, dtype=np.int64
-            ).reshape(-1, 2),
-            "reads_offsets": np.asarray(self._reads_offsets, dtype=np.int64),
-            "writes_offsets": np.asarray(self._writes_offsets, dtype=np.int64),
             "inputs": np.array(self._inputs, dtype=INPUT_DTYPE),
             "outputs": np.array(self._outputs, dtype=OUTPUT_DTYPE),
             "data": np.frombuffer(bytes(self._data), dtype=np.uint8),
@@ -239,13 +209,47 @@ def _as_event_file(source: Union[PathLike, bytes, ColumnarFile]) -> ColumnarFile
     return handle
 
 
-#: Each CSR offset section and the data section its entries index.
-_OFFSET_SECTIONS = {
-    "regs_read_offsets": "regs_read",
-    "regs_written_offsets": "regs_written",
-    "reads_offsets": "accesses",
-    "writes_offsets": "accesses",
+#: Record sections and the exact dtype each must carry.
+_RECORD_DTYPES = {
+    "steps": STEP_DTYPE,
+    "inputs": INPUT_DTYPE,
+    "outputs": OUTPUT_DTYPE,
 }
+
+
+def _records(handle: ColumnarFile) -> Tuple[np.ndarray, ...]:
+    """``(steps, inputs, outputs)``, once each is a 1-D table of its
+    exact record dtype and every step record could have been committed:
+    its word decodes and its address is present exactly when the
+    opcode has a memory operand, inside ``[0, 2**32)``."""
+    tables = []
+    for name, dtype in _RECORD_DTYPES.items():
+        table = handle.array(name)
+        if table.dtype != dtype or table.ndim != 1:
+            raise handle._fail(
+                f"{name} is not a 1-D table of the current {name} layout "
+                f"(shape {table.shape}, dtype {table.dtype})"
+            )
+        tables.append(table)
+    steps = tables[0]
+    opcodes = steps["word"] >> 24
+    unknown = ~_DECODES[opcodes]
+    if unknown.any():
+        row = int(np.argmax(unknown))
+        raise handle._fail(
+            f"step {row}: unknown opcode byte {int(opcodes[row]):#04x}"
+        )
+    address = steps["address"]
+    bad = ((address >= 0) != (_ACCESS_SIZE[opcodes] > 0)) | (
+        address < -1) | (address > 0xFFFF_FFFF)
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise handle._fail(
+            f"step {row}: {Opcode(int(opcodes[row])).name} step with "
+            f"address {int(address[row])} (loads and stores need one in "
+            "[0, 2**32), other opcodes none)"
+        )
+    return tuple(tables)
 
 
 def _checked_pool(handle: ColumnarFile, inputs, outputs) -> List[str]:
@@ -264,32 +268,6 @@ def _checked_pool(handle: ColumnarFile, inputs, outputs) -> List[str]:
                     f"{name} index outside the {len(pool)}-entry string pool"
                 )
     return pool
-
-
-def _check_offsets(handle: ColumnarFile, steps: int) -> None:
-    """Every CSR offset section must hold ``steps + 1`` non-decreasing
-    integers inside its data section."""
-    for name, data in _OFFSET_SECTIONS.items():
-        offsets = handle.array(name)
-        rows = len(handle.array(data))
-        if (offsets.dtype.kind not in "iu" or offsets.shape != (steps + 1,)
-                or (offsets[1:] < offsets[:-1]).any()
-                or offsets[0] < 0 or offsets[-1] > rows):
-            raise handle._fail(
-                f"{name} is not {steps + 1} non-decreasing offsets into "
-                f"{data} ({rows} rows)"
-            )
-
-
-def _check_accesses(handle: ColumnarFile) -> None:
-    """The ``accesses`` section must be an (N, 2) integer table."""
-    accesses = handle.array("accesses")
-    if accesses.dtype.kind not in "iu" or accesses.ndim != 2 \
-            or accesses.shape[1] != 2:
-        raise handle._fail(
-            f"accesses is not an (N, 2) integer table (shape "
-            f"{accesses.shape}, dtype {accesses.dtype})"
-        )
 
 
 def _check_inputs(handle: ColumnarFile, inputs, data_size: int) -> None:
@@ -316,73 +294,17 @@ def iter_events(
     compares equal to the one the live CPU emitted.
     """
     handle = _as_event_file(source)
-    steps = handle.array("steps")
-    inputs = handle.array("inputs")
-    outputs = handle.array("outputs")
+    steps, inputs, outputs = _records(handle)
     pool = _checked_pool(handle, inputs, outputs)
-    _check_accesses(handle)
-    _check_offsets(handle, len(steps))
     data = handle.array("data").tobytes()
     _check_inputs(handle, inputs, len(data))
-    regs_read = handle.array("regs_read")
-    regs_written = handle.array("regs_written")
-    # Register ids index fixed-size register files downstream, opcodes
-    # must decode, and a register field the opcode requires must be
-    # present; any of these broken is a corrupt container, not a replay
-    # fault.
-    for ids in (regs_read, regs_written, *(
-        steps[operand] for operand in ("rd", "rs1", "rs2")
-    )):
-        if ids.size and int(ids.max()) >= REGISTER_COUNT:
-            raise handle._fail(
-                f"register id {int(ids.max())} out of range"
-            )
-    if not np.isin(steps["opcode"], _OPCODES).all():
-        raise handle._fail("unknown opcode in step records")
-    for name, opcodes in _OPCODES_REQUIRING.items():
-        if (steps[name][np.isin(steps["opcode"], opcodes)] < 0).any():
-            raise handle._fail(f"step record missing required {name}")
-    regs_read = regs_read.tolist()
-    rr_off = handle.array("regs_read_offsets").tolist()
-    regs_written = regs_written.tolist()
-    rw_off = handle.array("regs_written_offsets").tolist()
-    accesses = handle.array("accesses").tolist()
-    reads_off = handle.array("reads_offsets").tolist()
-    writes_off = handle.array("writes_offsets").tolist()
+    step_rows = steps.tolist()
 
     def step_at(row: int) -> StepEvent:
-        record = steps[row]
-        return StepEvent(
-            index=int(record["index"]),
-            pc=int(record["pc"]),
-            instruction=Instruction(
-                opcode=Opcode(int(record["opcode"])),
-                rd=None if record["rd"] < 0 else int(record["rd"]),
-                rs1=None if record["rs1"] < 0 else int(record["rs1"]),
-                rs2=None if record["rs2"] < 0 else int(record["rs2"]),
-                imm=int(record["imm"]),
-            ),
-            regs_read=tuple(
-                int(r) for r in regs_read[rr_off[row]:rr_off[row + 1]]
-            ),
-            regs_written=tuple(
-                int(r) for r in regs_written[rw_off[row]:rw_off[row + 1]]
-            ),
-            # Step ``row``'s rows in ``accesses`` are its reads then its
-            # writes: reads span [writes_off[row], reads_off[row+1]),
-            # writes span [reads_off[row+1], writes_off[row+1]).
-            reads=tuple(
-                MemoryAccess(int(a), int(s), is_write=False)
-                for a, s in accesses[writes_off[row]:reads_off[row + 1]]
-            ),
-            writes=tuple(
-                MemoryAccess(int(a), int(s), is_write=True)
-                for a, s in accesses[reads_off[row + 1]:writes_off[row + 1]]
-            ),
-            next_pc=int(record["next_pc"]),
-            syscall_number=(
-                None if record["syscall"] < 0 else int(record["syscall"])
-            ),
+        _, index, pc, next_pc, word, address, syscall = step_rows[row]
+        return step_event(
+            index, pc, word, None if address < 0 else address, next_pc,
+            None if syscall < 0 else syscall,
         )
 
     def input_at(row: int) -> InputEvent:
@@ -407,24 +329,16 @@ def iter_events(
             sink_name=pool[int(record["sink_name"])],
         )
 
-    # Three seq-sorted streams; merge by walking each stream's cursor.
-    cursors = [0, 0, 0]
+    # Three seq-stamped streams, merged back into commit order.
     tables = (steps, inputs, outputs)
     builders = (step_at, input_at, output_at)
-    while True:
-        best = -1
-        best_seq = None
-        for lane, table in enumerate(tables):
-            row = cursors[lane]
-            if row < len(table):
-                seq = int(table[row]["seq"])
-                if best_seq is None or seq < best_seq:
-                    best_seq = seq
-                    best = lane
-        if best < 0:
-            return
-        yield builders[best](cursors[best])
-        cursors[best] += 1
+    order = np.argsort(
+        np.concatenate([table["seq"] for table in tables]), kind="stable"
+    )
+    lanes = np.repeat(np.arange(3), [len(table) for table in tables])
+    rows = np.concatenate([np.arange(len(table)) for table in tables])
+    for lane, row in zip(lanes[order].tolist(), rows[order].tolist()):
+        yield builders[lane](row)
 
 
 def replay_events(
@@ -462,19 +376,14 @@ def access_window(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The flat ``(addresses, sizes, is_write)`` window of an event trace.
 
-    Zero-copy reduction for the sharded check-memory differential: the
-    per-step reads-then-writes order matches the scalar
-    ``event.memory_accesses`` walk exactly.
+    Vectorised reduction for the sharded check-memory differential: a
+    step has at most one access, so its order matches the scalar
+    ``event.memory_accesses`` walk exactly; size and direction come
+    from the opcode.
     """
-    handle = _as_event_file(source)
-    accesses = handle.array("accesses")
-    writes_off = handle.array("writes_offsets")
-    reads_off = handle.array("reads_offsets")
-    is_write = np.zeros(len(accesses), dtype=bool)
-    # Rows [reads_off[i+1], writes_off[i+1]) are step i's writes.
-    starts = reads_off[1:]
-    stops = writes_off[1:]
-    for start, stop in zip(starts.tolist(), stops.tolist()):
-        if stop > start:
-            is_write[start:stop] = True
-    return accesses[:, 0], accesses[:, 1], is_write
+    steps = _records(_as_event_file(source))[0]
+    accessing = steps[steps["address"] >= 0]
+    opcodes = accessing["word"] >> 24
+    return (
+        accessing["address"], _ACCESS_SIZE[opcodes], _IS_STORE[opcodes]
+    )

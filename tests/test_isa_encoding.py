@@ -10,7 +10,7 @@ from repro.isa.encoding import (
     encode,
     encode_program,
 )
-from repro.isa.assembler import assemble
+from repro.isa.assembler import AssemblyError, assemble
 from repro.isa.instructions import (
     LOGICAL_IMM_OPCODES,
     OPCODE_FORMAT,
@@ -56,6 +56,61 @@ def _instruction_strategy():
         st.integers(min_value=-(1 << 15), max_value=(1 << 15) - 1),
         st.integers(min_value=-(1 << 19), max_value=(1 << 19) - 1),
     )
+
+
+#: Any field values at all, valid or not, biased to the field edges.
+_MAYBE_REG = st.one_of(st.none(), st.integers(min_value=-1, max_value=16))
+_WILD_INSTRUCTION = st.builds(
+    Instruction,
+    st.sampled_from(list(Opcode)),
+    rd=_MAYBE_REG,
+    rs1=_MAYBE_REG,
+    rs2=_MAYBE_REG,
+    imm=st.one_of(
+        st.integers(min_value=-(1 << 22), max_value=1 << 22),
+        st.sampled_from(sorted({
+            sign * edge + delta
+            for edge in (0, 1 << 11, 1 << 15, 1 << 16, 1 << 21)
+            for sign in (1, -1)
+            for delta in (-1, 0, 1)
+        })),
+    ),
+)
+
+
+class TestValidationIsEncodability:
+    """``Instruction.validate`` holds every range check: an instruction
+    encodes exactly when it validates, and then round-trips exactly."""
+
+    @given(st.one_of(_instruction_strategy(), _WILD_INSTRUCTION))
+    def test_validates_iff_it_encodes_and_round_trips(self, instruction):
+        try:
+            instruction.validate()
+        except ValueError:
+            with pytest.raises(EncodingError):
+                encode(instruction)
+            return
+        assert decode(encode(instruction)) == instruction
+
+    @given(st.integers(min_value=0, max_value=(1 << 32) - 1))
+    def test_every_decodable_word_validates(self, word):
+        try:
+            instruction = decode(word)
+        except EncodingError:
+            return
+        instruction.validate()
+        assert decode(encode(instruction)) == instruction
+
+    @pytest.mark.parametrize("source", [
+        "sw r1, 3000(r2)",
+        "beq r1, r2, 5000",
+        "jal r1, 6",
+        "jal r1, 4194304",
+        "addi r1, r2, 100000",
+    ])
+    def test_assembler_rejects_what_the_encoder_rejects(self, source):
+        with pytest.raises(AssemblyError, match="line 1"):
+            assemble(source + "\nhalt")
 
 
 class TestRoundTrip:

@@ -4,6 +4,8 @@
 re-export names from submodules that import numpy.  Resolving the
 exports on first access keeps importing (and running) the live path —
 CPU, pipeline, DIFT engine, wire protocol, toy programs — numpy-free.
+``repro.serve`` does the same for its asyncio server: the wire protocol
+alone loads neither.
 """
 
 import os
@@ -16,6 +18,7 @@ import pytest
 import repro
 import repro.machine
 import repro.platch
+import repro.serve
 import repro.workloads
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -35,17 +38,34 @@ assert 'numpy' not in sys.modules, 'numpy imported by a monitored run'
 """
 
 
-def test_live_path_imports_and_runs_without_numpy():
+PROTOCOL_ONLY = """
+import sys
+import repro.serve.protocol
+for module in ('asyncio', 'repro.serve.server'):
+    assert module not in sys.modules, module + ' imported by the protocol'
+"""
+
+
+def _run_isolated(code):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run(
-        [sys.executable, "-c", LIVE_PATH],
+        [sys.executable, "-c", code],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert result.returncode == 0, result.stderr
 
 
+def test_live_path_imports_and_runs_without_numpy():
+    _run_isolated(LIVE_PATH)
+
+
+def test_wire_protocol_imports_without_the_server():
+    _run_isolated(PROTOCOL_ONLY)
+
+
 @pytest.mark.parametrize(
-    "package", [repro, repro.machine, repro.platch, repro.workloads],
+    "package",
+    [repro, repro.machine, repro.platch, repro.serve, repro.workloads],
     ids=lambda package: package.__name__,
 )
 def test_every_export_resolves(package):

@@ -5,7 +5,7 @@ import struct
 
 import pytest
 
-from repro.machine.events import InputEvent, MemoryAccess, OutputEvent, StepEvent
+from repro.machine.events import InputEvent, OutputEvent
 from repro.serve.protocol import (
     MAX_FRAME_BYTES,
     FrameDecoder,
@@ -77,41 +77,77 @@ class TestFrameDecoder:
             decoder.feed(bogus)
 
 
-def _step_event(**overrides):
+def _steps():
+    """Real committed steps: an LW (one read) and an SW (one write)."""
     from repro.isa.assembler import assemble
+    from repro.machine.cpu import CPU
 
-    program = assemble("""
+    cpu = CPU(assemble("""
     .text
-    ADDI r1, r0, 7
-    HALT
-    """)
-    fields = dict(
-        index=3,
-        pc=0x20,
-        instruction=program.instructions[0],
-        regs_read=(0,),
-        regs_written=(1,),
-        reads=(MemoryAccess(address=0x100, size=4, is_write=False),),
-        writes=(MemoryAccess(address=0x200, size=2, is_write=True),),
-        next_pc=0x24,
-        syscall_number=None,
-    )
-    fields.update(overrides)
-    return StepEvent(**fields)
+    li r2, 0x3000
+    lw r1, 4(r2)
+    sw r1, 8(r2)
+    halt
+    """))
+    events = [cpu.step() for _ in range(4)]  # lui, ori, lw, sw
+    assert [e.instruction.opcode.name for e in events[2:]] == ["LW", "SW"]
+    return events[2:]
+
+
+def _word(text):
+    from repro.isa.assembler import assemble
+    from repro.machine.cpu import instruction_word
+
+    return instruction_word(assemble(text).instructions[0])
+
+
+#: Step records a committed step never produces, on the fields a record
+#: still carries: the word and the address.
+FORGED_STEPS = {
+    "unknown-opcode": {"w": 0xFA00_0000},
+    "word-high": {"w": 1 << 32},
+    "word-negative": {"w": -1},
+    "word-string": {"w": "0"},
+    # The same value as the LW's own (cached) word, but not an int.
+    "word-float": {"w": float(_word("lw r1, 4(r2)"))},
+    "word-bool": {"w": True},
+    "address-on-addi": {"w": _word("addi r1, r2, 3"), "a": 0x100},
+    "lw-without-address": {"w": _word("lw r1, 0(r2)"), "a": None},
+    "sb-without-address": {"w": _word("sb r1, 0(r2)"), "a": None},
+    "address-high": {"a": 1 << 32},
+    "address-negative": {"a": -4},
+    "address-not-an-integer": {"a": "4096"},
+    "address-float": {"a": 4096.0},
+    "address-bool": {"a": True},
+}
 
 
 class TestEventCodec:
     def test_step_round_trip(self):
-        event = _step_event()
-        kind, decoded = decode_event(encode_step(event))
-        assert kind == "step"
-        assert decoded == event
+        for event in _steps():
+            kind, decoded = decode_event(encode_step(event))
+            assert kind == "step"
+            assert decoded == event
+
+    def test_step_record_carries_only_dynamic_fields(self):
+        load, store = (encode_step(event) for event in _steps())
+        assert set(load) == set(store) == {"k", "i", "pc", "w", "a", "np"}
 
     def test_step_with_syscall(self):
-        event = _step_event(syscall_number=2, reads=(), writes=())
+        from repro.isa.instructions import Instruction, Opcode
+        from repro.machine.cpu import instruction_word, step_event
+
+        event = step_event(
+            index=5, pc=0x1010,
+            word=instruction_word(Instruction(Opcode.SYSCALL)),
+            address=None, next_pc=0x1014, syscall_number=2,
+        )
         kind, decoded = decode_event(encode_step(event))
+        assert decoded == event
         assert decoded.syscall_number == 2
         assert decoded.reads == () and decoded.writes == ()
+        assert decoded.regs_read == (3, 4, 5, 6)
+        assert decoded.regs_written == (3,)
 
     def test_input_round_trip(self):
         event = InputEvent(
@@ -143,13 +179,26 @@ class TestEventCodec:
         with pytest.raises(ProtocolError):
             decode_event({"k": "s", "i": 0})  # missing pc/w/np
 
-    @pytest.mark.parametrize("field,registers", [
-        ("rw", [99]), ("rr", [-1]), ("rr", [16]), ("rw", [0, 15, 16]),
-    ])
-    def test_out_of_range_register_rejected(self, field, registers):
-        record = encode_step(_step_event())
-        record[field] = registers
-        with pytest.raises(ProtocolError, match="register id"):
+    @pytest.mark.parametrize("forgery", sorted(FORGED_STEPS))
+    def test_forged_step_record_rejected(self, forgery):
+        record = {**encode_step(_steps()[0]), **FORGED_STEPS[forgery]}
+        if record["a"] is None:
+            del record["a"]
+        with pytest.raises(ProtocolError, match="malformed event record"):
+            decode_event(record)
+
+    def test_access_size_comes_from_the_opcode(self):
+        # Fields protocol revision 1 carried are ignored: a step cannot
+        # set its own access size, registers or direction.
+        load = _steps()[0]
+        record = {**encode_step(load), "rd": [[0x3004, 10**9]],
+                  "wr": [[0, 8]], "rr": [99], "rw": [-1]}
+        assert decode_event(record)[1] == load
+
+    def test_old_load_record_without_address_rejected(self):
+        record = encode_step(_steps()[0])
+        record["rd"] = [[record.pop("a"), 10**9]]
+        with pytest.raises(ProtocolError, match="needs a u32 address"):
             decode_event(record)
 
     @pytest.mark.parametrize("hint", ["false", "true", 0, 1, None])
@@ -181,9 +230,9 @@ class TestEventCodec:
             decode_batch("not a list")
 
     def test_wire_survives_json(self):
-        event = _step_event()
-        record = json.loads(json.dumps(encode_step(event)))
-        assert decode_event(record)[1] == event
+        for event in _steps():
+            record = json.loads(json.dumps(encode_step(event)))
+            assert decode_event(record)[1] == event
 
 
 class TestCanonicalSignature:

@@ -23,7 +23,11 @@ from repro.serve import (
     record_trace,
     running_server,
 )
-from repro.serve.protocol import canonical_json, encode_frame
+from repro.serve.protocol import (
+    PROTOCOL_VERSION,
+    canonical_json,
+    encode_frame,
+)
 from repro.workloads import programs
 
 SCENARIOS = ("checksum", "file_filter", "substitution_cipher")
@@ -206,11 +210,11 @@ _start:
     @pytest.mark.parametrize("forgery", [
         "missing-offset", "missing-dtype", "missing-shape",
         "entry-not-an-object",
-        # Intact directory, hostile contents: the string pool, the CSR
-        # offsets, the access table's shape and the input payload bounds
-        # are checked before the first event.
-        "strings-not-a-list", "strings-empty", "reads-offsets-short",
-        "accesses-1d", "input-past-data",
+        # Intact directory, hostile contents: the section dtypes, the
+        # string pool and the input payload bounds are checked before
+        # the first event.
+        "strings-not-a-list", "strings-empty", "inputs-plain",
+        "input-past-data",
     ])
     def test_forged_directory_answers_job_error(self, forgery):
         # The directory checksum matches, so only the per-entry checks
@@ -405,7 +409,8 @@ class TestDisconnects:
         with running_server() as (server, (host, port)):
             raw = socket.create_connection((host, port), timeout=5.0)
             raw.sendall(encode_frame(
-                {"type": "hello", "proto": 1, "tenant": "ghost"}
+                {"type": "hello", "proto": PROTOCOL_VERSION,
+                 "tenant": "ghost"}
             ))
             raw.sendall(encode_frame({"type": "stream_open"}))
             # Wait for welcome + stream_ack so the slot is truly held.
@@ -475,6 +480,23 @@ class TestQueriesAndProtocol:
         assert canonical_json(result["signature"]) == canonical_json(
             reference["signature"]
         )
+
+    def test_revision_one_client_is_refused_at_hello(self):
+        # Revision 1 step records carried register lists and access
+        # sizes; such a client is turned away before it sends one.
+        from repro.serve.protocol import FrameDecoder
+
+        with running_server() as (_server, (host, port)):
+            with socket.create_connection((host, port), timeout=5.0) as raw:
+                raw.sendall(encode_frame(
+                    {"type": "hello", "proto": 1, "tenant": "old"}
+                ))
+                decoder, replies = FrameDecoder(), []
+                while not replies:
+                    data = raw.recv(65536)
+                    assert data, "server closed without an answer"
+                    replies = decoder.feed(data)
+        assert (replies[0]["type"], replies[0]["code"]) == ("error", "proto")
 
     def test_protocol_violations_answer_errors(self):
         with running_server() as (_server, (host, port)):
@@ -589,73 +611,54 @@ class TestQueriesAndProtocol:
 
     @staticmethod
     def _hostile_records(events):
-        """Records a valid trace never holds: bad register ids, string
-        ``tainted_hint`` values."""
-        step = next(e for e in events if e["k"] == "s")
+        """Records a valid trace never holds: a word that does not
+        decode or does not fit 32 bits, an address on a non-memory
+        opcode, a load or store without one, an address outside
+        ``[0, 2**32)`` or not an integer, string ``tainted_hint``
+        values."""
+        from tests.test_serve_protocol import FORGED_STEPS
+
+        load = next(e for e in events if e["k"] == "s" and "a" in e)
         source = next(e for e in events if e["k"] == "i")
-        return [
-            {**step, "rw": [99]},
-            {**step, "rr": [-1]},
-            {**step, "rr": [16]},
+        records = []
+        for forgery in FORGED_STEPS.values():
+            record = {**load, **forgery}
+            if record["a"] is None:
+                del record["a"]
+            records.append(record)
+        return records + [
             {**source, "th": "false"},
             {**source, "th": 0},
         ]
 
     @staticmethod
     def _hostile_ltraces():
-        """Recorded ``.ltrace`` jobs with register id 99 in one column,
-        an opcode that does not decode, or a register field the opcode
-        requires left out (-1)."""
+        """Recorded ``.ltrace`` jobs with an opcode byte that does not
+        decode, an address on ADDI, no address on LW or SB, or an
+        address outside ``[0, 2**32)``."""
         import base64
 
-        from repro.isa.instructions import Opcode
-        from repro.trace.record import STEP_DTYPE, TraceRecorder
+        from repro.isa.instructions import Instruction, Opcode
+        from repro.trace.record import TraceRecorder
+        from tests.test_trace_format import _forge_step
 
-        def job(corrupt):
+        def job(instruction, address):
             cpu = _factory("checksum")()
             recorder = TraceRecorder(name="hostile")
             cpu.attach(recorder)
             cpu.run(200_000)
-            corrupt(recorder)
+            _forge_step(recorder, instruction, address)
             return {"trace": base64.b64encode(
                 recorder.to_bytes()
             ).decode("ascii")}
 
-        def regs_written(recorder):
-            recorder._regs_written[0] = 99
-
-        def step_field(index, value):
-            def corrupt(recorder):
-                step = list(recorder._steps[0])
-                step[index] = value
-                recorder._steps[0] = tuple(step)
-            return corrupt
-
-        def missing(opcode, field, recorded=None):
-            """Drop ``field`` from every ``recorded`` step (default:
-            ``opcode``'s), retagged as ``opcode``."""
-            recorded = opcode if recorded is None else recorded
-            opcode_at = STEP_DTYPE.names.index("opcode")
-            field_at = STEP_DTYPE.names.index(field)
-
-            def corrupt(recorder):
-                for row, step in enumerate(recorder._steps):
-                    if step[opcode_at] == recorded:
-                        step = list(step)
-                        step[opcode_at] = int(opcode)
-                        step[field_at] = -1
-                        recorder._steps[row] = tuple(step)
-            return corrupt
-
-        # STEP_DTYPE field 4 is the opcode, field 5 the rd operand.
-        return [job(regs_written), job(step_field(5, 99)),
-                job(step_field(4, 250)),
-                job(missing(Opcode.LUI, "rd")),
-                job(missing(Opcode.ADD, "rd")),
-                job(missing(Opcode.ADD, "rs1")),
-                job(missing(Opcode.ADD, "rs2")),
-                job(missing(Opcode.LBU, "rd")),
-                job(missing(Opcode.SB, "rs2", recorded=Opcode.SW))]
+        lw = Instruction(Opcode.LW, rd=1, rs1=2)
+        return [job(0xFA00_0000, -1),
+                job(Instruction(Opcode.ADDI, rd=1, rs1=2, imm=3), 0x100),
+                job(lw, -1),
+                job(Instruction(Opcode.SB, rs1=2, rs2=1), -1),
+                job(lw, 1 << 32),
+                job(lw, -5)]
 
     def test_hostile_records_answer_errors_on_a_live_connection(
         self, traces
@@ -675,6 +678,18 @@ class TestQueriesAndProtocol:
                     reply = client._recv()
                     assert reply["type"] == "error", (record, reply)
                     assert reply["code"] == "events", (record, reply)
+                # A revision-1 load record, its access in the old ``rd``
+                # list with a huge size and no ``a``: refused at once,
+                # without touching a byte of the claimed range.
+                load = next(e for e in events if e["k"] == "s" and "a" in e)
+                legacy = {k: v for k, v in load.items() if k != "a"}
+                legacy["rd"] = [[load["a"], 10**9]]
+                started = time.monotonic()
+                client._send({"type": "events", "stream": stream,
+                              "batch": events[:5] + [legacy]})
+                reply = client._recv()
+                assert time.monotonic() - started < 2.0
+                assert (reply["type"], reply["code"]) == ("error", "events")
                 for start in range(0, len(events), 64):
                     client.send_events(stream, events[start:start + 64])
                 atomic = client.close_stream(stream)

@@ -34,7 +34,8 @@ import pytest
 from repro.check.generator import generate_program
 from repro.check.oracle import run_reference, state_signature
 from repro.dift.engine import DIFTEngine
-from repro.isa.instructions import Opcode
+from repro.isa.instructions import Instruction, Opcode
+from repro.machine.cpu import instruction_word
 from repro.machine.events import InputEvent, Observer, OutputEvent, StepEvent
 from repro.trace.convert import (
     ACCESS_KIND,
@@ -103,6 +104,17 @@ def _record(seed):
     return cp, recorder, log
 
 
+def _forge_step(recorder, instruction, address):
+    """Overwrite the first recorded step's word (an ``Instruction`` or a
+    raw word) and address."""
+    word = (instruction if isinstance(instruction, int)
+            else instruction_word(instruction))
+    step = list(recorder._steps[0])
+    step[STEP_DTYPE.names.index("word")] = word
+    step[STEP_DTYPE.names.index("address")] = address
+    recorder._steps[0] = tuple(step)
+
+
 class TestEventConformance:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_round_trip_is_field_exact(self, seed):
@@ -150,48 +162,36 @@ class TestEventConformance:
         assert recorder.halt_step == log.halt
         assert sink.halt == log.halt
 
-    @pytest.mark.parametrize("column", ["regs_read", "regs_written", "rd"])
-    def test_out_of_range_register_id_is_a_format_error(self, column):
+    @pytest.mark.parametrize("address", [1 << 32, -5],
+                             ids=["high", "negative"])
+    def test_out_of_range_address_is_a_format_error(self, address):
         _, recorder, _ = _record(0)
-        if column == "rd":
-            step = list(recorder._steps[0])
-            step[5] = 99  # the rd field of STEP_DTYPE
-            recorder._steps[0] = tuple(step)
-        else:
-            getattr(recorder, f"_{column}")[0] = 99
+        _forge_step(recorder, Instruction(Opcode.LW, rd=1, rs1=2), address)
         sink = _EventLog()
-        with pytest.raises(StorageFormatError, match="register id 99"):
+        with pytest.raises(StorageFormatError, match="LW step with address"):
             replay_events(recorder.to_bytes(), sink)
         assert sink.events == [], "rejected before any event is replayed"
 
     def test_unknown_opcode_is_a_format_error(self):
         _, recorder, _ = _record(0)
-        step = list(recorder._steps[0])
-        step[4] = 250  # the opcode field of STEP_DTYPE
-        recorder._steps[0] = tuple(step)
+        _forge_step(recorder, 0xFA00_0000, -1)
         with pytest.raises(StorageFormatError, match="unknown opcode"):
             replay_events(recorder.to_bytes(), _EventLog())
 
-    @pytest.mark.parametrize("opcode,field", [
-        (Opcode.LUI, "rd"),
-        (Opcode.ADD, "rd"),
-        (Opcode.ADD, "rs1"),
-        (Opcode.ADD, "rs2"),
-        (Opcode.LBU, "rd"),
-        (Opcode.SB, "rs2"),
-    ], ids=lambda value: getattr(value, "name", value))
-    def test_missing_required_register_is_a_format_error(
-        self, opcode, field
+    @pytest.mark.parametrize("instruction,address", [
+        (Instruction(Opcode.LW, rd=1, rs1=2), -1),
+        (Instruction(Opcode.SB, rs1=2, rs2=1), -1),
+        (Instruction(Opcode.ADDI, rd=1, rs1=2, imm=3), 0x100),
+    ], ids=["LW-missing", "SB-missing", "ADDI-stray"])
+    def test_address_presence_must_match_the_opcode(
+        self, instruction, address
     ):
         _, recorder, _ = _record(0)
-        step = list(recorder._steps[0])
-        step[STEP_DTYPE.names.index("opcode")] = int(opcode)
-        for name in ("rd", "rs1", "rs2"):
-            step[STEP_DTYPE.names.index(name)] = -1 if name == field else 0
-        recorder._steps[0] = tuple(step)
+        _forge_step(recorder, instruction, address)
         sink = _EventLog()
         with pytest.raises(
-            StorageFormatError, match=f"missing required {field}"
+            StorageFormatError,
+            match=f"{instruction.opcode.name} step with address {address}",
         ):
             replay_events(recorder.to_bytes(), sink)
         assert sink.events == [], "rejected before any event is replayed"
@@ -455,11 +455,6 @@ def _forge_meta(field, value):
     return forge
 
 
-def _short_reads_offsets(recorder):
-    recorder._reads_offsets.pop()
-    return recorder.to_bytes()
-
-
 def _forge_arrays(edit):
     """Re-encode a recording after ``edit(arrays)``: fresh checksums."""
     def forge(recorder):
@@ -469,8 +464,19 @@ def _forge_arrays(edit):
     return forge
 
 
-def _flatten_accesses(arrays):
-    arrays["accesses"] = arrays["accesses"].ravel()
+#: The step layout before step records dropped their register fields:
+#: a trace written with it must be refused, not misread.
+OLD_STEP_DTYPE = np.dtype([
+    ("seq", "<i8"), ("index", "<i8"), ("pc", "<i8"), ("next_pc", "<i8"),
+    ("opcode", "<u2"), ("rd", "<i2"), ("rs1", "<i2"), ("rs2", "<i2"),
+    ("imm", "<i8"), ("syscall", "<i8"),
+])
+
+
+def _replace_section(name, value):
+    def edit(arrays):
+        arrays[name] = value
+    return edit
 
 
 def _input_past_data(arrays):
@@ -490,11 +496,19 @@ HOSTILE_EVENT_TRACES = {
     "strings-empty": (
         _forge_meta("strings", []), "outside the 0-entry string pool",
     ),
-    "reads-offsets-short": (
-        _short_reads_offsets, "reads_offsets is not",
+    "inputs-plain": (
+        _forge_arrays(_replace_section("inputs", np.arange(4))),
+        "inputs is not a 1-D table",
     ),
-    "accesses-1d": (
-        _forge_arrays(_flatten_accesses), r"accesses is not an \(N, 2\)",
+    "outputs-plain": (
+        _forge_arrays(_replace_section("outputs", np.arange(4))),
+        "outputs is not a 1-D table",
+    ),
+    "steps-old-layout": (
+        _forge_arrays(_replace_section("steps", np.zeros(
+            3, dtype=OLD_STEP_DTYPE
+        ))),
+        "steps is not a 1-D table of the current steps layout",
     ),
     "input-past-data": (
         _forge_arrays(_input_past_data), "outside the .*-byte data section",
@@ -507,8 +521,8 @@ HOSTILE_EVENT_TRACES = {
 
 
 class TestHostileEventContents:
-    """Pool, CSR offsets, the access table and input payload bounds are
-    validated before the first event, so a
+    """Section dtypes, the pool and input payload bounds are validated
+    before the first event, so a
     hostile trace is a :class:`StorageFormatError` naming the file, not
     a bare ``TypeError``/``IndexError`` from deep in the decoder."""
 
