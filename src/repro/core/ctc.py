@@ -135,10 +135,12 @@ class CoarseTaintCache:
         the CTT.
         """
         address &= _MASK32
-        hit = self._cache.access(address, loader=self._load_line)
-        line: CtcLine = self._cache.probe(address).payload
+        misses = self._cache.stats.misses
+        line: CtcLine = self._cache.fetch(
+            address, loader=self._load_line
+        ).payload
         tainted = bool(line.word & (1 << self.geometry.bit_offset(address)))
-        return hit, tainted
+        return self._cache.stats.misses == misses, tainted
 
     def _load_line(self, line_base: int) -> CtcLine:
         return CtcLine(word=self.ctt.word(self.geometry.word_index(line_base)))
@@ -165,8 +167,9 @@ class CoarseTaintCache:
           last precise tag in the domain is gone.
         """
         address &= _MASK32
-        self._cache.access(address, write=True, loader=self._load_line)
-        line: CtcLine = self._cache.probe(address).payload
+        line: CtcLine = self._cache.fetch(
+            address, write=True, loader=self._load_line
+        ).payload
         bit = 1 << self.geometry.bit_offset(address)
         if tainted:
             line.word |= bit

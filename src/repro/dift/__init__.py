@@ -15,14 +15,13 @@ Public surface:
 * :class:`~repro.dift.policy.TaintPolicy` — which sources taint, which
   sinks and uses are checked.
 * :class:`~repro.dift.events.SecurityAlert` / ``AlertKind`` — violations.
-* :mod:`~repro.dift.propagation` — the shared DTA propagation rules (the
-  same rules drive the hardware propagation logic in H-LATCH).
+* :mod:`~repro.dift.propagation` — the classical DTA propagation rules,
+  compiled into one rule per instruction for the engine.
 """
 
 from repro.dift.tags import ShadowMemory, TaintRegisterFile
 from repro.dift.policy import TaintPolicy
 from repro.dift.events import AlertKind, SecurityAlert
-from repro.dift.propagation import propagate
 from repro.dift.engine import DIFTEngine, DIFTStats
 from repro.dift.colors import ColorAllocator
 from repro.dift.checkpoint import load_checkpoint, save_checkpoint
@@ -37,6 +36,5 @@ __all__ = [
     "TaintPolicy",
     "TaintRegisterFile",
     "load_checkpoint",
-    "propagate",
     "save_checkpoint",
 ]

@@ -8,7 +8,8 @@ observer and performs the four DIFT components of Figure 3 of the paper:
 2. **Storage** — byte-granular :class:`~repro.dift.tags.ShadowMemory`
    and the :class:`~repro.dift.tags.TaintRegisterFile`.
 3. **Propagation** — the classical DTA rules of
-   :mod:`repro.dift.propagation`, applied at every committed instruction.
+   :mod:`repro.dift.propagation`, applied at every committed instruction
+   through a cached rule per instruction.
 4. **Validation** — data-use checks (tainted jump targets, protected
    syscall arguments, output leaks) raising
    :class:`~repro.dift.events.SecurityAlert`.
@@ -21,14 +22,14 @@ paper require.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.isa.instructions import Opcode
+from repro.isa.instructions import Instruction, Opcode
 from repro.machine.events import InputEvent, Observer, OutputEvent, StepEvent
 from repro.dift.events import AlertKind, SecurityAlert, SecurityException
 from repro.dift.policy import TaintPolicy
-from repro.dift.propagation import PropagationResult, propagate
+from repro.dift.propagation import Rule, compile_rule
 from repro.dift.tags import ShadowMemory, TaintRegisterFile
 
 #: Signature of a tag-write listener: ``(address, tags)`` after the write.
@@ -37,6 +38,9 @@ TagListener = Callable[[int, bytes], None]
 #: Syscall argument registers checked by the protected-syscall policy.
 _SYSCALL_ARG_REGISTERS = (4, 5, 6)
 _RETURN_ADDRESS_REGISTER = 1  # "ra" by convention
+
+#: Compiled rules an engine keeps (bounded like ``decode_word``'s cache).
+RULE_CACHE_SIZE = 4096
 
 
 @dataclass
@@ -72,9 +76,13 @@ class DIFTEngine(Observer):
         self.trf = TaintRegisterFile()
         self.stats = DIFTStats()
         self.alerts: List[SecurityAlert] = []
-        self.last_result: Optional[PropagationResult] = None
+        #: Whether the last :meth:`on_step` touched taint.
+        self.last_touched = False
         self.colors = ColorAllocator()
         self._tag_listeners: List[TagListener] = []
+        # id(instruction) -> (instruction, rule): holding the instruction
+        # keeps its id unique while the entry lives.
+        self._rules: Dict[int, Tuple[Instruction, Rule]] = {}
 
     # ------------------------------------------------------------- metrics
 
@@ -140,13 +148,28 @@ class DIFTEngine(Observer):
     def on_step(self, event: StepEvent) -> None:
         """Propagate taint and run validation for one instruction."""
         self.stats.instructions += 1
-        self._validate_before(event)
-        result = propagate(event, self.trf, self.shadow)
-        self.last_result = result
-        if result.touched_taint:
+        entry = self._rules.get(id(event.instruction))
+        if entry is None:
+            entry = self._compile(event.instruction)
+        self.last_touched = entry[1](event)
+        if self.last_touched:
             self.stats.tainted_instructions += 1
-        for address, tags in result.memory_tag_writes:
-            self._notify_tags(address, tags)
+
+    def _compile(self, instruction: Instruction) -> Tuple[Instruction, Rule]:
+        """Build and cache ``instruction``'s rule, with its data-use check."""
+        rule = compile_rule(
+            instruction, self.trf, self.shadow, self._notify_tags
+        )
+        if instruction.opcode in (Opcode.JALR, Opcode.SYSCALL):
+            propagate = rule
+
+            def rule(event: StepEvent) -> bool:
+                self._validate_before(event)
+                return propagate(event)
+        if len(self._rules) >= RULE_CACHE_SIZE:
+            self._rules.clear()
+        entry = self._rules[id(instruction)] = (instruction, rule)
+        return entry
 
     def on_output(self, event: OutputEvent) -> None:
         """Check output sinks for tainted bytes (leak detection)."""

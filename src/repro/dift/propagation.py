@@ -1,4 +1,4 @@
-"""Classical Dynamic Taint Analysis propagation rules.
+"""Classical Dynamic Taint Analysis propagation rules, one per instruction.
 
 These are the rules libdft applies (and the paper adopts: "All of our
 evaluations apply the classical Dynamic Taint Analysis rules used by
@@ -8,151 +8,159 @@ evaluations apply the classical Dynamic Taint Analysis rules used by
   the self-cancelling idioms ``xor rd, rs, rs`` and ``sub rd, rs, rs``
   clear the destination (their result is a constant);
 * register-immediate ALU: destination tags = source tags;
-* ``lui`` and ``jal``/``jalr`` link writes: destination cleared
-  (immediate data is untainted by definition);
+* ``lui``, ``ltnt`` and ``jal``/``jalr`` link writes: destination
+  cleared (immediates and the LATCH exception address are untainted by
+  definition);
 * loads: destination tags = shadow tags of the loaded bytes, with the
-  sign/zero-extension bytes inheriting the tag of the top loaded byte;
-* stores: shadow tags of the stored bytes = source-register tags.
+  sign-extension bytes of ``lb``/``lh`` inheriting the tag of the top
+  loaded byte;
+* stores: shadow tags of the stored bytes = source-register tags;
+* branches, ``nop``, ``halt``, ``syscall``, ``strf`` and ``stnt``: no
+  register or memory taint flow.
 
-The same function drives both the software engine
-(:class:`repro.dift.engine.DIFTEngine`) and the hardware propagation
-model in H-LATCH, so the two can never diverge.
+An instruction *touches taint* (Tables 1 and 2) when a register it
+reads, or a byte of its memory operand, is tainted; ``stnt``, LATCH's
+own taint-management instruction, never does.
+
+Like libdft, which instruments each instruction with a handler
+specialised to its class, :func:`compile_rule` turns one instruction
+into a *rule* (load, store, copy, union, clear or no-op): a closure
+that applies its propagation for one committed step and returns whether
+it touched taint.  :class:`repro.dift.engine.DIFTEngine` caches the
+rules and adds the data-use checks; ``tests/propagation_oracle.py``
+states the same rules as one generic function, the test oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import Callable
 
-from repro.isa.instructions import Format, Instruction, Opcode
+from repro.isa.instructions import (
+    JUMP_OPCODES,
+    LOAD_SIZES,
+    STORE_SIZES,
+    Format,
+    Instruction,
+    Opcode,
+)
+from repro.machine.cpu import register_use
 from repro.machine.events import StepEvent
 from repro.dift.tags import ShadowMemory, TaintRegisterFile
 
+#: ``rule(event) -> touched``: one instruction's propagation.
+Rule = Callable[[StepEvent], bool]
+
+#: ``notify(address, tags)``: called after each shadow-memory tag write.
+TagNotify = Callable[[int, bytes], None]
+
 _CLEARING_OPS = frozenset({Opcode.XOR, Opcode.SUB})
 _SIGNED_LOADS = frozenset({Opcode.LB, Opcode.LH})
+_WIDTH = TaintRegisterFile.BYTES_PER_REGISTER
 
 
-@dataclass
-class PropagationResult:
-    """Outcome of propagating taint through one instruction.
-
-    Attributes:
-        touched_taint: the instruction manipulated tainted data — any
-            source register carried taint, or any byte of any memory
-            operand (read or written) was tainted before/after the
-            access.  This is the paper's "instructions touching tainted
-            data" metric (Tables 1 and 2).
-        tainted_sources: True if a source register or loaded byte was
-            tainted (used by data-use checks).
-        memory_tag_writes: (address, tags) pairs applied to shadow
-            memory, exposed so LATCH integrations can synchronise the
-            coarse taint state (Sections 5.1.4 and 5.3.1).
-        register_tag_writes: (register, tags) pairs applied to the TRF.
-    """
-
-    touched_taint: bool = False
-    tainted_sources: bool = False
-    memory_tag_writes: List[Tuple[int, bytes]] = field(default_factory=list)
-    register_tag_writes: List[Tuple[int, bytes]] = field(default_factory=list)
-
-
-def propagate(
-    event: StepEvent,
+def compile_rule(
+    instruction: Instruction,
     trf: TaintRegisterFile,
     shadow: ShadowMemory,
-) -> PropagationResult:
-    """Apply the classical DTA rules for one committed instruction.
+    notify: TagNotify,
+) -> Rule:
+    """The propagation rule of ``instruction`` over ``trf`` and ``shadow``.
 
-    Mutates ``trf`` and ``shadow`` in place and reports what changed.
+    The registers a rule checks are the ones a committed step of the
+    instruction reads (:func:`repro.machine.cpu.register_use`); a
+    memory rule takes its address from the event and its size from the
+    opcode.  Store rules report each shadow write through ``notify``.
     """
-    instruction = event.instruction
-    opcode = instruction.opcode
-    result = PropagationResult()
+    op, rd, rs1, rs2 = (instruction.opcode, instruction.rd,
+                        instruction.rs1, instruction.rs2)
+    reads = 0
+    for register in register_use(instruction)[0]:
+        reads |= 1 << register
+    if op in LOAD_SIZES:
+        return _load(trf, shadow, rd, LOAD_SIZES[op], op in _SIGNED_LOADS,
+                     reads)
+    if op in STORE_SIZES:
+        return _store(trf, shadow, notify, rs2, STORE_SIZES[op], reads)
+    if op is Opcode.STNT:
+        return lambda event: False
+    if instruction.format is Format.R:
+        if op in _CLEARING_OPS and rs1 == rs2:
+            return _clear(trf, rd, reads)
+        return _union(trf, rd, (rs1, rs2), reads)
+    if op is Opcode.LUI or op is Opcode.LTNT or (op in JUMP_OPCODES and rd):
+        return _clear(trf, rd, reads)
+    if instruction.format is Format.I and op not in JUMP_OPCODES:
+        return _union(trf, rd, (rs1,), reads)  # a copy
+    return _no_op(trf, reads)
 
-    source_tainted = trf.any_tainted(event.regs_read)
-    result.tainted_sources = source_tainted
-    result.touched_taint = source_tainted
 
-    if instruction.is_load:
-        access = event.reads[0]
-        tags = shadow.get_range(access.address, access.size)
-        if any(tags):
-            result.touched_taint = True
-            result.tainted_sources = True
-        extended = _extend_tags(tags, opcode)
-        trf.set(instruction.rd, extended)
-        result.register_tag_writes.append((instruction.rd, extended))
-        return result
+def _no_op(trf: TaintRegisterFile, reads: int) -> Rule:
+    live = trf.register_mask
+    return lambda event: bool(live() & reads)
 
-    if instruction.is_store:
-        access = event.writes[0]
-        value_tags = trf.get(instruction.rs2)[: access.size]
+
+def _clear(trf: TaintRegisterFile, rd: int, reads: int) -> Rule:
+    live, clear = trf.register_mask, trf.clear
+
+    def rule(event: StepEvent) -> bool:
+        touched = bool(live() & reads)
+        clear(rd)
+        return touched
+    return rule
+
+
+def _union(
+    trf: TaintRegisterFile, rd: int, sources: tuple, reads: int
+) -> Rule:
+    live, union, set_, clear = (trf.register_mask, trf.union, trf.set,
+                                trf.clear)
+
+    def rule(event: StepEvent) -> bool:
+        if live() & reads:
+            set_(rd, union(*sources))
+            return True
+        clear(rd)
+        return False
+    return rule
+
+
+def _load(
+    trf: TaintRegisterFile, shadow: ShadowMemory, rd: int, size: int,
+    signed: bool, reads: int,
+) -> Rule:
+    live, set_, clear = trf.register_mask, trf.set, trf.clear
+    get_range = shadow.get_range
+    clean = bytes(size)
+    pad = bytes(_WIDTH - size)
+
+    def rule(event: StepEvent) -> bool:
+        tags = get_range(event.reads[0].address, size)
+        if tags == clean:
+            touched = bool(live() & reads)  # before rd, which may be rs1
+            clear(rd)
+            return touched
+        if signed:  # sign-extension bytes inherit the top byte's tag
+            set_(rd, tags + tags[-1:] * (_WIDTH - size))
+        else:
+            set_(rd, tags + pad)
+        return True
+    return rule
+
+
+def _store(
+    trf: TaintRegisterFile, shadow: ShadowMemory, notify: TagNotify,
+    rs2: int, size: int, reads: int,
+) -> Rule:
+    live, get = trf.register_mask, trf.get
+    any_tainted, set_tags = shadow.any_tainted, shadow.set_tags
+
+    def rule(event: StepEvent) -> bool:
+        address = event.writes[0].address
+        tags = get(rs2)[:size]
         # A store touches taint if the stored value is tainted or the
         # destination bytes were tainted (the store may be clearing them).
-        if any(value_tags) or shadow.any_tainted(access.address, access.size):
-            result.touched_taint = True
-        shadow.set_tags(access.address, value_tags)
-        result.memory_tag_writes.append((access.address, bytes(value_tags)))
-        return result
-
-    if opcode == Opcode.STNT:
-        # Taint-management instruction: handled by the LATCH port, and
-        # deliberately NOT counted as an application taint access.
-        result.touched_taint = False
-        result.tainted_sources = False
-        return result
-
-    fmt = instruction.format
-    if fmt == Format.R:
-        if opcode in _CLEARING_OPS and instruction.rs1 == instruction.rs2:
-            tags = bytes(TaintRegisterFile.BYTES_PER_REGISTER)
-        else:
-            tags = trf.union(instruction.rs1, instruction.rs2)
-        trf.set(instruction.rd, tags)
-        result.register_tag_writes.append((instruction.rd, tags))
-        return result
-
-    if opcode == Opcode.LUI:
-        tags = bytes(TaintRegisterFile.BYTES_PER_REGISTER)
-        trf.set(instruction.rd, tags)
-        result.register_tag_writes.append((instruction.rd, tags))
-        return result
-
-    if opcode in (Opcode.JAL, Opcode.JALR):
-        if instruction.rd not in (None, 0):
-            tags = bytes(TaintRegisterFile.BYTES_PER_REGISTER)
-            trf.set(instruction.rd, tags)
-            result.register_tag_writes.append((instruction.rd, tags))
-        return result
-
-    if fmt == Format.I and instruction.rd is not None and opcode != Opcode.LTNT:
-        tags = trf.get(instruction.rs1) if instruction.rs1 is not None else bytes(4)
-        trf.set(instruction.rd, tags)
-        result.register_tag_writes.append((instruction.rd, tags))
-        return result
-
-    if opcode == Opcode.LTNT:
-        # The loaded exception address is machine metadata, never tainted.
-        tags = bytes(TaintRegisterFile.BYTES_PER_REGISTER)
-        trf.set(instruction.rd, tags)
-        result.register_tag_writes.append((instruction.rd, tags))
-        return result
-
-    # Branches, nop, halt, syscall, strf: no register/memory taint flow.
-    return result
-
-
-def _extend_tags(tags: bytes, opcode: Opcode) -> bytes:
-    """Extend loaded tags to a full register width.
-
-    Sign-extension replicates the top loaded byte's tag into the upper
-    bytes (a tainted sign bit taints the extension); zero-extension and
-    full-width loads pad with clean tags.
-    """
-    width = TaintRegisterFile.BYTES_PER_REGISTER
-    if len(tags) >= width:
-        return bytes(tags[:width])
-    if opcode in _SIGNED_LOADS and tags:
-        fill = tags[-1]
-        return bytes(tags) + bytes([fill]) * (width - len(tags))
-    return bytes(tags).ljust(width, b"\x00")
+        touched = bool(live() & reads) or any_tainted(address, size)
+        set_tags(address, tags)
+        notify(address, tags)
+        return touched
+    return rule

@@ -22,6 +22,11 @@ _MASK32 = 0xFFFFFFFF
 #: Extents per :meth:`ShadowMemory.fill_extents` chunk.
 _FILL_CHUNK = 1 << 13
 
+#: The tags of a clean register, and of a register uniformly tagged
+#: ``t`` (``_UNIFORM[t]``).
+_CLEAN = bytes(4)
+_UNIFORM = [bytes([tag]) * 4 for tag in range(256)]
+
 
 class ShadowMemory:
     """Sparse byte-granular taint tags for a 32-bit address space."""
@@ -41,10 +46,24 @@ class ShadowMemory:
 
     def get_range(self, address: int, length: int) -> bytes:
         """Tags of ``length`` bytes starting at ``address``."""
+        address &= _MASK32
+        offset = address & (_PAGE_SIZE - 1)
+        if 0 < length <= _PAGE_SIZE - offset:  # within one page
+            page = self._pages.get(address >> _PAGE_SHIFT)
+            if page is None:
+                return bytes(length)
+            return bytes(page[offset : offset + length])
         return bytes(self.get((address + i) & _MASK32) for i in range(length))
 
     def any_tainted(self, address: int, length: int) -> bool:
         """True if any byte in [address, address+length) is tainted."""
+        address &= _MASK32
+        offset = address & (_PAGE_SIZE - 1)
+        if 0 < length <= _PAGE_SIZE - offset:  # within one page
+            page = self._pages.get(address >> _PAGE_SHIFT)
+            return page is not None and (
+                page.count(0, offset, offset + length) != length
+            )
         for offset in range(length):
             if self.get((address + offset) & _MASK32):
                 return True
@@ -224,6 +243,21 @@ class ShadowMemory:
 
     def set_tags(self, address: int, tags: bytes) -> None:
         """Copy a vector of tags starting at ``address``."""
+        address &= _MASK32
+        offset = address & (_PAGE_SIZE - 1)
+        length = len(tags)
+        if 0 < length <= _PAGE_SIZE - offset:  # within one page
+            number = address >> _PAGE_SHIFT
+            page = self._pages.get(number)
+            clean = tags.count(0)
+            if page is None:
+                if clean == length:
+                    return
+                page = self._pages[number] = bytearray(_PAGE_SIZE)
+            end = offset + length
+            self._tainted_byte_count += page.count(0, offset, end) - clean
+            page[offset:end] = tags
+            return
         for offset, tag in enumerate(tags):
             self.set((address + offset) & _MASK32, tag)
 
@@ -240,8 +274,10 @@ class ShadowMemory:
 class TaintRegisterFile:
     """Byte-level taint for the 16 architectural registers.
 
-    Each register carries four tag bytes.  The aggregate per-register
-    bitmask view (:meth:`mask`, :meth:`load_mask`) supports the ``strf``
+    Each register carries four tag bytes, held as one immutable
+    ``bytes``, so :meth:`get` hands out the stored object and a write
+    replaces it.  The aggregate per-register bitmask view
+    (:meth:`mask`, :meth:`load_mask`) supports the ``strf``
     instruction, which reloads the hardware TRF from a register bitmask
     after a software-DIFT epoch (Table 5 of the paper).
 
@@ -254,35 +290,33 @@ class TaintRegisterFile:
     BYTES_PER_REGISTER = 4
 
     def __init__(self) -> None:
-        self._tags: List[bytearray] = [
-            bytearray(self.BYTES_PER_REGISTER) for _ in range(self.REGISTER_COUNT)
-        ]
+        self._tags: List[bytes] = [_CLEAN] * self.REGISTER_COUNT
         self._live = 0  # bit r set iff any byte of register r is tainted
 
     def get(self, register: int) -> bytes:
         """The four tag bytes of ``register``."""
-        return bytes(self._tags[register])
+        return self._tags[register]
 
     def set(self, register: int, tags: bytes) -> None:
         """Replace the tag bytes of ``register``."""
         if register == 0:
             return  # r0 is hard-wired zero and can never be tainted
-        padded = bytes(tags[: self.BYTES_PER_REGISTER]).ljust(
-            self.BYTES_PER_REGISTER, b"\x00"
-        )
-        self._tags[register][:] = padded
-        if any(padded):
-            self._live |= 1 << register
-        else:
+        if type(tags) is not bytes or len(tags) != 4:
+            tags = bytes(tags[:4]).ljust(4, b"\x00")
+        self._tags[register] = tags
+        if tags == _CLEAN:
             self._live &= ~(1 << register)
+        else:
+            self._live |= 1 << register
 
     def taint(self, register: int, tag: int = 1) -> None:
         """Taint every byte of ``register`` with ``tag``."""
-        self.set(register, bytes([tag]) * self.BYTES_PER_REGISTER)
+        self.set(register, _UNIFORM[tag] if 0 <= tag < 256
+                 else bytes([tag]) * 4)
 
     def clear(self, register: int) -> None:
         """Remove taint from ``register``."""
-        self._tags[register][:] = bytes(self.BYTES_PER_REGISTER)
+        self._tags[register] = _CLEAN
         self._live &= ~(1 << register)
 
     def is_tainted(self, register: int) -> bool:
@@ -299,11 +333,17 @@ class TaintRegisterFile:
 
     def union(self, *registers: int) -> bytes:
         """Byte-wise union (max) of the tags of several registers."""
-        out = bytearray(self.BYTES_PER_REGISTER)
+        out = _CLEAN
+        live = self._live
         for register in registers:
-            for index, tag in enumerate(self._tags[register]):
-                out[index] = max(out[index], tag)
-        return bytes(out)
+            if not live >> register & 1:
+                continue
+            tags = self._tags[register]
+            if out == _CLEAN:
+                out = tags
+            elif tags != out:
+                out = bytes(map(max, out, tags))
+        return out
 
     def mask(self) -> int:
         """Pack the TRF into a bitmask: bit (4*reg + byte) = tainted."""
@@ -316,15 +356,13 @@ class TaintRegisterFile:
 
     def load_mask(self, mask: int, tag: int = 1) -> None:
         """Reload the TRF from a bitmask (the ``strf`` semantics)."""
-        for register in range(self.REGISTER_COUNT):
-            for byte_index in range(self.BYTES_PER_REGISTER):
-                bit = 1 << (register * self.BYTES_PER_REGISTER + byte_index)
-                self._tags[register][byte_index] = tag if (mask & bit) else 0
-        self._tags[0][:] = bytes(self.BYTES_PER_REGISTER)
-        self._live = sum(
-            1 << register for register, tags in enumerate(self._tags)
-            if any(tags)
-        )
+        self.clear_all()
+        for register in range(1, self.REGISTER_COUNT):
+            bits = mask >> (register * self.BYTES_PER_REGISTER)
+            self.set(register, bytes(
+                tag if bits >> byte_index & 1 else 0
+                for byte_index in range(self.BYTES_PER_REGISTER)
+            ))
 
     def register_mask(self) -> int:
         """Pack the TRF into a 16-bit mask: bit r = register r tainted.
@@ -338,14 +376,13 @@ class TaintRegisterFile:
         """Reload the TRF from a per-register bitmask (``strf`` semantics)."""
         for register in range(self.REGISTER_COUNT):
             if mask & (1 << register):
-                self.set(register, bytes([tag]) * self.BYTES_PER_REGISTER)
+                self.taint(register, tag)
             else:
                 self.clear(register)
 
     def clear_all(self) -> None:
         """Remove taint from every register."""
-        for tags in self._tags:
-            tags[:] = bytes(self.BYTES_PER_REGISTER)
+        self._tags[:] = [_CLEAN] * self.REGISTER_COUNT
         self._live = 0
 
     def tainted_registers(self) -> Tuple[int, ...]:

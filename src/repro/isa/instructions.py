@@ -320,15 +320,6 @@ class Instruction:
 
         return format_instruction(self)
 
-    def source_registers(self) -> Tuple[int, ...]:
-        """Architectural registers read by this instruction."""
-        regs = []
-        if self.rs1 is not None:
-            regs.append(self.rs1)
-        if self.rs2 is not None:
-            regs.append(self.rs2)
-        return tuple(regs)
-
     def validate(self) -> None:
         """Check that the instruction is exactly representable in 32 bits.
 

@@ -132,7 +132,7 @@ def decode_word(word: int) -> Tuple[
     instruction = decode(word)
     op = instruction.opcode
     memory = LOAD if op in LOAD_SIZES else STORE if op in STORE_SIZES else None
-    return (instruction, *_register_use(instruction), memory,
+    return (instruction, *register_use(instruction), memory,
             instruction.memory_size)
 
 
@@ -172,20 +172,11 @@ def step_event(
             f"got {address!r}"
         )
     elif memory == STORE:
-        writes = (MemoryAccess(address, size, is_write=True),)
+        writes = (MemoryAccess(address, size, True),)
     else:
-        reads = (MemoryAccess(address, size, is_write=False),)
-    return StepEvent(
-        index=index,
-        pc=pc,
-        instruction=instruction,
-        regs_read=regs_read,
-        regs_written=regs_written,
-        reads=reads,
-        writes=writes,
-        next_pc=next_pc,
-        syscall_number=syscall_number,
-    )
+        reads = (MemoryAccess(address, size, False),)
+    return StepEvent(index, pc, instruction, regs_read, regs_written,
+                     reads, writes, next_pc, syscall_number)
 
 
 class DecodedInstruction:
@@ -254,8 +245,12 @@ def decode_program(program: Program) -> DecodedProgram:
     return table
 
 
-def _register_use(instruction: Instruction) -> Tuple[tuple, tuple]:
-    """``(regs_read, regs_written)``: fixed by the encoding format."""
+def register_use(instruction: Instruction) -> Tuple[tuple, tuple]:
+    """``(regs_read, regs_written)`` of a committed step of ``instruction``.
+
+    Fixed by the encoding format; the one definition both
+    :func:`decode_word` and the DIFT propagation rules use.
+    """
     op, fmt = instruction.opcode, instruction.format
     rd, rs1, rs2 = instruction.rd, instruction.rs1, instruction.rs2
     if op is Opcode.SYSCALL:
@@ -372,35 +367,24 @@ class CPU:
             except IndexError as exc:
                 raise ExecutionError(str(exc)) from exc
         regs = self.registers
+        instruction = entry.instruction
         reads: tuple = ()
         writes: tuple = ()
-        if entry.memory is not None:
-            access = MemoryAccess(
-                (regs[entry.instruction.rs1] + entry.instruction.imm)
-                & _MASK32,
-                entry.size,
-                is_write=entry.memory == STORE,
-            )
-            if access.is_write:
-                writes = (access,)
+        memory = entry.memory
+        if memory is not None:
+            address = (regs[instruction.rs1] + instruction.imm) & _MASK32
+            if memory == STORE:
+                writes = (MemoryAccess(address, entry.size, True),)
             else:
-                reads = (access,)
+                reads = (MemoryAccess(address, entry.size, False),)
         syscall_number = (
-            regs[3] if entry.instruction.opcode is Opcode.SYSCALL else None
+            regs[3] if instruction.opcode is Opcode.SYSCALL else None
         )
         next_pc = entry.execute(self, regs)
         regs[0] = 0  # r0 is hard-wired to zero
-        event = StepEvent(
-            index=self.step_count,
-            pc=pc,
-            instruction=entry.instruction,
-            regs_read=entry.regs_read,
-            regs_written=entry.regs_written,
-            reads=reads,
-            writes=writes,
-            next_pc=next_pc,
-            syscall_number=syscall_number,
-        )
+        event = StepEvent(self.step_count, pc, instruction, entry.regs_read,
+                          entry.regs_written, reads, writes, next_pc,
+                          syscall_number)
         self.step_count += 1
         self.pc = next_pc
         for observer in self._observers:
@@ -417,23 +401,32 @@ class CPU:
         :meth:`~repro.machine.events.Observer.quiet_snapshot` returns a
         snapshot, instructions run in quiet stretches (see
         :meth:`_run_quiet`); every other instruction goes through
-        :meth:`step`.
+        :meth:`step`.  A stretch is attempted only when its first
+        instruction could run in it: it is in the quiet table and uses
+        no register in the observer's
+        :meth:`~repro.machine.events.Observer.quiet_registers`.
         """
         start = self.step_count
         observers = self._observers
+        quiet = self._decoded.quiet
         while not self.halted:
             budget = max_steps - (self.step_count - start)
             if budget <= 0:
                 break
+            entry = quiet.get(self.pc)
             observer = observers[0] if observers else None
-            if observer is None:
-                snapshot = (0, None)
-            elif len(observers) == 1:
-                # Duck-typed observers without the hook see every step.
-                offer = getattr(observer, "quiet_snapshot", None)
-                snapshot = offer() if offer is not None else None
-            else:
+            if entry is None or len(observers) > 1:
                 snapshot = None
+            elif observer is None:
+                snapshot = (0, None)
+            else:
+                # Duck-typed observers without the hooks see every step.
+                offer = getattr(observer, "quiet_snapshot", None)
+                live = getattr(observer, "quiet_registers", None)
+                if offer is None or (live is not None and entry[1] & live()):
+                    snapshot = None
+                else:
+                    snapshot = offer()
             if (snapshot is not None
                     and self._run_quiet(budget, observer, *snapshot) == budget):
                 break

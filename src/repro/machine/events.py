@@ -9,28 +9,29 @@ and wrote, plus :class:`InputEvent`/:class:`OutputEvent` for syscall I/O
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import NamedTuple, Optional, Tuple
 
 from repro.isa.instructions import Instruction
 
 
-@dataclass(frozen=True)
-class MemoryAccess:
+class MemoryAccess(NamedTuple):
     """One contiguous data-memory access performed by an instruction."""
 
     address: int
     size: int
     is_write: bool
 
-    def byte_addresses(self) -> range:
-        """The addresses of every byte covered by this access."""
-        return range(self.address, self.address + self.size)
 
-
-@dataclass(frozen=True)
-class StepEvent:
+class StepEvent(NamedTuple):
     """A committed instruction with its architectural effects.
+
+    An immutable, hashable named tuple: the CPU builds one positionally
+    for every instruction it commits outside a quiet stretch, so an
+    event costs little more than a tuple.  The static half (instruction,
+    registers, access sizes and directions) follows from the
+    instruction word alone; :func:`repro.machine.cpu.step_event`
+    rebuilds an event from the word and the step's dynamic fields.
 
     Attributes:
         index: zero-based dynamic instruction count.
@@ -127,6 +128,16 @@ class Observer:
         valid until its next hook call.
         """
         return None
+
+    def quiet_registers(self) -> int:
+        """The ``register_mask`` a snapshot taken now would carry.
+
+        The CPU reads it before :meth:`quiet_snapshot`: when the next
+        instruction uses one of these registers, a stretch would commit
+        nothing, so the CPU steps without asking for a snapshot.  The
+        default, 0, never skips the request.
+        """
+        return 0
 
     def on_quiet(self, count: int) -> None:
         """Called once after ``count`` instructions committed quietly."""

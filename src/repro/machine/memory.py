@@ -100,6 +100,11 @@ class PagedMemory:
 
     def read_uint(self, address: int, size: int) -> int:
         """Read a little-endian unsigned integer of ``size`` bytes."""
+        address &= _MASK32
+        offset = address & (PAGE_SIZE - 1)
+        if 0 < size <= PAGE_SIZE - offset:  # within one page
+            page = self._page_for(address, create=False)
+            return int.from_bytes(page[offset : offset + size], "little")
         return int.from_bytes(self.read_bytes(address, size), "little")
 
     def read_int(self, address: int, size: int) -> int:
@@ -110,7 +115,14 @@ class PagedMemory:
 
     def write_uint(self, address: int, value: int, size: int) -> None:
         """Write a little-endian unsigned integer of ``size`` bytes."""
-        self.write_bytes(address, (value & ((1 << (8 * size)) - 1)).to_bytes(size, "little"))
+        payload = (value & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
+        address &= _MASK32
+        offset = address & (PAGE_SIZE - 1)
+        if 0 < size <= PAGE_SIZE - offset:  # within one page
+            page = self._page_for(address, create=True)
+            page[offset : offset + size] = payload
+            return
+        self.write_bytes(address, payload)
 
     def read_cstring(self, address: int, max_length: int = 4096) -> bytes:
         """Read a NUL-terminated string (terminator excluded)."""

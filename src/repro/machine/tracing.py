@@ -83,8 +83,7 @@ class TraceRecorder(Observer):
     # ------------------------------------------------------------ observer
 
     def on_step(self, event: StepEvent) -> None:
-        result = self.engine.last_result
-        touched = bool(result.touched_taint) if result is not None else False
+        touched = self.engine.last_touched
 
         # Epoch accounting: a run of taint-touching or taint-free
         # instructions forms one epoch.

@@ -140,6 +140,17 @@ class SetAssociativeCache:
         On a miss the line is filled; ``loader(line_base)`` supplies its
         payload (None payload if no loader).  Returns True on hit.
         """
+        misses = self.stats.misses
+        self.fetch(address, write, loader)
+        return self.stats.misses == misses
+
+    def fetch(
+        self,
+        address: int,
+        write: bool = False,
+        loader: Optional[Callable[[int], Any]] = None,
+    ) -> CacheLine:
+        """:meth:`access`, returning the line (resident or just filled)."""
         self._clock += 1
         self.stats.accesses += 1
         index, tag = self._index_tag(address)
@@ -149,13 +160,14 @@ class SetAssociativeCache:
             line.last_use = self._clock
             if write:
                 line.dirty = True
-            return True
+            return line
         self.stats.misses += 1
         payload = loader(self.line_base(address)) if loader else None
-        self._fill(index, tag, payload, write)
-        return False
+        return self._fill(index, tag, payload, write)
 
-    def _fill(self, index: int, tag: int, payload: Any, write: bool) -> None:
+    def _fill(
+        self, index: int, tag: int, payload: Any, write: bool
+    ) -> CacheLine:
         bucket = self._sets[index]
         if len(bucket) >= self.ways:
             victim_tag = self._choose_victim(bucket)
@@ -165,13 +177,14 @@ class SetAssociativeCache:
                 self.stats.writebacks += 1
             if self.on_evict is not None:
                 self.on_evict(victim_tag << self._line_shift, victim)
-        bucket[tag] = CacheLine(
+        line = bucket[tag] = CacheLine(
             tag=tag,
             payload=payload,
             dirty=write,
             last_use=self._clock,
             inserted=self._clock,
         )
+        return line
 
     def _choose_victim(self, bucket: Dict[int, CacheLine]) -> int:
         if self.policy == "lru":

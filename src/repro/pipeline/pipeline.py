@@ -176,6 +176,10 @@ class StreamingPipeline(Observer):
             return None
         return self.gate.quiet_snapshot()
 
+    def quiet_registers(self) -> int:
+        """The gate's TRF mask: the ``register_mask`` of its snapshot."""
+        return self.latch.trf.register_mask()
+
     def on_quiet(self, count: int) -> None:
         """Account ``count`` gate-suppressed instructions in bulk.
 

@@ -216,8 +216,7 @@ class SLatchSystem(Observer, LatchPort):
         self.counters.sw_instructions += 1
         self._sw_span += 1
         self.engine.on_step(event)
-        result = self.engine.last_result
-        if result is not None and result.touched_taint:
+        if self.engine.last_touched:
             self._quiet_streak = 0
         else:
             self._quiet_streak += 1

@@ -35,8 +35,7 @@ class _TracePrinter(Observer):
         self.printed = 0
 
     def on_step(self, event) -> None:
-        result = self.engine.last_result
-        touched = bool(result.touched_taint) if result is not None else False
+        touched = self.engine.last_touched
         if self.only_tainted and not touched:
             return
         if self.printed >= self.limit:

@@ -97,12 +97,6 @@ class TestInstructionProperties:
         assert Instruction(Opcode.JALR, rd=0, rs1=1).is_control_flow
         assert not Instruction(Opcode.ADD, rd=1, rs1=1, rs2=1).is_control_flow
 
-    def test_source_registers(self):
-        instr = Instruction(Opcode.ADD, rd=1, rs1=2, rs2=3)
-        assert instr.source_registers() == (2, 3)
-        assert Instruction(Opcode.LW, rd=1, rs1=4).source_registers() == (4,)
-        assert Instruction(Opcode.NOP).source_registers() == ()
-
 
 class TestValidation:
     def test_r_format_requires_all_registers(self):
