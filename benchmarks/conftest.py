@@ -43,7 +43,8 @@ from repro.runner import (
     TraceCache,
     positive_int_env,
 )
-from repro.workloads import WorkloadGenerator, all_profiles
+from repro.runner.specs import scale_params
+from repro.workloads import WorkloadGenerator, all_profiles, make_generator
 
 
 def _scale_env(name: str, default: int) -> int:
@@ -77,11 +78,9 @@ _ACCESS_TRACES = {}
 
 
 def generator_for(name: str) -> WorkloadGenerator:
-    """Session-cached workload generator."""
+    """Cached workload generator (the runner jobs' dispatch)."""
     if name not in _GENERATORS:
-        from repro.workloads import get_profile
-
-        _GENERATORS[name] = WorkloadGenerator(get_profile(name))
+        _GENERATORS[name] = make_generator(name)
     return _GENERATORS[name]
 
 
@@ -103,17 +102,6 @@ def access_trace_for(name: str):
     return _ACCESS_TRACES[name]
 
 
-#: Scale parameters stamped into each job kind's specs (and cache keys).
-_JOB_PARAMS = {
-    "taint_fraction": lambda: {"epoch_scale": EPOCH_SCALE},
-    "page_taint": lambda: {},
-    "hlatch": lambda: {"trace_window": TRACE_WINDOW},
-    "slatch": lambda: {
-        "epoch_scale": EPOCH_SCALE, "trace_window": TRACE_WINDOW,
-    },
-}
-
-
 def run_jobs(kind: str, names: Sequence[str]) -> Dict[str, StatsSnapshot]:
     """Run one ``kind`` job per benchmark through the shared runner.
 
@@ -121,7 +109,10 @@ def run_jobs(kind: str, names: Sequence[str]) -> Dict[str, StatsSnapshot]:
     a benchmark never silently asserts against missing data.
     """
     specs = [
-        JobSpec.make(kind, name, **_JOB_PARAMS[kind]()) for name in names
+        JobSpec.make(
+            kind, name, **scale_params(kind, EPOCH_SCALE, TRACE_WINDOW)
+        )
+        for name in names
     ]
     results = _RUNNER.run(specs)
     failed = {

@@ -14,7 +14,7 @@ from conftest import (
     network_names,
     spec_names,
 )
-from repro.report import format_table
+from repro.report.artefacts import ARTEFACTS
 from repro.report.paper_data import SLATCH_AGGREGATES
 from repro.slatch import measure_hw_rates, simulate_slatch
 from repro.workloads import get_profile
@@ -43,16 +43,7 @@ def test_fig13_slatch_overhead(benchmark):
         ]
         for name, report in reports.items()
     ]
-    emit(
-        "fig13",
-        format_table(
-            ["benchmark", "libdft overhead", "S-LATCH overhead",
-             "speedup", "sw %"],
-            rows,
-            title="Figure 13: performance overhead over native execution",
-            precision=3,
-        ),
-    )
+    emit("fig13", ARTEFACTS["fig13"].format(rows))
 
     spec_overheads = np.array([reports[n].overhead for n in spec_names()])
     spec_speedups = np.array(

@@ -12,7 +12,7 @@ from conftest import (
     network_names,
     spec_names,
 )
-from repro.report import format_table
+from repro.report.artefacts import ARTEFACTS
 from repro.slatch import measure_hw_rates, simulate_slatch
 from repro.workloads import get_profile
 
@@ -40,16 +40,7 @@ def test_fig14_overhead_breakdown(benchmark):
         ]
         for name, (report, split) in breakdowns.items()
     ]
-    emit(
-        "fig14",
-        format_table(
-            ["benchmark", "overhead", "libdft %", "control xfer %",
-             "fp checks %", "ctc misses %"],
-            rows,
-            title="Figure 14: sources of overhead in S-LATCH (% of extra cycles)",
-            precision=2,
-        ),
-    )
+    emit("fig14", ARTEFACTS["fig14"].format(rows))
     # "libdft instrumentation is the primary source of overhead in most
     # programs."
     libdft_dominant = sum(

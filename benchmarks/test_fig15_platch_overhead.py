@@ -16,6 +16,7 @@ from repro.platch import (
     analytic_platch,
 )
 from repro.report import format_table
+from repro.report.artefacts import ARTEFACTS
 from repro.report.paper_data import PLATCH_AGGREGATES
 
 
@@ -42,18 +43,13 @@ def test_fig15_platch_overhead(benchmark):
         ]
         for name, (simple, optimized, queue) in rows.items()
     ]
+    # The registry's columns plus the discrete queue simulation's.
+    fig15 = ARTEFACTS["fig15"]
     emit(
         "fig15",
         format_table(
-            ["benchmark", "monitored %", "P-LATCH (simple LBA)",
-             "P-LATCH (optimized)", "queue-sim stalls"],
-            table,
-            title=(
-                "Figure 15: P-LATCH overhead vs native "
-                f"(baselines: simple {LBA_SIMPLE.mean_overhead}x, "
-                f"optimized {LBA_OPTIMIZED.mean_overhead}x)"
-            ),
-            precision=4,
+            [*fig15.headers, "queue-sim stalls"], table,
+            title=fig15.title, precision=fig15.precision,
         ),
     )
 

@@ -6,7 +6,7 @@ bits, by the CTC, and by the precise taint cache.
 
 from conftest import access_trace_for, emit, network_names, spec_names
 from repro.hlatch import run_hlatch
-from repro.report import format_table
+from repro.report.artefacts import ARTEFACTS
 
 
 def regenerate_fig16():
@@ -23,15 +23,7 @@ def test_fig16_access_resolution(benchmark):
         [name, 100 * s["tlb"], 100 * s["ctc"], 100 * s["precise"]]
         for name, s in splits.items()
     ]
-    emit(
-        "fig16",
-        format_table(
-            ["benchmark", "TLB %", "CTC %", "precise %"],
-            rows,
-            title="Figure 16: memory accesses resolved per H-LATCH level",
-            precision=2,
-        ),
-    )
+    emit("fig16", ARTEFACTS["fig16"].format(rows))
     # "In most programs, the TLB deflected more than 90% of memory
     # accesses."
     over_90 = sum(1 for s in splits.values() if s["tlb"] > 0.9)

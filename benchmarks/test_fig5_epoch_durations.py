@@ -14,7 +14,7 @@ this file at 341,041 rather than at the 200K of the other smoke runs.
 
 from conftest import emit, epoch_stream_for, network_names, spec_names
 from repro.analysis import epoch_duration_profile
-from repro.report import format_series
+from repro.report.artefacts import ARTEFACTS
 
 #: Benchmarks the paper singles out as having short, fragmented epochs.
 FRAGMENTED = {"astar", "sphinx", "perlbench", "soplex"}
@@ -30,15 +30,7 @@ def regenerate_fig5():
 
 def test_fig5_epoch_durations(benchmark):
     series = benchmark.pedantic(regenerate_fig5, rounds=1, iterations=1)
-    emit(
-        "fig5",
-        format_series(
-            series,
-            x_label="epoch ≥",
-            title="Figure 5: % of instructions in taint-free epochs ≥ L",
-            precision=1,
-        ),
-    )
+    emit("fig5", ARTEFACTS["fig5"].format(series))
     # "13 of 20 benchmarks executed more than 80% of their instructions
     # during taint-free epochs of 1K instructions or more."
     spec_over_80 = sum(

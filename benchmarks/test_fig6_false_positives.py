@@ -10,7 +10,7 @@ import math
 
 from conftest import access_trace_for, emit, network_names, spec_names
 from repro.analysis import FIG6_DOMAIN_SIZES, false_positive_sweep
-from repro.report import format_series
+from repro.report.artefacts import ARTEFACTS
 
 #: The paper notes these benchmarks show few or no false positives
 #: (substitution tables make their taint page-aligned).
@@ -30,15 +30,7 @@ def regenerate_fig6():
 
 def test_fig6_false_positives(benchmark):
     series = benchmark.pedantic(regenerate_fig6, rounds=1, iterations=1)
-    emit(
-        "fig6",
-        format_series(
-            series,
-            x_label="domain",
-            title="Figure 6: coarse-taint detection multiplier vs domain size",
-            precision=2,
-        ),
-    )
+    emit("fig6", ARTEFACTS["fig6"].format(series))
     # Page-aligned taint: no false positives at any granularity.
     for name in PAGE_ALIGNED:
         for value in series[name].values():

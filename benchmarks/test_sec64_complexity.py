@@ -9,6 +9,7 @@ from conftest import emit
 from repro.core.latch import LatchConfig
 from repro.hw import estimate_latch_complexity, estimate_power_delta
 from repro.report import format_table
+from repro.report.artefacts import ARTEFACTS
 from repro.report.paper_data import FPGA_RESULTS
 
 CONFIGS = [
@@ -44,20 +45,13 @@ def test_sec64_complexity(benchmark):
         ]
         for name, area, power in rows
     ]
+    # The registry's columns (over more configurations) plus cycle time.
+    sec64 = ARTEFACTS["sec64"]
     emit(
         "sec64",
         format_table(
-            ["configuration", "LEs", "LE %", "mem bits", "mem %",
-             "dyn pwr %", "stat pwr %", "cycle-time hit"],
-            table,
-            title=(
-                "Section 6.4: LATCH complexity vs AO486 core "
-                f"(paper: +{FPGA_RESULTS['logic_elements_percent']}% LEs, "
-                f"+{FPGA_RESULTS['memory_bits_percent']}% mem, "
-                f"+{FPGA_RESULTS['dynamic_power_percent']}% dyn, "
-                f"+{FPGA_RESULTS['static_power_percent']}% static)"
-            ),
-            precision=2,
+            [*sec64.headers, "cycle-time hit"], table,
+            title=sec64.title, precision=sec64.precision,
         ),
     )
     name, area, power = rows[0]

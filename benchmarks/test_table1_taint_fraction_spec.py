@@ -7,7 +7,7 @@ result cache under ``benchmarks/.cache`` and recompute nothing.
 """
 
 from conftest import emit, run_jobs, spec_names
-from repro.report import format_comparison_table
+from repro.report.artefacts import ARTEFACTS
 from repro.report.paper_data import TABLE1_TAINT_PERCENT
 
 
@@ -21,17 +21,7 @@ def regenerate_table1():
 
 def test_table1_taint_fraction_spec(benchmark):
     measured = benchmark.pedantic(regenerate_table1, rounds=1, iterations=1)
-    emit(
-        "table1",
-        format_comparison_table(
-            spec_names(),
-            measured,
-            TABLE1_TAINT_PERCENT,
-            value_label="taint insn %",
-            title="Table 1: % instructions touching tainted data (SPEC 2006)",
-            precision=3,
-        ),
-    )
+    emit("table1", ARTEFACTS["table1"].format(measured))
     # Shape assertions: the right benchmarks dominate, within 2x of paper.
     assert measured["astar"] > 15
     assert measured["sphinx"] > 8

@@ -1,8 +1,7 @@
 """Table 2: percentage of instructions touching tainted data (network)."""
 
 from conftest import emit, network_names, run_jobs
-from repro.report import format_comparison_table
-from repro.report.paper_data import TABLE2_TAINT_PERCENT
+from repro.report.artefacts import ARTEFACTS
 
 
 def regenerate_table2():
@@ -15,17 +14,7 @@ def regenerate_table2():
 
 def test_table2_taint_fraction_network(benchmark):
     measured = benchmark.pedantic(regenerate_table2, rounds=1, iterations=1)
-    emit(
-        "table2",
-        format_comparison_table(
-            network_names(),
-            measured,
-            TABLE2_TAINT_PERCENT,
-            value_label="taint insn %",
-            title="Table 2: % instructions touching tainted data (network)",
-            precision=3,
-        ),
-    )
+    emit("table2", ARTEFACTS["table2"].format(measured))
     # The linear decline with trusted connections (paper Section 3.2.1).
     apache_series = [
         measured["apache"], measured["apache-25"],

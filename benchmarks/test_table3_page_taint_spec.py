@@ -1,7 +1,7 @@
 """Table 3: distribution of taint at page granularity (SPEC)."""
 
 from conftest import emit, run_jobs, spec_names
-from repro.report import format_table
+from repro.report.artefacts import ARTEFACTS
 from repro.report.paper_data import TABLE3_PAGES
 
 
@@ -15,24 +15,16 @@ def regenerate_table3():
             int(snap.get("layout.pages_tainted")),
             snap.get("layout.tainted_percent"),
         )
-    return rows
+    return snapshots, rows
 
 
 def test_table3_page_taint_spec(benchmark):
-    measured = benchmark.pedantic(regenerate_table3, rounds=1, iterations=1)
-    rows = [
-        [name, *measured[name], *TABLE3_PAGES[name]]
-        for name in spec_names()
-    ]
+    snapshots, measured = benchmark.pedantic(
+        regenerate_table3, rounds=1, iterations=1
+    )
     emit(
         "table3",
-        format_table(
-            ["benchmark", "pages", "tainted", "tainted %",
-             "paper pages", "paper tainted", "paper %"],
-            rows,
-            title="Table 3: page-granularity taint distribution (SPEC 2006)",
-            precision=2,
-        ),
+        ARTEFACTS["table3"].render({n: snapshots[n] for n in spec_names()}),
     )
     # "For 17 out of 20 benchmarks, more than 90% of the accessed pages
     # were completely free of taint."  (perlbench sits right on the

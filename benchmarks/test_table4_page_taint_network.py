@@ -1,8 +1,7 @@
 """Table 4: distribution of taint at page granularity (network)."""
 
 from conftest import emit, network_names, run_jobs
-from repro.report import format_table
-from repro.report.paper_data import TABLE4_PAGES
+from repro.report.artefacts import ARTEFACTS
 
 
 def regenerate_table4():
@@ -15,24 +14,16 @@ def regenerate_table4():
             int(snap.get("layout.pages_tainted")),
             snap.get("layout.tainted_percent"),
         )
-    return rows
+    return snapshots, rows
 
 
 def test_table4_page_taint_network(benchmark):
-    measured = benchmark.pedantic(regenerate_table4, rounds=1, iterations=1)
-    rows = [
-        [name, *measured[name], *TABLE4_PAGES[name]]
-        for name in network_names()
-    ]
+    snapshots, measured = benchmark.pedantic(
+        regenerate_table4, rounds=1, iterations=1
+    )
     emit(
         "table4",
-        format_table(
-            ["benchmark", "pages", "tainted", "tainted %",
-             "paper pages", "paper tainted", "paper %"],
-            rows,
-            title="Table 4: page-granularity taint distribution (network)",
-            precision=2,
-        ),
+        ARTEFACTS["table4"].render({n: snapshots[n] for n in network_names()}),
     )
     # Tainted pages occupy a minority of memory in all cases; apache the
     # highest, and roughly constant across trust policies (Section 3.3.1).

@@ -11,8 +11,7 @@ cached alongside every other consumer's.
 import numpy as np
 
 from conftest import emit, run_jobs, spec_names
-from repro.report import format_table
-from repro.report.paper_data import TABLE6_HLATCH
+from repro.report.artefacts import ARTEFACTS
 
 
 def regenerate_table6():
@@ -21,30 +20,9 @@ def regenerate_table6():
 
 def test_table6_hlatch_spec(benchmark):
     snapshots = benchmark.pedantic(regenerate_table6, rounds=1, iterations=1)
-    rows = []
-    for name in spec_names():
-        snap = snapshots[name]
-        paper = TABLE6_HLATCH.get(name, ("", "", "", "", ""))
-        rows.append(
-            [
-                name,
-                snap.get("hlatch.ctc_miss_percent"),
-                snap.get("hlatch.tcache_miss_percent"),
-                snap.get("hlatch.combined_miss_percent"),
-                snap.get("baseline.miss_percent"),
-                snap.get("hlatch.avoided_percent"),
-                paper[3],
-                paper[4],
-            ]
-        )
     emit(
         "table6",
-        format_table(
-            ["benchmark", "CTC miss %", "t-cache miss %", "combined %",
-             "no-LATCH %", "avoided %", "paper no-LATCH %", "paper avoided %"],
-            rows,
-            title="Table 6: H-LATCH cache performance (SPEC 2006)",
-        ),
+        ARTEFACTS["table6"].render({n: snapshots[n] for n in spec_names()}),
     )
 
     combined = {

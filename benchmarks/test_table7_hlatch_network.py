@@ -3,8 +3,7 @@
 import numpy as np
 
 from conftest import emit, network_names, run_jobs
-from repro.report import format_table
-from repro.report.paper_data import TABLE7_HLATCH
+from repro.report.artefacts import ARTEFACTS
 
 
 def regenerate_table7():
@@ -13,30 +12,9 @@ def regenerate_table7():
 
 def test_table7_hlatch_network(benchmark):
     snapshots = benchmark.pedantic(regenerate_table7, rounds=1, iterations=1)
-    rows = []
-    for name in network_names():
-        snap = snapshots[name]
-        paper = TABLE7_HLATCH.get(name, ("", "", "", "", ""))
-        rows.append(
-            [
-                name,
-                snap.get("hlatch.ctc_miss_percent"),
-                snap.get("hlatch.tcache_miss_percent"),
-                snap.get("hlatch.combined_miss_percent"),
-                snap.get("baseline.miss_percent"),
-                snap.get("hlatch.avoided_percent"),
-                paper[3],
-                paper[4],
-            ]
-        )
     emit(
         "table7",
-        format_table(
-            ["benchmark", "CTC miss %", "t-cache miss %", "combined %",
-             "no-LATCH %", "avoided %", "paper no-LATCH %", "paper avoided %"],
-            rows,
-            title="Table 7: H-LATCH cache performance (network applications)",
-        ),
+        ARTEFACTS["table7"].render({n: snapshots[n] for n in network_names()}),
     )
 
     avoided = {

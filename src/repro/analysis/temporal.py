@@ -49,15 +49,3 @@ def mean_taint_free_epoch(stream: EpochStream) -> float:
     if len(free_lengths) == 0:
         return 0.0
     return float(free_lengths.mean())
-
-
-def epoch_count_histogram(
-    stream: EpochStream,
-    thresholds: Sequence[int] = FIG5_THRESHOLDS,
-) -> Dict[int, int]:
-    """Number of taint-free epochs at least as long as each threshold."""
-    free_lengths = stream.taint_free_lengths()
-    return {
-        threshold: int((free_lengths >= threshold).sum())
-        for threshold in thresholds
-    }

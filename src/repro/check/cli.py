@@ -235,8 +235,7 @@ def _cmd_workloads(args) -> int:
     return 1 if failures else 0
 
 
-def cli(argv=None) -> int:
-    """Console entry point (``repro-check``)."""
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-check",
         description="Differential soundness checking of the LATCH stack",
@@ -246,7 +245,12 @@ def cli(argv=None) -> int:
     _add_replay(subparsers)
     _add_selftest(subparsers)
     _add_workloads(subparsers)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def cli(argv=None) -> int:
+    """Console entry point (``repro-check``)."""
+    args = build_parser().parse_args(argv)
     if args.command == "fuzz":
         return _cmd_fuzz(args)
     if args.command == "replay":

@@ -665,18 +665,3 @@ def check_program(
         if stream_obs is not None:
             pipeline.accumulate_metrics(stream_obs)
     return report
-
-
-def check_many(
-    programs: Sequence[CheckProgram],
-    paths: Sequence[str] = ALL_PATHS,
-    stop_on_first: bool = False,
-    stream_obs=None,
-) -> OracleReport:
-    """Check a batch of programs; optionally stop at the first failure."""
-    report = OracleReport()
-    for cp in programs:
-        report.merge(check_program(cp, paths=paths, stream_obs=stream_obs))
-        if stop_on_first and not report.ok:
-            break
-    return report

@@ -104,16 +104,6 @@ class UpdateChain:
             coarse_bit=coarse_bit, new_tags=new_tags, page_bit=page_bit
         )
 
-    @property
-    def gate_estimate(self) -> int:
-        """Rough 2-input-gate count of one chain level.
-
-        decoder (≈ width), invert+AND mask (width), OR-reduce tree
-        (width − 1), final OR (1) — matching the LE accounting used by
-        :class:`repro.hw.area.LatchAreaModel`.
-        """
-        return self.width + self.width + (self.width - 1) + 1
-
 
 def word_to_bits(word: int, width: int = DOMAINS_PER_WORD) -> List[bool]:
     """Unpack an integer tag word into a bit vector."""

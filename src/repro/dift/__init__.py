@@ -24,7 +24,6 @@ from repro.dift.policy import TaintPolicy
 from repro.dift.events import AlertKind, SecurityAlert
 from repro.dift.engine import DIFTEngine, DIFTStats
 from repro.dift.colors import ColorAllocator
-from repro.dift.checkpoint import load_checkpoint, save_checkpoint
 
 __all__ = [
     "AlertKind",
@@ -35,6 +34,4 @@ __all__ = [
     "ShadowMemory",
     "TaintPolicy",
     "TaintRegisterFile",
-    "load_checkpoint",
-    "save_checkpoint",
 ]

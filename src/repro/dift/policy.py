@@ -12,7 +12,7 @@ its own filters, and declares which data-use checks are armed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, Optional, Set
+from typing import FrozenSet
 
 from repro.machine.events import InputEvent
 
@@ -76,18 +76,3 @@ CLASSICAL_DTA = TaintPolicy()
 def leak_detection_policy() -> TaintPolicy:
     """Policy variant for the data-leakage use case (tainted-output)."""
     return TaintPolicy(check_output_leaks=True)
-
-
-def hardened_policy(protected_syscalls: Optional[Set[int]] = None) -> TaintPolicy:
-    """Policy that additionally screens syscall arguments.
-
-    Args:
-        protected_syscalls: syscall numbers whose arguments must be clean
-            (defaults to OPEN, so a tainted path cannot be opened).
-    """
-    from repro.machine.syscalls import Syscall
-
-    protected = frozenset(
-        protected_syscalls if protected_syscalls is not None else {int(Syscall.OPEN)}
-    )
-    return TaintPolicy(check_syscall_args=True, protected_syscalls=protected)

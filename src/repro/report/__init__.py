@@ -6,7 +6,7 @@ the paper states numbers.
 """
 
 from repro.report.figures import format_bar_chart, format_grouped_bars
-from repro.report.obs_report import format_snapshot, snapshot_diff
+from repro.report.obs_report import format_snapshot
 from repro.report.tables import (
     format_comparison_table,
     format_series,
@@ -20,5 +20,4 @@ __all__ = [
     "format_series",
     "format_snapshot",
     "format_table",
-    "snapshot_diff",
 ]

@@ -66,22 +66,3 @@ def format_snapshot(
     return format_table(
         ["metric", "kind", "unit", "value"], rows, title=title
     )
-
-
-def snapshot_diff(before: StatsSnapshot, after: StatsSnapshot) -> dict:
-    """Scalar deltas ``after - before`` for metrics present in both.
-
-    Histogram/timer records are skipped (their summaries do not
-    subtract meaningfully); useful for windowed measurements over a
-    long-running system.
-    """
-    deltas = {}
-    for record in after.records:
-        if not record.is_scalar:
-            continue
-        previous = before.get(record.name)
-        if isinstance(previous, (int, float)) and isinstance(
-            record.data["value"], (int, float)
-        ):
-            deltas[record.name] = record.data["value"] - previous
-    return deltas

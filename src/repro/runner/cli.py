@@ -3,11 +3,14 @@
 Runs (workload × experiment) job suites from
 :data:`repro.workloads.suites.EXPERIMENT_SUITES` on the parallel,
 fault-tolerant, cache-aware engine, with live progress on stderr and a
-markdown or JSON report on stdout::
+markdown or JSON report on stdout.  A suite named after one of the
+paper's 13 artefacts (:data:`repro.report.artefacts.ARTEFACTS`: tables
+1-4, 6, 7, figs 5, 6, 13-16 and sec64) renders that artefact; any
+other suite reports its jobs::
 
     repro-run --list-suites
     repro-run smoke
-    repro-run table1 table3 --workers 4 --epoch-scale 5000000
+    repro-run table1 fig13 --workers 4 --epoch-scale 5000000
     repro-run tables --benchmarks gcc,astar,curl --format json -o out.json
     repro-run smoke --serial --no-cache
     repro-run --clear-cache
@@ -22,7 +25,6 @@ recomputations, and a killed sweep resumes where it left off.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 from typing import Dict, List
@@ -32,13 +34,16 @@ from repro.report import format_snapshot, format_table
 from repro.runner.cache import ResultCache, TraceCache
 from repro.runner.scheduler import Runner, RunnerConfig
 from repro.runner.specs import JobResult, JobSpec, positive_int_env, suite_jobs
+from repro.workloads.generator import DEFAULT_EPOCH_SCALE, DEFAULT_TRACE_WINDOW
 
 #: One headline metric per job kind for the summary table.
 _HEADLINES = {
     "taint_fraction": "workload.taint_percent",
     "page_taint": "layout.tainted_percent",
     "hlatch": "hlatch.avoided_percent",
-    "slatch": "slatch.overhead",
+    "slatch": "slatch.model.overhead",
+    "epochs": "platch.simple.overhead",
+    "fp_sweep": "fp.multiplier.64",
     "chaos": "chaos.value",
     "trace_replay": "hlatch.avoided_percent",
     "trace_shard": "trace.shard.accesses",
@@ -73,12 +78,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--epoch-scale", type=int, default=None,
         help="instructions per epoch stream "
-             "(default REPRO_BENCH_EPOCH_SCALE or 2000000)",
+             f"(default REPRO_BENCH_EPOCH_SCALE or {DEFAULT_EPOCH_SCALE})",
     )
     parser.add_argument(
         "--trace-window", type=int, default=None,
         help="memory-access window for cache simulations "
-             "(default REPRO_BENCH_TRACE_WINDOW or 50000)",
+             f"(default REPRO_BENCH_TRACE_WINDOW or {DEFAULT_TRACE_WINDOW})",
     )
     parser.add_argument(
         "--seed", type=int, default=0,
@@ -136,18 +141,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _expand_suites(args) -> List[JobSpec]:
+def _expand_suites(args) -> Dict[str, List[JobSpec]]:
+    """Each requested suite's job specs, in request order."""
     from repro.workloads.suites import EXPERIMENT_SUITES
 
     epoch_scale = (
         args.epoch_scale
         if args.epoch_scale is not None
-        else positive_int_env("REPRO_BENCH_EPOCH_SCALE", 2_000_000)
+        else positive_int_env("REPRO_BENCH_EPOCH_SCALE", DEFAULT_EPOCH_SCALE)
     )
     trace_window = (
         args.trace_window
         if args.trace_window is not None
-        else positive_int_env("REPRO_BENCH_TRACE_WINDOW", 50_000)
+        else positive_int_env("REPRO_BENCH_TRACE_WINDOW", DEFAULT_TRACE_WINDOW)
     )
     if epoch_scale <= 0 or trace_window <= 0:
         raise ValueError("--epoch-scale and --trace-window must be positive")
@@ -156,28 +162,24 @@ def _expand_suites(args) -> List[JobSpec]:
         if args.benchmarks
         else None
     )
-    jobs: List[JobSpec] = []
-    seen = set()
+    suites: Dict[str, List[JobSpec]] = {}
     for suite in args.suites:
         if suite not in EXPERIMENT_SUITES:
             known = ", ".join(sorted(EXPERIMENT_SUITES))
             raise KeyError(
                 f"unknown suite {suite!r} (available: {known})"
             )
-        for spec in suite_jobs(
+        specs = suite_jobs(
             suite,
             epoch_scale=epoch_scale,
             trace_window=trace_window,
             seed=args.seed,
             benchmarks=benchmarks,
-        ):
-            if spec in seen:
-                continue
-            seen.add(spec)
-            jobs.append(spec)
-    if getattr(args, "columnar", False):
-        jobs = [_columnar_spec(spec, args.shards) for spec in jobs]
-    return jobs
+        )
+        if args.columnar:
+            specs = [_columnar_spec(spec, args.shards) for spec in specs]
+        suites[suite] = specs
+    return suites
 
 
 def _columnar_spec(spec: JobSpec, shards) -> JobSpec:
@@ -235,8 +237,26 @@ def _headline(result: JobResult) -> str:
     return ""
 
 
+def _render_artefacts(suites: Dict[str, List[JobSpec]],
+                      results: Dict[str, JobResult]) -> Dict[str, str]:
+    """Each requested paper artefact whose jobs all succeeded, rendered."""
+    from repro.report.artefacts import ARTEFACTS
+
+    rendered = {}
+    for suite, specs in suites.items():
+        jobs = [results[spec.job_id] for spec in specs]
+        if suite in ARTEFACTS and all(job.ok for job in jobs):
+            rendered[suite] = ARTEFACTS[suite].render(
+                {job.spec.workload: job.snapshot for job in jobs}
+            )
+    return rendered
+
+
 def _render_markdown(results: Dict[str, JobResult], runner: Runner,
-                     suites: List[str]) -> str:
+                     suites: List[str], artefacts: Dict[str, str]) -> str:
+    parts = list(artefacts.values())
+    if set(suites) <= set(artefacts):
+        return "\n\n".join(parts)
     rows = []
     for job_id in sorted(results):
         result = results[job_id]
@@ -255,11 +275,11 @@ def _render_markdown(results: Dict[str, JobResult], runner: Runner,
     runner_table = format_snapshot(
         runner.registry.snapshot(), title="runner metrics", precision=3
     )
-    return jobs_table + "\n\n" + runner_table
+    return "\n\n".join(parts + [jobs_table, runner_table])
 
 
 def _render_json(results: Dict[str, JobResult], runner: Runner,
-                 suites: List[str]) -> str:
+                 suites: List[str], artefacts: Dict[str, str]) -> str:
     import json
 
     payload = {
@@ -278,16 +298,16 @@ def _render_json(results: Dict[str, JobResult], runner: Runner,
             for job_id, result in sorted(results.items())
         },
         "runner": runner.registry.snapshot().to_dict(),
+        "artefacts": artefacts,
     }
     return json.dumps(payload, indent=2)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    from repro.workloads.suites import EXPERIMENT_SUITES
 
     if args.list_suites:
-        from repro.workloads.suites import EXPERIMENT_SUITES
-
         for name, groups in EXPERIMENT_SUITES.items():
             kinds = ", ".join(sorted({kind for kind, _ in groups}))
             count = sum(len(names) for _, names in groups)
@@ -306,12 +326,16 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        jobs = _expand_suites(args)
+        suites = _expand_suites(args)
     except (KeyError, ValueError) as error:
         message = error.args[0] if error.args else error
         print(f"error: {message}", file=sys.stderr)
         return 2
-    if not jobs:
+    jobs = list(dict.fromkeys(
+        spec for specs in suites.values() for spec in specs
+    ))
+    # Only a suite that declares jobs (not Section 6.4) can match none.
+    if not jobs and any(EXPERIMENT_SUITES[suite] for suite in suites):
         print("error: suite selection matched no jobs", file=sys.stderr)
         return 2
 
@@ -362,10 +386,11 @@ def main(argv=None) -> int:
                     file=sys.stderr,
                 )
 
+    artefacts = _render_artefacts(suites, results)
     if args.format == "json":
-        text = _render_json(results, runner, args.suites)
+        text = _render_json(results, runner, args.suites, artefacts)
     else:
-        text = _render_markdown(results, runner, args.suites)
+        text = _render_markdown(results, runner, args.suites, artefacts)
     if args.output:
         args.output.write_text(text + "\n")
         print(f"wrote {args.output}")

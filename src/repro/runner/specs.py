@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.obs.snapshot import SNAPSHOT_VERSION, StatsSnapshot
+from repro.workloads.generator import DEFAULT_EPOCH_SCALE, DEFAULT_TRACE_WINDOW
 from repro.workloads.profiles import get_profile
 from repro.trace.format import TRACE_VERSION
 
@@ -38,14 +39,15 @@ from repro.trace.format import TRACE_VERSION
 #: v3: the kernel-backend field left the payload (one replay path).
 JOB_KEY_VERSION = 3
 
-#: Experiment kinds the worker knows how to execute.  ``chaos`` is the
+#: Experiment kinds the worker knows how to execute.  ``epochs`` and
+#: ``fp_sweep`` back Figures 5/15 and 6; ``chaos`` is the
 #: fault-injection kind used by the fault-tolerance tests and docs;
 #: ``trace_shard`` computes one shard's summary of a columnar ``.ltrace``
 #: replay (internal to the sharded-replay fan-out), and ``trace_replay``
 #: is the user-facing whole-trace columnar replay.
 JOB_KINDS = (
-    "taint_fraction", "page_taint", "hlatch", "slatch", "chaos",
-    "trace_shard", "trace_replay",
+    "taint_fraction", "page_taint", "hlatch", "slatch", "epochs",
+    "fp_sweep", "chaos", "trace_shard", "trace_replay",
 )
 
 ParamValue = Union[int, float, str, bool, None]
@@ -171,13 +173,13 @@ class JobResult:
 # ------------------------------------------------------------------ suites
 
 
-def _scale_params(kind: str, epoch_scale: int, trace_window: int):
+def scale_params(kind: str, epoch_scale: int, trace_window: int):
     """The scale knobs each experiment kind actually consumes."""
-    if kind == "taint_fraction":
+    if kind in ("taint_fraction", "epochs"):
         return {"epoch_scale": epoch_scale}
     if kind == "page_taint":
         return {}
-    if kind == "hlatch":
+    if kind in ("hlatch", "fp_sweep"):
         return {"trace_window": trace_window}
     if kind == "slatch":
         return {"epoch_scale": epoch_scale, "trace_window": trace_window}
@@ -186,8 +188,8 @@ def _scale_params(kind: str, epoch_scale: int, trace_window: int):
 
 def suite_jobs(
     suite: str,
-    epoch_scale: int = 2_000_000,
-    trace_window: int = 50_000,
+    epoch_scale: int = DEFAULT_EPOCH_SCALE,
+    trace_window: int = DEFAULT_TRACE_WINDOW,
     seed: int = 0,
     benchmarks: Optional[Sequence[str]] = None,
 ) -> List[JobSpec]:
@@ -215,7 +217,7 @@ def suite_jobs(
                 continue
             spec = JobSpec.make(
                 kind, name, seed=seed,
-                **_scale_params(kind, epoch_scale, trace_window),
+                **scale_params(kind, epoch_scale, trace_window),
             )
             if spec.job_id in seen:
                 continue

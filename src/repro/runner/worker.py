@@ -31,7 +31,12 @@ from typing import Dict, Optional
 
 from contextlib import ExitStack
 
-from repro.analysis import page_taint_distribution, tainted_instruction_fraction
+from repro.analysis import (
+    epoch_duration_profile,
+    false_positive_sweep,
+    page_taint_distribution,
+    tainted_instruction_fraction,
+)
 from repro.hlatch import run_baseline, run_hlatch
 from repro.obs import MetricsRegistry
 from repro.obs.flight import FlightRecorder
@@ -40,11 +45,7 @@ from repro.obs.tracer import Tracer
 from repro.runner.specs import JobSpec
 from repro.slatch.simulator import measure_hw_rates, simulate_slatch
 from repro.workloads import WorkloadGenerator, make_generator
-
-#: Default scales for specs that omit them (same laptop-friendly values
-#: as ``repro-stats`` profile mode).
-DEFAULT_EPOCH_SCALE = 2_000_000
-DEFAULT_TRACE_WINDOW = 50_000
+from repro.workloads.generator import DEFAULT_EPOCH_SCALE, DEFAULT_TRACE_WINDOW
 
 
 def _generator(spec: JobSpec) -> WorkloadGenerator:
@@ -171,6 +172,44 @@ def _job_slatch(spec, registry, trace_cache, in_subprocess) -> None:
     report.publish_metrics(registry)
 
 
+def _job_epochs(spec, registry, trace_cache, in_subprocess) -> None:
+    """Figures 5 and 15: taint-free epoch durations, P-LATCH overheads."""
+    from repro.platch import LBA_OPTIMIZED, LBA_SIMPLE, analytic_platch
+
+    stream = _epoch_stream(spec, _generator(spec), trace_cache)
+    for threshold, percent in epoch_duration_profile(stream).items():
+        registry.gauge(
+            f"epochs.taint_free_percent.{threshold}", unit="percent",
+            description="Instructions in taint-free epochs >= L (Figure 5)",
+        ).set(percent)
+    simple = analytic_platch(stream, LBA_SIMPLE)
+    optimized = analytic_platch(stream, LBA_OPTIMIZED)
+    registry.gauge(
+        "platch.monitored_fraction", unit="fraction",
+        description="Instructions in taint-active LBA windows (Figure 15)",
+    ).set(simple.monitored_fraction)
+    registry.gauge(
+        "platch.simple.overhead", unit="fraction",
+        description="P-LATCH overhead over the simple LBA (Figure 15)",
+    ).set(simple.overhead)
+    registry.gauge(
+        "platch.optimized.overhead", unit="fraction",
+        description="P-LATCH overhead over the optimized LBA (Figure 15)",
+    ).set(optimized.overhead)
+
+
+def _job_fp_sweep(spec, registry, trace_cache, in_subprocess) -> None:
+    """Figure 6: coarse-taint detection multiplier per domain size."""
+    trace = _access_trace(spec, _generator(spec), trace_cache)
+    for size, multiplier in false_positive_sweep(trace).items():
+        if multiplier != multiplier:  # NaN: no precise taint to inflate
+            continue
+        registry.gauge(
+            f"fp.multiplier.{size}", unit="ratio",
+            description="Coarse/precise taint footprint (Figure 6)",
+        ).set(multiplier)
+
+
 def _job_chaos(spec, registry, trace_cache, in_subprocess) -> None:
     """Fault injection: crash, die, stall, or fail on demand.
 
@@ -278,6 +317,8 @@ _KINDS = {
     "page_taint": _job_page_taint,
     "hlatch": _job_hlatch,
     "slatch": _job_slatch,
+    "epochs": _job_epochs,
+    "fp_sweep": _job_fp_sweep,
     "chaos": _job_chaos,
     "trace_shard": _job_trace_shard,
     "trace_replay": _job_trace_replay,

@@ -263,8 +263,7 @@ def _cmd_selftest(args) -> int:
     return 0
 
 
-def cli(argv=None) -> int:
-    """Console entry point (``repro-serve``)."""
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-serve",
         description="LATCH-as-a-service: multi-tenant taint checking",
@@ -273,7 +272,12 @@ def cli(argv=None) -> int:
     _add_serve(subparsers)
     _add_loadgen(subparsers)
     _add_selftest(subparsers)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def cli(argv=None) -> int:
+    """Console entry point (``repro-serve``)."""
+    args = build_parser().parse_args(argv)
     if args.command == "serve":
         return _cmd_serve(args)
     if args.command == "loadgen":

@@ -300,19 +300,3 @@ class SLatchSystem(Observer, LatchPort):
     def alerts(self) -> List:
         """Security alerts raised so far."""
         return self.engine.alerts
-
-    def estimated_overhead(self, libdft_slowdown: float) -> float:
-        """Estimated execution overhead over native (cycle model).
-
-        ``libdft_slowdown`` is the factor software-mode instructions pay
-        (the per-benchmark libdft cost).
-        """
-        native = self.counters.total_instructions
-        if native == 0:
-            return 0.0
-        extra = (
-            self.extra_cycles
-            + self.counters.sw_instructions * (libdft_slowdown - 1.0)
-            + self.latch.ctc.stats.misses * self.costs.ctc_miss_penalty_cycles
-        )
-        return extra / native

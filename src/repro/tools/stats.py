@@ -2,11 +2,13 @@
 
 Two modes, one output model (:class:`repro.obs.StatsSnapshot`):
 
-**Program mode** — execute a toy-ISA program under a monitor and report
-the full stack's metrics::
+**Program mode** — execute a toy-ISA program under a monitor (or
+``--monitor none``) and report the full stack's metrics; the guest's
+console output goes to stderr::
 
     repro-stats program.s --monitor slatch --file in.txt=payload.bin
     repro-stats program.s --monitor dift --format json -o stats.json
+    repro-stats program.s --monitor none
 
 **Profile mode** — replay one of the 27 calibrated workload profiles
 through the same measurement pipeline the benchmark harness uses
@@ -46,11 +48,7 @@ from repro.workloads import (
     characterize,
     make_generator,
 )
-
-#: Profile-mode defaults: laptop-friendly fractions of the benchmark
-#: harness scales (REPRO_BENCH_EPOCH_SCALE / REPRO_BENCH_TRACE_WINDOW).
-DEFAULT_EPOCH_SCALE = 2_000_000
-DEFAULT_TRACE_WINDOW = 50_000
+from repro.workloads.generator import DEFAULT_EPOCH_SCALE, DEFAULT_TRACE_WINDOW
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,8 +77,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="list available workload profiles and exit",
     )
     parser.add_argument(
-        "--monitor", choices=["slatch", "dift", "platch"], default="slatch",
-        help="program mode: monitoring system to attach (default slatch)",
+        "--monitor", choices=["slatch", "dift", "platch", "none"],
+        default="slatch",
+        help="program mode: monitoring system to attach, or none "
+             "(default slatch)",
     )
     parser.add_argument(
         "--file", action="append", default=[],
@@ -237,13 +237,20 @@ def run_program(args) -> StatsSnapshot:
             "sample_seed": config.sampling.seed,
         })
     else:
-        engine = DIFTEngine()
-        cpu.attach(engine)
+        engine = DIFTEngine() if args.monitor == "dift" else None
+        if engine is not None:
+            cpu.attach(engine)
         cpu.run(args.max_steps)
         registry = MetricsRegistry()
-        engine.publish_metrics(registry)
+        if engine is not None:
+            engine.publish_metrics(registry)
         cpu.publish_metrics(registry)
         snapshot = registry.snapshot()
+
+    # The guest's console on stderr keeps stdout a parseable report.
+    if cpu.console:
+        text = cpu.console.decode("latin-1")
+        sys.stderr.write(text if text.endswith("\n") else text + "\n")
 
     if recorder is not None:
         recorder.save(args.record_trace)

@@ -173,8 +173,7 @@ def render_dashboard(sample: Dict) -> str:
 # ------------------------------------------------------------------- CLI
 
 
-def cli(argv=None) -> int:
-    """Console entry point (``repro-top``)."""
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-top",
         description="live dashboard over the serve telemetry plane",
@@ -193,6 +192,12 @@ def cli(argv=None) -> int:
     parser.add_argument("--fail-on-alert", default=None, metavar="PATTERN",
                         help="exit 2 if any firing alert matches this "
                              "regex (use with --once)")
+    return parser
+
+
+def cli(argv=None) -> int:
+    """Console entry point (``repro-top``)."""
+    parser = build_parser()
     args = parser.parse_args(argv)
     if args.host is not None and args.port is None:
         parser.error("--host requires --port")

@@ -8,7 +8,7 @@ Usage::
 Prints one line per committed instruction — address, disassembly,
 memory effects — and marks the instructions that touch tainted data
 with ``T`` plus the tainted operands, making taint flows visible at a
-glance.  The debugging companion to ``repro.tools.run``.
+glance.  The debugging companion to ``repro-stats`` program mode.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from repro.dift.engine import DIFTEngine
 from repro.isa.assembler import AssemblyError, assemble
 from repro.isa.disassembler import format_instruction
 from repro.machine.cpu import CPU, ExecutionError
-from repro.machine.devices import DeviceTable, VirtualFile
+from repro.machine.devices import DeviceTable
 from repro.machine.events import Observer
 
 
@@ -93,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    from repro.tools.run import _parse_file_spec
+    from repro.tools.stats import _parse_file_spec
 
     args = build_parser().parse_args(argv)
     try:

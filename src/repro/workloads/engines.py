@@ -40,6 +40,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Type, Union
 import numpy as np
 
 from repro.workloads.generator import (
+    DEFAULT_EPOCH_SCALE,
     WorkloadGenerator,
     _AddressPool,
     _ranges,
@@ -889,7 +890,7 @@ def make_generator(
 
 def characterize(
     names: Optional[Sequence[str]] = None,
-    epoch_scale: int = 2_000_000,
+    epoch_scale: int = DEFAULT_EPOCH_SCALE,
     trace_window: int = 20_000,
     seed: int = 0,
 ) -> Dict[str, Dict[str, object]]:

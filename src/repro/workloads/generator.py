@@ -36,6 +36,13 @@ from repro.workloads.trace import (
 )
 
 #: Segment base addresses for page placement (virtual address space).
+#: Scales used wherever a caller names none (``repro-run``,
+#: ``repro-stats`` profile mode, runner job specs and the zoo
+#: characterization): instructions per epoch stream, and the
+#: memory-access window of an access trace.
+DEFAULT_EPOCH_SCALE = 2_000_000
+DEFAULT_TRACE_WINDOW = 50_000
+
 _DATA_BASE_PAGE = 0x0010_0000 // PAGE_SIZE
 _HEAP_BASE_PAGE = 0x0800_0000 // PAGE_SIZE
 _STACK_BASE_PAGE = 0x7FF0_0000 // PAGE_SIZE

@@ -1,20 +1,22 @@
 """Named workload suites and sweep helpers.
 
 Thin conveniences over :mod:`repro.workloads.profiles` used by the
-benchmark harness, the `reproduce` driver, and downstream sweeps:
+benchmark harness, the ``repro-run`` CLI, and downstream sweeps:
 
 * :data:`SPEC_SUITE` / :data:`NETWORK_SUITE` / :data:`FULL_SUITE` — the
   paper's benchmark groupings, in its column order.
 * :data:`POOR_LOCALITY` / :data:`PAGE_ALIGNED` — the subsets the paper
   repeatedly singles out (Sections 3.2–3.3, 6.1, 6.3).
+* :data:`EXPERIMENT_SUITES` — the ``repro-run`` job suites, one per
+  paper artefact of :mod:`repro.report.artefacts` plus the sweeps.
 * :func:`iter_generators` — seeded generators for a suite.
-* :func:`suite_summary` — one-line stats per benchmark (sanity view).
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterator, List, Sequence, Tuple
 
+from repro.report.artefacts import ARTEFACTS
 from repro.workloads.engines import SERVICE_SUITE, make_generator
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.profiles import (
@@ -46,19 +48,28 @@ APACHE_SWEEP: Tuple[str, ...] = (
     "apache", "apache-25", "apache-50", "apache-75",
 )
 
+#: The workload groups a paper artefact can span: the 20 SPEC benchmarks,
+#: the 7 network applications, or every profile (both, then the zoo).
+WORKLOAD_GROUPS: Dict[str, Tuple[str, ...]] = {
+    "spec": SPEC_SUITE,
+    "network": NETWORK_SUITE,
+    "all": FULL_SUITE + SERVICE_SUITE,
+}
+
 #: Named experiment suites for the :mod:`repro.runner` engine and the
 #: ``repro-run`` CLI: suite name → groups of ``(job kind, workloads)``.
 #: Kinds are the executors of :mod:`repro.runner.worker`; scales and
 #: seeds are supplied at expansion time by
 #: :func:`repro.runner.specs.suite_jobs`.
 EXPERIMENT_SUITES: Dict[str, Tuple[Tuple[str, Tuple[str, ...]], ...]] = {
-    # The paper's table groupings, one suite per table.
-    "table1": (("taint_fraction", SPEC_SUITE),),
-    "table2": (("taint_fraction", NETWORK_SUITE),),
-    "table3": (("page_taint", SPEC_SUITE),),
-    "table4": (("page_taint", NETWORK_SUITE),),
-    "table6": (("hlatch", SPEC_SUITE),),
-    "table7": (("hlatch", NETWORK_SUITE),),
+    # One suite per paper artefact (Section 6.4 needs no job).
+    **{
+        artefact.id: (
+            ((artefact.kind, WORKLOAD_GROUPS[artefact.group]),)
+            if artefact.kind else ()
+        )
+        for artefact in ARTEFACTS.values()
+    },
     # Everything the table benchmarks need, in one sweep.
     "tables": (
         ("taint_fraction", FULL_SUITE),
@@ -99,22 +110,3 @@ def iter_generators(
     """
     for name in names:
         yield name, make_generator(name, seed=seed)
-
-
-def suite_summary(
-    names: Sequence[str] = FULL_SUITE,
-    epoch_scale: int = 2_000_000,
-    seed: int = 0,
-) -> Dict[str, Dict[str, float]]:
-    """Quick per-benchmark statistics (taint %, epochs, tainted pages)."""
-    summary: Dict[str, Dict[str, float]] = {}
-    for name, generator in iter_generators(names, seed=seed):
-        stream = generator.epoch_stream(epoch_scale)
-        layout = generator.layout()
-        summary[name] = {
-            "taint_percent": 100.0 * stream.tainted_fraction,
-            "epochs": float(stream.epoch_count),
-            "pages_accessed": float(len(layout.accessed_pages)),
-            "pages_tainted": float(len(layout.tainted_pages())),
-        }
-    return summary

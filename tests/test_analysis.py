@@ -11,7 +11,6 @@ from repro.analysis.spatial import (
     tainted_byte_density,
 )
 from repro.analysis.temporal import (
-    epoch_count_histogram,
     epoch_duration_profile,
     mean_taint_free_epoch,
     tainted_instruction_fraction,
@@ -58,13 +57,6 @@ class TestTemporal:
         s = stream((100, 0), (10, 5), (300, 0))
         assert mean_taint_free_epoch(s) == pytest.approx(200.0)
         assert mean_taint_free_epoch(stream((10, 5))) == 0.0
-
-    def test_epoch_count_histogram(self):
-        s = stream((150, 0), (10, 5), (5_000, 0))
-        histogram = epoch_count_histogram(s)
-        assert histogram[100] == 2
-        assert histogram[1_000] == 1
-        assert histogram[1_000_000] == 0
 
 
 class TestSpatialPages:

@@ -14,7 +14,7 @@ from repro.check.corpus import DEFAULT_CORPUS, load_corpus, load_program, save_p
 from repro.check.generator import CheckProgram, generate_program
 from repro.check.mutation import BuggyLatchModule, run_selftest
 from repro.check.oracle import (
-    check_many,
+    OracleReport,
     check_program,
     run_core_mirror,
     run_reference,
@@ -53,7 +53,9 @@ class TestOracleCleanOnFixedCode:
     def test_corpus_replays_clean(self):
         programs = load_corpus(DEFAULT_CORPUS)
         assert programs, "committed regression corpus must not be empty"
-        report = check_many(programs)
+        report = OracleReport()
+        for cp in programs:
+            report.merge(check_program(cp))
         assert report.ok, "\n".join(str(v) for v in report.violations)
 
     @pytest.mark.parametrize("seed", range(12))
@@ -146,11 +148,10 @@ class TestStreamPath:
         from repro.obs import MetricsRegistry
 
         registry = MetricsRegistry()
-        check_many(
-            [generate_program(2), generate_program(3)],
-            paths=("stream",),
-            stream_obs=registry,
-        )
+        for seed in (2, 3):
+            check_program(
+                generate_program(seed), paths=("stream",), stream_obs=registry
+            )
         snapshot = registry.snapshot()
         assert snapshot.get("pipeline.runs") == 2  # one run per program
         assert snapshot.get("pipeline.instructions") > 0

@@ -82,9 +82,6 @@ class TestChainSemantics:
         with pytest.raises(ValueError):
             UpdateChain(width=0)
 
-    def test_gate_estimate(self):
-        assert UpdateChain(width=32).gate_estimate == 32 + 32 + 31 + 1
-
 
 class TestBehaviouralEquivalence:
     """The gate network computes exactly what the CTC update path does.

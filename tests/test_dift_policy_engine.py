@@ -4,7 +4,7 @@ import pytest
 
 from repro.dift.engine import DIFTEngine
 from repro.dift.events import AlertKind, SecurityException
-from repro.dift.policy import TaintPolicy, hardened_policy, leak_detection_policy
+from repro.dift.policy import TaintPolicy, leak_detection_policy
 from repro.isa.assembler import assemble
 from repro.machine.cpu import CPU
 from repro.machine.devices import DeviceTable, VirtualFile
@@ -45,11 +45,6 @@ class TestPolicyDecisions:
     def test_zero_tag_rejected(self):
         with pytest.raises(ValueError):
             TaintPolicy(taint_tag=0)
-
-    def test_hardened_policy_protects_open(self):
-        policy = hardened_policy()
-        assert policy.check_syscall_args
-        assert int(Syscall.OPEN) in policy.protected_syscalls
 
 
 class TestEngineInitialisation:
@@ -198,7 +193,10 @@ _start:
         devices = DeviceTable()
         devices.register_file(VirtualFile("in", b"\x01\x02\x03\x04"))
         cpu = CPU(assemble(source), devices=devices)
-        engine = DIFTEngine(hardened_policy())
+        engine = DIFTEngine(TaintPolicy(
+            check_syscall_args=True,
+            protected_syscalls=frozenset({int(Syscall.OPEN)}),
+        ))
         cpu.attach(engine)
         try:
             cpu.run(1000)

@@ -1,7 +1,14 @@
-"""Documentation tests: every code block in the docs actually runs."""
+"""Documentation tests: every code block in the docs actually runs.
 
+Shell blocks are not run; their ``repro-*`` and ``python -m repro.…``
+commands must name a real tool and parse with its ``build_parser()``.
+"""
+
+import importlib
+import importlib.util
 import pathlib
 import re
+import shlex
 
 import pytest
 
@@ -343,3 +350,92 @@ class TestKernelsDoc:
         text = (ROOT / "docs" / "KERNELS.md").read_text()
         for name in KERNEL_NAMES:
             assert name in text, f"KERNELS.md does not mention {name}"
+
+
+# ------------------------------------------------------------ shell blocks
+
+SHELL_DOCS = [
+    ROOT / "README.md", ROOT / "EXPERIMENTS.md",
+    *sorted((ROOT / "docs").glob("*.md")),
+]
+
+#: ``repro-*`` console script → module, from pyproject.toml.
+CONSOLE_SCRIPTS = dict(re.findall(
+    r'^(repro-[a-z]+) = "([\w.]+):\w+"$',
+    (ROOT / "pyproject.toml").read_text(), re.M,
+))
+
+
+def shell_commands(path: pathlib.Path):
+    """Command lines of the bash/console blocks of ``path``.
+
+    Backslash continuations are joined; in console blocks only the
+    ``$ `` prompt lines (and their continuations) are commands.
+    """
+    text = path.read_text()
+    for lang, body in re.findall(r"```(bash|sh|console)\n(.*?)```", text, re.S):
+        command = None
+        for line in body.splitlines():
+            if command is None:
+                if lang == "console":
+                    if not line.startswith("$ "):
+                        continue
+                    line = line[2:]
+                command = line
+            else:
+                command += " " + line.strip()
+            if command.endswith("\\"):
+                command = command[:-1]
+                continue
+            yield command
+            command = None
+
+
+def repro_invocation(command: str):
+    """``(tool, args)`` if ``command`` runs a repro tool, else None."""
+    words = shlex.split(command, comments=True)
+    while words and re.match(r"[A-Za-z_]\w*=", words[0]):
+        words.pop(0)  # environment assignments
+    for index, word in enumerate(words):
+        if word in ("|", "||", "&&", ";", "&", ">", ">>", "<"):
+            words = words[:index]
+            break
+    if words and words[0].startswith("repro-"):
+        return words[0], words[1:]
+    if (words[:2] in (["python", "-m"], ["python3", "-m"])
+            and len(words) > 2 and words[2].startswith("repro")):
+        return words[2], words[3:]
+    return None
+
+
+class TestShellCommands:
+    @pytest.mark.parametrize("path", SHELL_DOCS, ids=lambda p: p.name)
+    def test_commands_name_real_tools_and_parse(self, path):
+        for command in shell_commands(path):
+            invocation = repro_invocation(command)
+            if invocation is None:
+                continue
+            tool, args = invocation
+            if tool.startswith("repro-"):
+                assert tool in CONSOLE_SCRIPTS, (
+                    f"{path.name}: {tool} is not a declared console script"
+                )
+                module = CONSOLE_SCRIPTS[tool]
+            else:
+                module = tool
+                assert importlib.util.find_spec(module) is not None, (
+                    f"{path.name}: no module {module}"
+                )
+            parser = importlib.import_module(module).build_parser()
+            try:
+                parser.parse_args(args)
+            except SystemExit as error:
+                assert error.code == 0, f"{path.name}: {command!r} does not parse"
+
+    def test_block_scanner(self):
+        """The scanner finds the commands it is meant to check."""
+        commands = list(shell_commands(ROOT / "docs" / "RUNNER.md"))
+        assert "repro-run --list-suites" in commands
+        assert repro_invocation(
+            "REPRO_X=1 python -m repro.tools.asm a.s > out.txt  # note"
+        ) == ("repro.tools.asm", ["a.s"])

@@ -2,7 +2,7 @@
 
 One service scenario — mixed-trust requests, a colourised policy, an
 attempted hijack — pushed through all three LATCH integrations, the
-trace recorder, the analyses, persistence, and checkpointing.  This is
+trace recorder, the analyses and persistence.  This is
 the "does the whole product hang together" test.
 """
 
@@ -11,7 +11,6 @@ import dataclasses
 import pytest
 
 from repro.analysis import epoch_duration_profile, page_taint_distribution
-from repro.dift.checkpoint import engine_state, restore_engine_state
 from repro.dift.engine import DIFTEngine
 from repro.dift.events import AlertKind
 from repro.dift.policy import TaintPolicy
@@ -124,20 +123,3 @@ class TestRecordAnalyzePersistRestore:
         baseline = run_baseline(reloaded)
         assert hlatch.accesses == trace.access_count
         assert baseline.accesses >= trace.access_count
-
-        # 4. Checkpoint the engine and restore into a fresh one wired to
-        #    a fresh LATCH: the coarse state rebuilds coherently.
-        from repro.core.latch import LatchModule
-
-        state = engine_state(engine)
-        restored = DIFTEngine(POLICY)
-        latch = LatchModule()
-        restored.add_tag_listener(
-            lambda address, tags: latch.update_memory_tags(address, tags)
-        )
-        restore_engine_state(restored, state)
-        for address in restored.shadow.iter_tainted_bytes():
-            assert latch.check_memory(address, 1).coarse_tainted
-        assert restored.stats.tainted_instructions == (
-            engine.stats.tainted_instructions
-        )

@@ -26,7 +26,7 @@ from repro.obs import (
     read_jsonl,
 )
 from repro.platch.queue_sim import TwoCoreQueueSimulator
-from repro.report import format_snapshot, snapshot_diff
+from repro.report import format_snapshot
 from repro.workloads.trace import EpochStream
 
 
@@ -201,15 +201,6 @@ class TestSnapshotRoundTrip:
         assert "ctc.hit_rate" in text and "0.75" in text
         subset = format_snapshot(snapshot, names=["ctc.hits", "nope"])
         assert "ctc.hits" in subset and "epochs" not in subset
-
-    def test_snapshot_diff(self):
-        registry = _populated_registry()
-        before = registry.snapshot()
-        registry.counter("ctc.hits").inc(8)
-        after = registry.snapshot()
-        deltas = snapshot_diff(before, after)
-        assert deltas["ctc.hits"] == 8
-        assert "epochs" not in deltas  # histograms do not subtract
 
 
 # ----------------------------------------------------------------- tracer

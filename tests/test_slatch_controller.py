@@ -154,8 +154,3 @@ class TestIsaHooks:
         system = SLatchSystem(cpu)
         cpu.run()
         assert cpu.registers[4] == 0x3000
-
-    def test_estimated_overhead_positive_when_trapping(self):
-        cpu, system = make_system(phased_compute(), timeout=300)
-        cpu.run()
-        assert system.estimated_overhead(libdft_slowdown=5.0) > 0

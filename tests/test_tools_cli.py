@@ -1,4 +1,4 @@
-"""CLI tool tests: asm, disasm, run, trace, stats."""
+"""CLI tool tests: asm, disasm, trace, stats (program runs included)."""
 
 import json
 
@@ -6,7 +6,6 @@ import pytest
 
 from repro.tools.asm import main as asm_main
 from repro.tools.disasm import main as disasm_main
-from repro.tools.run import main as run_main
 from repro.tools.stats import main as stats_main
 from repro.tools.trace import main as trace_main
 
@@ -98,57 +97,70 @@ class TestDisasm:
 
 
 class TestRun:
+    """Running a program under each monitor (``repro-stats`` program mode)."""
+
+    def _run(self, capsys, source, *extra):
+        from repro.obs import StatsSnapshot
+
+        code = stats_main([str(source), "--format", "json", *extra])
+        captured = capsys.readouterr()
+        return code, StatsSnapshot.from_json(captured.out), captured.err
+
     def test_plain_run(self, source_file, payload_file, capsys):
-        code = run_main(
-            [str(source_file), "--file", f"in.txt={payload_file}"]
+        code, snapshot, console = self._run(
+            capsys, source_file, "--monitor", "none",
+            "--file", f"in.txt={payload_file}",
         )
-        assert code == 7
-        out = capsys.readouterr().out
-        assert "done" in out and "exit code 7" in out
+        assert code == 0
+        assert console == "done\n"
+        assert snapshot.meta["exit_code"] == 7 and snapshot.meta["halted"]
+        assert snapshot.names() == [
+            "cpu.instructions", "cpu.syscalls", "cpu.halted",
+        ]
 
     def test_dift_monitoring(self, source_file, payload_file, capsys):
-        run_main(
-            [str(source_file), "--monitor", "dift",
-             "--file", f"in.txt={payload_file}"]
+        _, snapshot, _ = self._run(
+            capsys, source_file, "--monitor", "dift",
+            "--file", f"in.txt={payload_file}",
         )
-        out = capsys.readouterr().out
-        assert "tainted instructions" in out
-        assert "13 tainted bytes" in out
+        assert "dift.tainted_instructions" in snapshot.names()
+        assert snapshot.get("dift.tainted_bytes_live") == 13
 
     def test_untainted_flag(self, source_file, payload_file, capsys):
-        run_main(
-            [str(source_file), "--monitor", "dift",
-             "--file", f"in.txt={payload_file}:untainted"]
+        _, snapshot, _ = self._run(
+            capsys, source_file, "--monitor", "dift",
+            "--file", f"in.txt={payload_file}:untainted",
         )
-        out = capsys.readouterr().out
-        assert "0 tainted bytes" in out
+        assert snapshot.get("dift.tainted_bytes_live") == 0
 
     def test_slatch_monitoring(self, source_file, payload_file, capsys):
-        run_main(
-            [str(source_file), "--monitor", "slatch", "--timeout", "50",
-             "--file", f"in.txt={payload_file}"]
+        _, snapshot, _ = self._run(
+            capsys, source_file, "--monitor", "slatch", "--timeout", "50",
+            "--file", f"in.txt={payload_file}",
         )
-        out = capsys.readouterr().out
-        assert "s-latch" in out and "traps" in out
+        assert "slatch.traps" in snapshot.names()
 
     def test_platch_monitoring(self, source_file, payload_file, capsys):
-        run_main(
-            [str(source_file), "--monitor", "platch",
-             "--file", f"in.txt={payload_file}"]
+        _, snapshot, _ = self._run(
+            capsys, source_file, "--monitor", "platch",
+            "--file", f"in.txt={payload_file}",
         )
-        out = capsys.readouterr().out
-        assert "p-latch" in out
-        assert "events enqueued" in out and "queue stalls" in out
+        assert snapshot.get("pipeline.instructions") > 0
+        assert "pipeline.queue.stalls" in snapshot.names()
 
     def test_budget_exhaustion_exit_code(self, tmp_path, capsys):
         loop = tmp_path / "loop.s"
         loop.write_text("spin: j spin\n")
-        assert run_main([str(loop), "--max-steps", "100"]) == 124
-        assert "budget exhausted" in capsys.readouterr().out
+        code, snapshot, _ = self._run(
+            capsys, loop, "--monitor", "none", "--max-steps", "100"
+        )
+        assert code == 0
+        assert snapshot.meta["halted"] is False
+        assert snapshot.get("cpu.instructions") == 100
 
     def test_bad_file_spec(self, source_file, capsys):
-        assert run_main([str(source_file), "--file", "nonsense"]) == 2
-
+        assert stats_main([str(source_file), "--file", "nonsense"]) == 2
+        assert "bad --file spec" in capsys.readouterr().err
 
 class TestTrace:
     def test_trace_marks_tainted_instructions(

@@ -11,7 +11,6 @@ from repro.workloads.suites import (
     SPEC_SUITE,
     iter_generators,
     profiles_for,
-    suite_summary,
 )
 
 
@@ -46,7 +45,10 @@ class TestHelpers:
             assert generator.seed == 4
 
     def test_suite_summary(self):
-        summary = suite_summary(["gcc", "curl"], epoch_scale=500_000)
+        # The per-benchmark suite summary is the zoo characterization.
+        from repro.workloads import characterize
+
+        summary = characterize(["gcc", "curl"], epoch_scale=500_000)
         assert set(summary) == {"gcc", "curl"}
         assert summary["gcc"]["taint_percent"] == pytest.approx(0.08, rel=0.5)
         assert summary["curl"]["pages_accessed"] == 600
