@@ -6,8 +6,9 @@ The static half of a committed step — the instruction, its
 pure function of the 32-bit instruction word, computed in one place:
 :func:`decode_word`.  :func:`step_event` rebuilds a whole
 :class:`~repro.machine.events.StepEvent` from a step's dynamic fields
-(pc, word, address, next pc, syscall number); the wire codec and the
-``.ltrace`` event-trace decoder both build their events through it.
+(pc, word, address, next pc, syscall number); the row decoder of
+:mod:`repro.trace.rows`, behind both the service's event batches and
+``.ltrace`` event traces, builds its events through it.
 
 Each :class:`~repro.isa.program.Program` is decoded once into a per-pc
 table (:func:`decode_program`).  An entry holds a handler that executes

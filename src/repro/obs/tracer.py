@@ -1,4 +1,4 @@
-"""Structured JSONL event/span tracer.
+"""Structured JSONL event tracer.
 
 Where the metrics registry answers "how many / how long on average",
 the tracer answers "what happened, in order": mode switches, epoch
@@ -10,10 +10,12 @@ prefix.
 Records carry:
 
 * ``ts`` — seconds since the tracer was created (monotonic clock);
-* ``type`` — ``"event"``, ``"span_start"``, or ``"span_end"``;
+* ``type`` — ``"event"``;
 * ``name`` — dotted event name (``slatch.trap``, ``slatch.return``);
-* ``span_id`` / ``duration`` for spans;
 * any keyword fields the instrumentation site supplies.
+
+Spans are :class:`~repro.obs.spans.SpanTracer`'s: it writes its
+``span_begin``/``span_close`` records through :meth:`Tracer.write`.
 
 Usage::
 
@@ -21,8 +23,6 @@ Usage::
 
     tracer = Tracer()                      # in-memory
     tracer.event("slatch.trap", pc=0x1048)
-    with tracer.span("report.render"):
-        ...
     for record in tracer.records():
         print(record["name"], record["ts"])
 
@@ -47,8 +47,7 @@ import json
 import os
 import time
 import warnings
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
 
 class Tracer:
@@ -77,7 +76,6 @@ class Tracer:
         self._records: List[Dict] = []
         self._fd: Optional[int] = None
         self._pid: Optional[int] = None
-        self._span_counter = 0
         if self.shard_dir is not None:
             os.makedirs(self.shard_dir, exist_ok=True)
             self._open_shard()
@@ -131,36 +129,6 @@ class Tracer:
         record = {"ts": self._now(), "type": "event", "name": name}
         record.update(fields)
         self._emit(record)
-
-    @contextmanager
-    def span(self, name: str, **fields) -> Iterator[int]:
-        """Record a start/end record pair around a block.
-
-        Yields the span id shared by the two records; the ``span_end``
-        record carries the wall-clock ``duration`` in seconds.
-        """
-        span_id = self._next_span_id()
-        start = self._now()
-        record = {"ts": start, "type": "span_start", "name": name,
-                  "span_id": span_id}
-        record.update(fields)
-        self._emit(record)
-        try:
-            yield span_id
-        finally:
-            end = self._now()
-            self._emit({
-                "ts": end,
-                "type": "span_end",
-                "name": name,
-                "span_id": span_id,
-                "duration": end - start,
-            })
-
-    def _next_span_id(self) -> int:
-        counter = self._span_counter
-        self._span_counter = counter + 1
-        return counter
 
     # ------------------------------------------------------------- reading
 

@@ -25,8 +25,8 @@ on a ``multiprocessing`` pool with:
 Everything is instrumented through :mod:`repro.obs`: counters for
 scheduled/completed/retried/failed jobs, cache hits/misses, worker
 deaths, timeouts, pool restarts and serial fallbacks; a histogram of
-per-job durations; and optional JSONL tracer spans.  The metric names
-are catalogued in ``docs/OBSERVABILITY.md``.
+per-job durations; and optional JSONL tracer events and spans.  The
+metric names are catalogued in ``docs/OBSERVABILITY.md``.
 """
 
 from __future__ import annotations

@@ -4,8 +4,8 @@ The subsystem turns the in-process streaming pipeline into a network
 service (ROADMAP item: *serving*):
 
 * :mod:`repro.serve.protocol` — length-prefixed JSON framing, the
-  message vocabulary, the trace-event codec, and the canonical result
-  signature;
+  message vocabulary, event batches in the ``.ltrace`` row layout, and
+  the canonical result signature;
 * :mod:`repro.serve.ratelimit` / :mod:`repro.serve.admission` —
   token buckets, the bounded in-flight table, and RETRY-never-drop
   verdict logic;
@@ -15,8 +15,8 @@ service (ROADMAP item: *serving*):
   admitted stream, idempotent teardown;
 * :mod:`repro.serve.server` — the asyncio server, thread runner, and
   :func:`running_server` helper;
-* :mod:`repro.serve.client` — blocking + asyncio clients, the trace
-  recorder, and the local bit-identity reference;
+* :mod:`repro.serve.client` — blocking + asyncio clients, trace
+  recording, and the local bit-identity reference;
 * :mod:`repro.serve.loadgen` — thousands of simulated clients with
   bursty/diurnal arrival phases.
 
@@ -31,8 +31,8 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     "repro.serve.client": (
         "AsyncServeClient", "DecorrelatedBackoff", "RetryExhausted",
-        "ServeClient", "ServeError", "ServedResult", "TraceRecorder",
-        "fetch_telemetry", "local_reference", "record_trace",
+        "ServeClient", "ServeError", "ServedResult", "fetch_telemetry",
+        "local_reference", "record_trace",
     ),
     "repro.serve.protocol": (
         "MAX_FRAME_BYTES", "PROTOCOL_VERSION", "FrameDecoder",

@@ -17,12 +17,12 @@ busy-spin, and decorrelated jitter keeps synchronized clients from
 retrying in lockstep herds.  The jitter stream is seedable per client,
 so loadgen runs stay reproducible.
 
-:class:`TraceRecorder` is the producer half of remote checking: attach
-it to a local CPU, run, and it captures the committed event stream in
-wire form.  :func:`local_reference` runs the same program under an
-in-process :class:`repro.pipeline.StreamingPipeline` built from the
-served defaults, so callers can assert the served result is
-bit-identical.
+:func:`record_trace` is the producer half of remote checking: it runs
+a local CPU under :class:`repro.trace.TraceRecorder`, whose slices are
+the ``events`` batches the clients send.  :func:`local_reference` runs
+the same program under an in-process
+:class:`repro.pipeline.StreamingPipeline` built from the served
+defaults, so callers can assert the served result is bit-identical.
 """
 
 from __future__ import annotations
@@ -34,18 +34,13 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from repro.machine.events import InputEvent, Observer, OutputEvent, StepEvent
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
     FrameDecoder,
-    ProtocolError,
     canonical_signature,
     encode_frame,
-    encode_halt,
-    encode_input,
-    encode_output,
-    encode_step,
 )
+from repro.trace.record import TraceRecorder
 
 
 class ServeError(Exception):
@@ -136,27 +131,15 @@ class ServedResult:
 # ------------------------------------------------------------- trace side
 
 
-class TraceRecorder(Observer):
-    """Capture a CPU's committed event stream in wire form."""
+def record_trace(
+    make_cpu: Callable, max_steps: int = 1_000_000
+) -> TraceRecorder:
+    """Run a fresh CPU from ``make_cpu`` and return its recorded stream.
 
-    def __init__(self) -> None:
-        self.events: List[Dict] = []
-
-    def on_step(self, event: StepEvent) -> None:
-        self.events.append(encode_step(event))
-
-    def on_input(self, event: InputEvent) -> None:
-        self.events.append(encode_input(event))
-
-    def on_output(self, event: OutputEvent) -> None:
-        self.events.append(encode_output(event))
-
-    def on_halt(self, step_index: int) -> None:
-        self.events.append(encode_halt(step_index))
-
-
-def record_trace(make_cpu: Callable, max_steps: int = 1_000_000) -> List[Dict]:
-    """Run a fresh CPU from ``make_cpu`` and return its wire trace."""
+    ``len()`` of the result counts its events (steps, inputs, outputs
+    and the halt), and ``trace[a:b]`` is the wire batch of events ``a``
+    to ``b - 1``.
+    """
     from repro.machine.cpu import ExecutionError
 
     cpu = make_cpu()
@@ -166,7 +149,7 @@ def record_trace(make_cpu: Callable, max_steps: int = 1_000_000) -> List[Dict]:
         cpu.run(max_steps)
     except ExecutionError:
         pass
-    return recorder.events
+    return recorder
 
 
 def local_reference(
@@ -346,7 +329,7 @@ class ServeClient:
         reply, retries = self._with_retries(message, "stream_ack")
         return str(reply["stream"]), retries
 
-    def send_events(self, stream: str, batch: List[Dict]) -> int:
+    def send_events(self, stream: str, batch: Dict) -> int:
         """Send one batch (retrying on RETRY); returns retries taken."""
         _, retries = self._with_retries(
             {"type": "events", "stream": stream, "batch": batch}, "ok"
@@ -371,7 +354,7 @@ class ServeClient:
 
     def check_trace(
         self,
-        events: List[Dict],
+        events: TraceRecorder,
         batch_size: Optional[int] = None,
         pipeline: Optional[Dict] = None,
         latch: Optional[Dict] = None,
@@ -502,7 +485,7 @@ class AsyncServeClient:
                 self._backoff.next_delay(int(reply.get("backoff_ms", 1)))
             )
 
-    async def check_trace(self, events: List[Dict]) -> ServedResult:
+    async def check_trace(self, events: TraceRecorder) -> ServedResult:
         """Stream a recorded trace end to end and return the result."""
         before = self.retry_events
         limit = int(self.limits.get("max_batch") or 0)

@@ -40,6 +40,7 @@ from repro.serve.client import (
     record_trace,
 )
 from repro.serve.protocol import canonical_json
+from repro.trace.record import TraceRecorder
 
 #: Default workload mix; every entry is a zero-argument scenario
 #: factory producing a fresh CPU (device state included).
@@ -207,7 +208,7 @@ class PreparedTrace:
     """A scenario's shared wire trace and local reference result."""
 
     name: str
-    events: List[Dict]
+    events: TraceRecorder
     expected_signature: str   # canonical JSON
     expected_stats: str       # canonical JSON
 

@@ -8,7 +8,7 @@ followed by that many bytes of UTF-8 JSON.  JSON keeps the protocol
 dependency-free and debuggable (``nc`` + ``python -m json.tool`` reads
 a capture); the length prefix makes message boundaries explicit so the
 server never scans for delimiters inside event batches.  Binary fields
-(input payload bytes) travel base64-encoded.
+(event rows, input payload bytes) travel base64-encoded.
 
 Messages
 --------
@@ -24,8 +24,8 @@ Client → server (``type`` field):
                    executes the program under a pipeline and replies
                    ``result``
 ``stream_open``    open one streamed-trace session → ``stream_ack``
-``events``         ``stream`` id + ``batch`` of encoded trace events
-                   (see the event codec below) → ``ok`` or ``retry``
+``events``         ``stream`` id + ``batch`` of trace event rows (see
+                   event batches below) → ``ok`` or ``retry``
 ``query``          online taint query: ``stream``, ``address``,
                    ``size`` → ``taint`` (forces a drain so the answer
                    reflects every acknowledged event)
@@ -59,47 +59,40 @@ Server → client:
                    ``sample`` (json)
 =================  =====================================================
 
-Event codec
------------
+Event batches
+-------------
 
-The codec serialises the exact observer vocabulary of
-:mod:`repro.machine.events` — one dict per ``StepEvent`` /
-``InputEvent`` / ``OutputEvent`` plus a ``halt`` marker — so a remote
-trace rebuilds losslessly and the served verdict is bit-identical to a
-local run.  A step record carries only a step's dynamic fields; its
-registers and access size are derived from the instruction word
-(:func:`repro.machine.cpu.step_event`), never transmitted:
+An ``events`` batch is the commit stream in the row layout of
+``.ltrace`` event traces (:mod:`repro.trace.rows`): a JSON object
+whose ``steps``, ``inputs`` and ``outputs`` sections are base64 text of
+fixed-width rows stamped with their ``seq`` positions, plus the input
+``data`` blob, the ``strings`` pool, and ``halt`` on the batch that
+ends the stream.  A step row carries only a step's dynamic fields (pc,
+word, address, next pc, syscall); its registers and access size are
+derived from the word (:func:`repro.machine.cpu.step_event`), never
+transmitted.  So a remote trace rebuilds losslessly and the served
+verdict is bit-identical to a local run.
 
-========  ==============================================================
-``k``     ``"s"``
-``i``     dynamic instruction index
-``pc``    instruction address
-``w``     32-bit instruction word (:mod:`repro.isa.encoding`): an int
-          in ``[0, 2**32)`` whose opcode byte decodes
-``a``     data address, present exactly when the opcode is a load or a
-          store: an int in ``[0, 2**32)``
-``np``    pc after the step
-``sy``    syscall number (SYSCALL steps only)
-========  ==============================================================
-
-A record that breaks any of these rules — or any other malformed
-record — is a :class:`ProtocolError`, answered ``code="events"``.
+The server counts a batch's events from its section lengths, which
+must be whole rows, before admitting it, and decodes the whole batch
+before the pipeline sees any of it.  A batch no recorder could have
+written is a :class:`ProtocolError`, answered ``code="events"``.
 """
 
 from __future__ import annotations
 
-import base64
 import json
 import struct
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional
 
-from repro.machine.cpu import instruction_word, step_event
-from repro.machine.events import InputEvent, OutputEvent, StepEvent
+from repro.trace import rows
+from repro.trace.rows import KindedEvent
 
 #: Protocol revision; ``hello`` carries it and the server refuses
 #: mismatches (a later revision may negotiate instead).  Revision 2
-#: dropped the register lists and access sizes from step records.
-PROTOCOL_VERSION = 2
+#: dropped the register lists and access sizes from step records;
+#: revision 3 sends event batches as ``.ltrace`` rows.
+PROTOCOL_VERSION = 3
 
 #: Hard ceiling on one frame's payload, guarding the length prefix
 #: against garbage (and tenants against each other's memory use).
@@ -185,117 +178,24 @@ class FrameDecoder:
             messages.append(decode_payload(payload))
 
 
-# ------------------------------------------------------------- event codec
-
-#: Wire events are (kind, payload) after decoding; ``halt`` carries the
-#: final step index instead of an event object.
-WireEvent = Tuple[str, Union[StepEvent, InputEvent, OutputEvent, int]]
+# ----------------------------------------------------------- event batches
 
 
-def _b64(data: bytes) -> str:
-    return base64.b64encode(data).decode("ascii")
-
-
-def _unb64(text: str) -> bytes:
+def batch_events(batch) -> int:
+    """The event count of an ``events`` batch, from its section lengths."""
     try:
-        return base64.b64decode(text.encode("ascii"), validate=True)
-    except Exception as error:
-        raise ProtocolError(f"bad base64 payload: {error}") from error
+        return rows.batch_events(batch)
+    except ValueError as error:
+        raise ProtocolError(f"bad event batch: {error}") from error
 
 
-def encode_step(event: StepEvent) -> Dict:
-    """One committed instruction as a wire dict."""
-    record = {
-        "k": "s",
-        "i": event.index,
-        "pc": event.pc,
-        "w": instruction_word(event.instruction),
-        "np": event.next_pc,
-    }
-    accesses = event.memory_accesses
-    if accesses:
-        record["a"] = accesses[0].address
-    if event.syscall_number is not None:
-        record["sy"] = event.syscall_number
-    return record
-
-
-def encode_input(event: InputEvent) -> Dict:
-    """One taint-source record as a wire dict."""
-    return {
-        "k": "i",
-        "i": event.step_index,
-        "a": event.address,
-        "d": _b64(event.data),
-        "sk": event.source_kind,
-        "sn": event.source_name,
-        "th": event.tainted_hint,
-    }
-
-
-def encode_output(event: OutputEvent) -> Dict:
-    """One taint-sink record as a wire dict."""
-    return {
-        "k": "o",
-        "i": event.step_index,
-        "a": event.address,
-        "l": event.length,
-        "sk": event.sink_kind,
-        "sn": event.sink_name,
-    }
-
-
-def encode_halt(step_index: int) -> Dict:
-    """The end-of-trace marker."""
-    return {"k": "h", "i": step_index}
-
-
-def decode_event(record: Dict) -> WireEvent:
-    """Inverse of the ``encode_*`` family; validates the shape."""
+def decode_batch(batch) -> List[KindedEvent]:
+    """Decode a whole ``events`` batch, or a recorded trace, into
+    ``(kind, payload)`` pairs (fails atomically)."""
     try:
-        kind = record["k"]
-        if kind == "s":
-            return "step", step_event(
-                index=int(record["i"]),
-                pc=int(record["pc"]),
-                word=record["w"],
-                address=record.get("a"),
-                next_pc=int(record["np"]),
-                syscall_number=(
-                    None if record.get("sy") is None else int(record["sy"])
-                ),
-            )
-        if kind == "i":
-            return "input", InputEvent(
-                step_index=int(record["i"]),
-                address=int(record["a"]),
-                data=_unb64(record["d"]),
-                source_kind=str(record["sk"]),
-                source_name=str(record["sn"]),
-                tainted_hint=wire_value(bool, "th", record["th"]),
-            )
-        if kind == "o":
-            return "output", OutputEvent(
-                step_index=int(record["i"]),
-                address=int(record["a"]),
-                length=int(record["l"]),
-                sink_kind=str(record["sk"]),
-                sink_name=str(record["sn"]),
-            )
-        if kind == "h":
-            return "halt", int(record["i"])
-    except ProtocolError:
-        raise
-    except Exception as error:
-        raise ProtocolError(f"malformed event record: {error}") from error
-    raise ProtocolError(f"unknown event kind: {record.get('k')!r}")
-
-
-def decode_batch(batch) -> List[WireEvent]:
-    """Decode a whole ``events`` batch (fails atomically)."""
-    if not isinstance(batch, list):
-        raise ProtocolError("event batch must be a list")
-    return [decode_event(record) for record in batch]
+        return rows.decode_batch(batch)
+    except ValueError as error:
+        raise ProtocolError(f"bad event batch: {error}") from error
 
 
 # --------------------------------------------------------------- signature

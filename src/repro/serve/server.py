@@ -48,6 +48,7 @@ from repro.serve.protocol import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
     ProtocolError,
+    batch_events,
     encode_frame,
     error_message,
     wire_value,
@@ -622,14 +623,13 @@ class TaintServer:
         try:
             session = self._session_for(message, sessions)
             batch = message.get("batch")
-            if not isinstance(batch, list):
-                raise ProtocolError("events frame must carry a batch list")
-            if len(batch) > self.config.max_batch:
+            count = batch_events(batch)
+            if count > self.config.max_batch:
                 raise ProtocolError(
-                    f"batch of {len(batch)} events exceeds max_batch="
+                    f"batch of {count} events exceeds max_batch="
                     f"{self.config.max_batch}"
                 )
-            advice = self.controller.admit_events(tenant, len(batch))
+            advice = self.controller.admit_events(tenant, count)
             if advice is not None:
                 session.retries += 1
                 return self._refuse(tenant, advice)

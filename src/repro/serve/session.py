@@ -26,7 +26,7 @@ serves the same result shape.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.core.latch import LatchConfig
 from repro.machine.cpu import ExecutionError
@@ -168,7 +168,7 @@ class StreamSession:
 
     # --------------------------------------------------------------- feed
 
-    def feed(self, batch: List[Dict]) -> int:
+    def feed(self, batch: Dict) -> int:
         """Apply one admitted event batch in order; returns event count.
 
         Decoding happens before any state mutation, so a malformed

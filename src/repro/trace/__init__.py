@@ -12,6 +12,9 @@ per-event python objects.
   :class:`~repro.workloads.trace.AccessTrace` columns plus an epoch
   index, and the :class:`ColumnarAccessTrace` replay view; and the
   epoch-stream kind for :class:`~repro.workloads.trace.EpochStream`;
+* :mod:`~repro.trace.rows` — the numpy-free row layout of a commit
+  stream, shared by the event-trace kind and the taint service's
+  ``events`` batches;
 * :mod:`~repro.trace.record` — event-trace kind: a
   :class:`TraceRecorder` observer that captures a CPU's full commit
   stream, and :func:`replay_events` to drive any observer from it;
@@ -27,88 +30,35 @@ The load-bearing invariant, enforced by ``tests/test_trace_format.py``
 ``columnar`` oracle path: a sharded multicore columnar replay is
 bit-identical to the per-access scalar replay, for any shard plan.
 ``docs/TRACE.md`` documents the format and knobs.
+
+Exports resolve on first access, so recording a trace or decoding its
+rows never loads numpy.
 """
 
-from repro.trace.convert import (
-    ACCESS_KIND,
-    EPOCH_KIND,
-    ColumnarAccessTrace,
-    columnar_trace_bytes,
-    epoch_starts,
-    load_columnar_epochs,
-    load_columnar_trace,
-    save_columnar_epochs,
-    save_columnar_trace,
-)
-from repro.trace.format import (
-    ColumnarFile,
-    StorageFormatError,
-    TRACE_MAGIC,
-    TRACE_VERSION,
-    to_bytes,
-    write_columnar,
-)
-from repro.trace.record import (
-    EVENT_KIND,
-    TraceRecorder,
-    access_window,
-    iter_events,
-    replay_events,
-)
-from repro.trace.replay import (
-    ColumnarReplayResult,
-    ShardPartial,
-    configs_from_blob,
-    merge_baseline_partials,
-    merge_partials,
-    publish_trace_metrics,
-    replay_baseline_columnar,
-    replay_columnar,
-    replay_columnar_pooled,
-    shard_job_specs,
-    shard_partial,
-)
-from repro.trace.shard import (
-    SHARDS_ENV_VAR,
-    explicit_plan,
-    plan_shards,
-    resolve_shard_count,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ACCESS_KIND",
-    "EPOCH_KIND",
-    "EVENT_KIND",
-    "SHARDS_ENV_VAR",
-    "TRACE_MAGIC",
-    "TRACE_VERSION",
-    "ColumnarAccessTrace",
-    "ColumnarFile",
-    "ColumnarReplayResult",
-    "ShardPartial",
-    "StorageFormatError",
-    "TraceRecorder",
-    "access_window",
-    "columnar_trace_bytes",
-    "configs_from_blob",
-    "epoch_starts",
-    "explicit_plan",
-    "iter_events",
-    "load_columnar_epochs",
-    "load_columnar_trace",
-    "merge_baseline_partials",
-    "merge_partials",
-    "plan_shards",
-    "publish_trace_metrics",
-    "replay_baseline_columnar",
-    "replay_columnar",
-    "replay_columnar_pooled",
-    "replay_events",
-    "resolve_shard_count",
-    "save_columnar_epochs",
-    "save_columnar_trace",
-    "shard_job_specs",
-    "shard_partial",
-    "to_bytes",
-    "write_columnar",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.trace.convert": (
+        "ACCESS_KIND", "EPOCH_KIND", "ColumnarAccessTrace",
+        "columnar_trace_bytes", "epoch_starts", "load_columnar_epochs",
+        "load_columnar_trace", "save_columnar_epochs", "save_columnar_trace",
+    ),
+    "repro.trace.format": (
+        "ColumnarFile", "StorageFormatError", "TRACE_MAGIC", "TRACE_VERSION",
+        "to_bytes", "write_columnar",
+    ),
+    "repro.trace.record": (
+        "EVENT_KIND", "TraceRecorder", "access_window", "iter_events",
+        "replay_events",
+    ),
+    "repro.trace.replay": (
+        "ColumnarReplayResult", "ShardPartial", "configs_from_blob",
+        "merge_baseline_partials", "merge_partials", "publish_trace_metrics",
+        "replay_baseline_columnar", "replay_columnar",
+        "replay_columnar_pooled", "shard_job_specs", "shard_partial",
+    ),
+    "repro.trace.shard": (
+        "SHARDS_ENV_VAR", "explicit_plan", "plan_shards",
+        "resolve_shard_count",
+    ),
+})

@@ -75,25 +75,50 @@ class TestRunnerDoc:
         actually published by the corresponding executor."""
         from repro.runner import JobSpec, Runner, RunnerConfig
 
+        from repro.analysis.spatial import FIG6_DOMAIN_SIZES
+        from repro.analysis.temporal import FIG5_THRESHOLDS
+
         text = (ROOT / "docs" / "RUNNER.md").read_text()
         # Only catalog *table* rows document snapshot metrics; prose and
         # code blocks also name trace events, which live on the span
-        # timeline rather than in any registry.
+        # timeline rather than in any registry.  ``{a,b}`` lists and the
+        # ``<L>`` / ``<bytes>`` placeholders expand to every name.
+        placeholders = {
+            "<L>": [str(length) for length in FIG5_THRESHOLDS],
+            "<bytes>": [str(size) for size in FIG6_DOMAIN_SIZES],
+        }
         documented = set()
         for line in text.splitlines():
-            if line.startswith("|"):
-                documented.update(re.findall(
-                    r"`((?:workload|layout|hlatch|baseline|chaos|runner)"
-                    r"\.[a-z_]+(?:\.[a-z_]+)*)`",
-                    line,
-                ))
+            if not line.startswith("|"):
+                continue
+            for name in re.findall(
+                r"`((?:workload|layout|hlatch|baseline|chaos|runner|slatch"
+                r"|epochs|platch|fp)"
+                r"(?:\.(?:[a-z_]+|\{[a-z_,]+\}|<[a-zA-Z]+>))+)`",
+                line,
+            ):
+                names = [""]
+                for part in name.split("."):
+                    options = placeholders.get(part) or (
+                        part[1:-1].split(",") if part.startswith("{")
+                        else [part])
+                    names = [f"{head}.{option}".lstrip(".")
+                             for head in names for option in options]
+                documented.update(names)
         assert "workload.taint_percent" in documented
+        assert {"slatch.model.overhead", "hlatch.resolved.tlb",
+                "epochs.taint_free_percent.100000", "platch.simple.overhead",
+                "fp.multiplier.64"} <= documented
 
         runner = Runner(config=RunnerConfig(max_workers=1))
         results = runner.run([
             JobSpec.make("taint_fraction", "wget", epoch_scale=50_000),
             JobSpec.make("page_taint", "wget"),
             JobSpec.make("hlatch", "wget", trace_window=2_000),
+            JobSpec.make("slatch", "wget", epoch_scale=50_000,
+                         trace_window=2_000),
+            JobSpec.make("epochs", "wget", epoch_scale=50_000),
+            JobSpec.make("fp_sweep", "wget", trace_window=2_000),
             JobSpec.make("chaos", "demo", value=1),
         ])
         published = set(runner.registry.names())

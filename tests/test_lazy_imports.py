@@ -5,7 +5,9 @@ re-export names from submodules that import numpy.  Resolving the
 exports on first access keeps importing (and running) the live path —
 CPU, pipeline, DIFT engine, wire protocol, toy programs — numpy-free.
 ``repro.serve`` does the same for its asyncio server: the wire protocol
-alone loads neither.
+alone loads neither.  ``repro.trace`` does it for its numpy-backed
+container, so recording a trace and decoding its wire batches stay
+numpy-free.
 """
 
 import os
@@ -19,6 +21,7 @@ import repro
 import repro.machine
 import repro.platch
 import repro.serve
+import repro.trace
 import repro.workloads
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -46,6 +49,21 @@ for module in ('asyncio', 'repro.serve.server'):
 """
 
 
+RECORDING = """
+import sys
+from repro.serve import ServeClient, record_trace, running_server
+from repro.serve.protocol import decode_batch
+from repro.workloads import programs
+trace = record_trace(lambda: programs.echo_server([b"ping"], [False]).make_cpu())
+assert decode_batch(trace[:64]), 'empty first batch'
+assert 'numpy' not in sys.modules, 'numpy imported by recording or decoding'
+with running_server() as (_server, (host, port)):
+    with ServeClient(host, port) as client:
+        assert client.check_trace(trace).halted
+assert 'numpy' not in sys.modules, 'numpy imported by serving a stream'
+"""
+
+
 def _run_isolated(code):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run(
@@ -63,9 +81,14 @@ def test_wire_protocol_imports_without_the_server():
     _run_isolated(PROTOCOL_ONLY)
 
 
+def test_recording_and_batch_decoding_stay_numpy_free():
+    _run_isolated(RECORDING)
+
+
 @pytest.mark.parametrize(
     "package",
-    [repro, repro.machine, repro.platch, repro.serve, repro.workloads],
+    [repro, repro.machine, repro.platch, repro.serve, repro.trace,
+     repro.workloads],
     ids=lambda package: package.__name__,
 )
 def test_every_export_resolves(package):

@@ -1,26 +1,25 @@
-"""Wire protocol: framing, the event codec, and the canonical signature."""
+"""Wire protocol: framing, event batches, and the canonical signature."""
 
+import base64
 import json
 import struct
 
 import pytest
 
-from repro.machine.events import InputEvent, OutputEvent
+from repro.machine.events import InputEvent, OutputEvent, StepEvent
 from repro.serve.protocol import (
     MAX_FRAME_BYTES,
     FrameDecoder,
     ProtocolError,
+    batch_events,
     canonical_json,
     canonical_signature,
     decode_batch,
-    decode_event,
     decode_payload,
     encode_frame,
-    encode_halt,
-    encode_input,
-    encode_output,
-    encode_step,
 )
+from repro.trace.record import TraceRecorder
+from repro.trace.rows import INPUT_ROW, STEP_FIELDS, STEP_ROW
 
 
 class TestFraming:
@@ -101,37 +100,84 @@ def _word(text):
     return instruction_word(assemble(text).instructions[0])
 
 
-#: Step records a committed step never produces, on the fields a record
-#: still carries: the word and the address.
+def _recorded(*events, halt=None):
+    """A recorder fed ``events`` (and a halt) through its observer hooks."""
+    recorder = TraceRecorder()
+    hooks = {StepEvent: recorder.on_step, InputEvent: recorder.on_input,
+             OutputEvent: recorder.on_output}
+    for event in events:
+        hooks[type(event)](event)
+    if halt is not None:
+        recorder.on_halt(halt)
+    return recorder
+
+
+_STEP_NAMES = [name for name, _ in STEP_FIELDS]
+
+
+def forge_load(batch, **fields):
+    """``batch`` with the fields of its first load or store row replaced."""
+    rows = bytearray(base64.b64decode(batch["steps"]))
+    for offset in range(0, len(rows), STEP_ROW.size):
+        row = dict(zip(_STEP_NAMES, STEP_ROW.unpack_from(rows, offset)))
+        if row["address"] != -1:
+            row.update(fields)
+            STEP_ROW.pack_into(rows, offset, *row.values())
+            return {**batch, "steps": base64.b64encode(rows).decode()}
+    raise AssertionError("the batch holds no load or store")
+
+
+#: Step forgeries.  Row forgeries rewrite a load's word or address to
+#: one no committed step has.  A row holds only integers of each
+#: field's width, so the JSON codec's ill-typed words (out of range,
+#: strings, floats, booleans) become ill-typed step sections, and its
+#: ill-typed addresses an ill-typed ``halt``, the batch's one integer.
 FORGED_STEPS = {
-    "unknown-opcode": {"w": 0xFA00_0000},
-    "word-high": {"w": 1 << 32},
-    "word-negative": {"w": -1},
-    "word-string": {"w": "0"},
-    # The same value as the LW's own (cached) word, but not an int.
-    "word-float": {"w": float(_word("lw r1, 4(r2)"))},
-    "word-bool": {"w": True},
-    "address-on-addi": {"w": _word("addi r1, r2, 3"), "a": 0x100},
-    "lw-without-address": {"w": _word("lw r1, 0(r2)"), "a": None},
-    "sb-without-address": {"w": _word("sb r1, 0(r2)"), "a": None},
-    "address-high": {"a": 1 << 32},
-    "address-negative": {"a": -4},
-    "address-not-an-integer": {"a": "4096"},
-    "address-float": {"a": 4096.0},
-    "address-bool": {"a": True},
+    "unknown-opcode": {"word": 0xFA00_0000},
+    "word-high": {"steps": 1 << 32},
+    "word-negative": {"steps": -1},
+    "word-string": {"steps": "0"},
+    "word-float": {"steps": float(_word("lw r1, 4(r2)"))},
+    "word-bool": {"steps": True},
+    "address-on-addi": {"word": _word("addi r1, r2, 3"), "address": 0x100},
+    "lw-without-address": {"word": _word("lw r1, 0(r2)"), "address": -1},
+    "sb-without-address": {"word": _word("sb r1, 0(r2)"), "address": -1},
+    "address-high": {"address": 1 << 32},
+    "address-negative": {"address": -4},
+    "address-not-an-integer": {"halt": "4096"},
+    "address-float": {"halt": 4096.0},
+    "address-bool": {"halt": True},
 }
+
+
+def forged_batch(batch, forgery):
+    """``batch`` with one :data:`FORGED_STEPS` forgery applied."""
+    edit = FORGED_STEPS[forgery]
+    row = {key: value for key, value in edit.items() if key in _STEP_NAMES}
+    if row:
+        batch = forge_load(batch, **row)
+    return {**batch, **{key: value for key, value in edit.items()
+                        if key not in row}}
+
+
+def _input():
+    return InputEvent(
+        step_index=9, address=0x400, data=b"\x00\xffsecret",
+        source_kind="file", source_name="input.txt", tainted_hint=True,
+    )
 
 
 class TestEventCodec:
     def test_step_round_trip(self):
         for event in _steps():
-            kind, decoded = decode_event(encode_step(event))
-            assert kind == "step"
-            assert decoded == event
+            assert decode_batch(_recorded(event)[:]) == [("step", event)]
 
     def test_step_record_carries_only_dynamic_fields(self):
-        load, store = (encode_step(event) for event in _steps())
-        assert set(load) == set(store) == {"k", "i", "pc", "w", "a", "np"}
+        assert _STEP_NAMES == [
+            "seq", "index", "pc", "next_pc", "word", "address", "syscall"
+        ]
+        assert STEP_ROW.size == 52
+        assert set(_recorded(*_steps())[:]) == {"steps"}
 
     def test_step_with_syscall(self):
         from repro.isa.instructions import Instruction, Opcode
@@ -142,7 +188,7 @@ class TestEventCodec:
             word=instruction_word(Instruction(Opcode.SYSCALL)),
             address=None, next_pc=0x1014, syscall_number=2,
         )
-        kind, decoded = decode_event(encode_step(event))
+        [(kind, decoded)] = decode_batch(_recorded(event)[:])
         assert decoded == event
         assert decoded.syscall_number == 2
         assert decoded.reads == () and decoded.writes == ()
@@ -150,89 +196,127 @@ class TestEventCodec:
         assert decoded.regs_written == (3,)
 
     def test_input_round_trip(self):
-        event = InputEvent(
-            step_index=9, address=0x400, data=b"\x00\xffsecret",
-            source_kind="file", source_name="input.txt", tainted_hint=True,
-        )
-        kind, decoded = decode_event(encode_input(event))
-        assert kind == "input"
-        assert decoded == event
+        event = _input()
+        assert decode_batch(_recorded(event)[:]) == [("input", event)]
 
     def test_output_round_trip(self):
         event = OutputEvent(
             step_index=11, address=0x500, length=16,
             sink_kind="file", sink_name="out.txt",
         )
-        kind, decoded = decode_event(encode_output(event))
-        assert kind == "output"
-        assert decoded == event
+        assert decode_batch(_recorded(event)[:]) == [("output", event)]
 
     def test_halt_round_trip(self):
-        kind, index = decode_event(encode_halt(42))
-        assert (kind, index) == ("halt", 42)
+        batch = _recorded(halt=42)[:]
+        assert batch == {"halt": 42}
+        assert decode_batch(batch) == [("halt", 42)]
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ProtocolError):
-            decode_event({"k": "z", "i": 0})
+        with pytest.raises(ProtocolError, match="unknown batch fields"):
+            decode_batch({"k": "z", "i": 0})
 
     def test_malformed_step_rejected(self):
-        with pytest.raises(ProtocolError):
-            decode_event({"k": "s", "i": 0})  # missing pc/w/np
+        # A step row cut short of its syscall field.
+        row = base64.b64decode(_recorded(_steps()[0])[:]["steps"])
+        with pytest.raises(ProtocolError, match="whole 52-byte rows"):
+            decode_batch({"steps": base64.b64encode(row[:-8]).decode()})
 
     @pytest.mark.parametrize("forgery", sorted(FORGED_STEPS))
     def test_forged_step_record_rejected(self, forgery):
-        record = {**encode_step(_steps()[0]), **FORGED_STEPS[forgery]}
-        if record["a"] is None:
-            del record["a"]
-        with pytest.raises(ProtocolError, match="malformed event record"):
-            decode_event(record)
+        batch = forged_batch(_recorded(*_steps())[:], forgery)
+        with pytest.raises(ProtocolError, match="bad event batch"):
+            decode_batch(batch)
+        with pytest.raises(ProtocolError):
+            decode_batch(json.loads(json.dumps(batch)))
 
     def test_access_size_comes_from_the_opcode(self):
-        # Fields protocol revision 1 carried are ignored: a step cannot
-        # set its own access size, registers or direction.
-        load = _steps()[0]
-        record = {**encode_step(load), "rd": [[0x3004, 10**9]],
-                  "wr": [[0, 8]], "rr": [99], "rw": [-1]}
-        assert decode_event(record)[1] == load
+        from repro.isa.instructions import LOAD_SIZES, STORE_SIZES
+
+        load, store = _steps()
+        assert decode_batch(_recorded(load, store)[:]) == [
+            ("step", load), ("step", store)
+        ]
+        assert load.reads[0].size == LOAD_SIZES[load.instruction.opcode]
+        assert store.writes[0].size == STORE_SIZES[store.instruction.opcode]
+        # No field of a batch can carry a size, registers or direction.
+        with pytest.raises(ProtocolError, match="unknown batch fields"):
+            decode_batch({**_recorded(load)[:], "rd": [[0x3004, 10**9]]})
 
     def test_old_load_record_without_address_rejected(self):
-        record = encode_step(_steps()[0])
-        record["rd"] = [[record.pop("a"), 10**9]]
+        batch = forge_load(_recorded(_steps()[0])[:], address=-1)
         with pytest.raises(ProtocolError, match="needs a u32 address"):
-            decode_event(record)
+            decode_batch(batch)
 
-    @pytest.mark.parametrize("hint", ["false", "true", 0, 1, None])
-    def test_tainted_hint_must_be_a_json_boolean(self, hint):
-        event = InputEvent(
-            step_index=0, address=0, data=b"x", source_kind="file",
-            source_name="f", tainted_hint=False,
-        )
-        record = encode_input(event)
-        assert decode_event(record)[1].tainted_hint is False
-        record["th"] = hint
-        with pytest.raises(ProtocolError, match="JSON boolean"):
-            decode_event(record)
+    @pytest.mark.parametrize("hint", [2, 3, 0x7F, 0x80, 0xFF])
+    def test_tainted_hint_byte_must_be_0_or_1(self, hint):
+        batch = _recorded(_input())[:]
+        assert decode_batch(batch)[0][1].tainted_hint is True
+        row = bytearray(base64.b64decode(batch["inputs"]))
+        row[INPUT_ROW.size - 1] = hint
+        with pytest.raises(ProtocolError, match="tainted_hint byte"):
+            decode_batch({**batch, "inputs": base64.b64encode(row).decode()})
 
     def test_bad_base64_rejected(self):
-        record = encode_input(InputEvent(
-            step_index=0, address=0, data=b"x", source_kind="file",
-            source_name="f", tainted_hint=True,
-        ))
-        record["d"] = "!!! not base64 !!!"
+        batch = _recorded(_input())[:]
+        batch["data"] = "!!! not base64 !!!"
         with pytest.raises(ProtocolError):
-            decode_event(record)
+            decode_batch(batch)
 
     def test_batch_decodes_atomically(self):
-        good = encode_halt(1)
+        good = _recorded(*_steps(), halt=1)[:]
         with pytest.raises(ProtocolError):
-            decode_batch([good, {"k": "z"}])
-        with pytest.raises(ProtocolError):
-            decode_batch("not a list")
+            decode_batch(forge_load(good, address=1 << 32))
+        for bad in ("not an object", [good], None):
+            with pytest.raises(ProtocolError, match="must be an object"):
+                decode_batch(bad)
 
     def test_wire_survives_json(self):
-        for event in _steps():
-            record = json.loads(json.dumps(encode_step(event)))
-            assert decode_event(record)[1] == event
+        recorder = _recorded(*_steps(), _input(), halt=7)
+        batch = json.loads(json.dumps(recorder[:]))
+        assert [event for _, event in decode_batch(batch)] == [
+            *_steps(), _input(), 7
+        ]
+
+
+class TestBatchRows:
+    """Seq stamps, slices and the section-derived event count."""
+
+    def test_slices_decode_to_the_stream(self):
+        recorder = _recorded(*_steps(), _input(), *_steps(), halt=4)
+        whole = decode_batch(recorder)
+        assert len(recorder) == len(whole) == 6
+        for size in (1, 2, 4):
+            pieces = [pair for start in range(0, len(recorder), size)
+                      for pair in decode_batch(recorder[start:start + size])]
+            assert pieces == whole
+
+    def test_event_count_comes_from_section_lengths(self):
+        recorder = _recorded(*_steps(), _input(), halt=3)
+        assert batch_events(recorder[:]) == 4
+        assert batch_events(recorder[1:3]) == 2
+        assert batch_events({}) == 0
+        with pytest.raises(ProtocolError, match="whole 49-byte rows"):
+            batch_events({"inputs": base64.b64encode(b"x" * 50).decode()})
+
+    @pytest.mark.parametrize("seqs", [(0, 0), (0, 2), (5, 3, 3)],
+                             ids=["repeated", "gap", "repeat-after-gap"])
+    def test_seq_stamps_must_number_a_run(self, seqs):
+        load, store = _steps()
+        rows = b"".join(
+            STEP_ROW.pack(seq, *STEP_ROW.unpack(
+                base64.b64decode(_recorded(event)[:]["steps"]))[1:])
+            for seq, event in zip(seqs, [load, store, load])
+        )
+        with pytest.raises(ProtocolError, match="seq"):
+            decode_batch({"steps": base64.b64encode(rows).decode()})
+
+    def test_seq_stamps_order_rows_of_one_section(self):
+        load, store = _steps()
+        rows = base64.b64decode(_recorded(load, store)[:]["steps"])
+        swapped = rows[STEP_ROW.size:] + rows[:STEP_ROW.size]
+        assert decode_batch({
+            "steps": base64.b64encode(swapped).decode()
+        }) == [("step", load), ("step", store)]
 
 
 class TestCanonicalSignature:

@@ -5,6 +5,7 @@ Every test runs a real :class:`TaintServer` on an ephemeral port via
 same path ``repro-serve selftest`` exercises.
 """
 
+import base64
 import socket
 import struct
 import time
@@ -28,6 +29,7 @@ from repro.serve.protocol import (
     canonical_json,
     encode_frame,
 )
+from repro.trace.rows import INPUT_ROW, STEP_ROW
 from repro.workloads import programs
 
 SCENARIOS = ("checksum", "file_filter", "substitution_cipher")
@@ -307,7 +309,7 @@ class TestTenantIsolation:
             with ServeClient(host, port, tenant="gamma") as client:
                 first, _ = client.open_stream()
                 second, _ = client.open_stream()
-                client.send_events(first, events)
+                client.send_events(first, events[:])
                 client.send_events(second, events[:50])
                 result_first = client.close_stream(first)
                 result_second = client.close_stream(second)
@@ -467,7 +469,7 @@ class TestQueriesAndProtocol:
         with running_server() as (_server, (host, port)):
             with ServeClient(host, port, tenant="q") as client:
                 stream, _ = client.open_stream()
-                client.send_events(stream, events)
+                client.send_events(stream, events[:])
                 tainted = sorted(reference["signature"]["tainted"])
                 assert tainted, "scenario must taint something"
                 answer = client.query(stream, tainted[0], 1)
@@ -483,20 +485,26 @@ class TestQueriesAndProtocol:
 
     def test_revision_one_client_is_refused_at_hello(self):
         # Revision 1 step records carried register lists and access
-        # sizes; such a client is turned away before it sends one.
+        # sizes, revision 2 sent events as JSON records; such a client
+        # is turned away before it sends one.
         from repro.serve.protocol import FrameDecoder
 
         with running_server() as (_server, (host, port)):
-            with socket.create_connection((host, port), timeout=5.0) as raw:
-                raw.sendall(encode_frame(
-                    {"type": "hello", "proto": 1, "tenant": "old"}
-                ))
-                decoder, replies = FrameDecoder(), []
-                while not replies:
-                    data = raw.recv(65536)
-                    assert data, "server closed without an answer"
-                    replies = decoder.feed(data)
-        assert (replies[0]["type"], replies[0]["code"]) == ("error", "proto")
+            for proto in (1, 2):
+                with socket.create_connection(
+                    (host, port), timeout=5.0
+                ) as raw:
+                    raw.sendall(encode_frame(
+                        {"type": "hello", "proto": proto, "tenant": "old"}
+                    ))
+                    decoder, replies = FrameDecoder(), []
+                    while not replies:
+                        data = raw.recv(65536)
+                        assert data, "server closed without an answer"
+                        replies = decoder.feed(data)
+                assert (replies[0]["type"], replies[0]["code"]) == (
+                    "error", "proto"
+                ), proto
 
     def test_protocol_violations_answer_errors(self):
         with running_server() as (_server, (host, port)):
@@ -534,7 +542,10 @@ class TestQueriesAndProtocol:
                 assert client._recv()["code"] == "config"
                 # Oversized batch (beyond the server's max_batch).
                 stream, _ = client.open_stream()
-                big = [{"k": "h", "i": index} for index in range(513)]
+                # The count comes from the section length: 513 rows.
+                big = {"steps": base64.b64encode(
+                    bytes(STEP_ROW.size * 513)
+                ).decode()}
                 client._send({"type": "events", "stream": stream,
                               "batch": big})
                 assert client._recv()["code"] == "events"
@@ -611,24 +622,39 @@ class TestQueriesAndProtocol:
 
     @staticmethod
     def _hostile_records(events):
-        """Records a valid trace never holds: a word that does not
-        decode or does not fit 32 bits, an address on a non-memory
-        opcode, a load or store without one, an address outside
-        ``[0, 2**32)`` or not an integer, string ``tainted_hint``
-        values."""
-        from tests.test_serve_protocol import FORGED_STEPS
+        """Batches a valid trace never holds, each behind a valid
+        prefix: every :data:`FORGED_STEPS` forgery of a load row or of
+        the batch's fields, seq stamps out of order, an input row whose
+        tainted hint byte is not 0 or 1, source and payload fields
+        that point outside the string pool and data blob, and an input
+        address outside ``[0, 2**32)``."""
+        from repro.serve.protocol import decode_batch
+        from tests.test_serve_protocol import FORGED_STEPS, forged_batch
 
-        load = next(e for e in events if e["k"] == "s" and "a" in e)
-        source = next(e for e in events if e["k"] == "i")
-        records = []
-        for forgery in FORGED_STEPS.values():
-            record = {**load, **forgery}
-            if record["a"] is None:
-                del record["a"]
-            records.append(record)
-        return records + [
-            {**source, "th": "false"},
-            {**source, "th": 0},
+        decoded = decode_batch(events)
+        first_access = next(index for index, (kind, event) in
+                            enumerate(decoded) if kind == "step"
+                            and event.memory_accesses)
+        prefix = events[:first_access + 1]
+        batches = [forged_batch(prefix, forgery) for forgery in FORGED_STEPS]
+        steps = bytearray(base64.b64decode(prefix["steps"]))
+        STEP_ROW.pack_into(steps, 0, 5, *STEP_ROW.unpack_from(steps)[1:])
+        batches.append({**prefix, "steps": base64.b64encode(steps).decode()})
+        first_input = next(index for index, (kind, _) in
+                           enumerate(decoded) if kind == "input")
+        around = events[first_input - 2:first_input + 3]
+        rows = base64.b64decode(around["inputs"])
+        hint = bytearray(rows)
+        hint[INPUT_ROW.size - 1] = 2
+        forged = [bytes(hint)]
+        for field, value in ((5, len(around["strings"])), (6, -1),
+                             (3, 10**6), (4, -1), (2, 1 << 32)):
+            row = list(INPUT_ROW.unpack(rows))
+            row[field] = value
+            forged.append(INPUT_ROW.pack(*row))
+        return batches + [
+            {**around, "inputs": base64.b64encode(row).decode()}
+            for row in forged
         ]
 
     @staticmethod
@@ -670,23 +696,23 @@ class TestQueriesAndProtocol:
         with running_server(unthrottled) as (server, (host, port)):
             with ServeClient(host, port, tenant="hostile") as client:
                 stream, _ = client.open_stream()
-                for record in self._hostile_records(events):
+                for batch in self._hostile_records(events):
                     # A valid prefix rides along: the whole batch must
                     # be refused without advancing the stream.
                     client._send({"type": "events", "stream": stream,
-                                  "batch": events[:5] + [record]})
+                                  "batch": batch})
                     reply = client._recv()
-                    assert reply["type"] == "error", (record, reply)
-                    assert reply["code"] == "events", (record, reply)
-                # A revision-1 load record, its access in the old ``rd``
-                # list with a huge size and no ``a``: refused at once,
-                # without touching a byte of the claimed range.
-                load = next(e for e in events if e["k"] == "s" and "a" in e)
-                legacy = {k: v for k, v in load.items() if k != "a"}
-                legacy["rd"] = [[load["a"], 10**9]]
+                    assert reply["type"] == "error", (batch, reply)
+                    assert reply["code"] == "events", (batch, reply)
+                # A revision-1 batch: a list of JSON records, the load's
+                # access in the old ``rd`` list with a huge size and no
+                # ``a``.  Refused at once, without touching a byte of
+                # the claimed range.
+                legacy = [{"k": "s", "i": 0, "pc": 0x1000, "w": 0x0,
+                           "np": 0x1004, "rd": [[0x3000, 10**9]]}]
                 started = time.monotonic()
                 client._send({"type": "events", "stream": stream,
-                              "batch": events[:5] + [legacy]})
+                              "batch": legacy})
                 reply = client._recv()
                 assert time.monotonic() - started < 2.0
                 assert (reply["type"], reply["code"]) == ("error", "events")

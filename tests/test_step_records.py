@@ -1,12 +1,14 @@
-"""A step record is (pc, word, address, next_pc, syscall): both encodings
-of the commit stream rebuild the live CPU's ``StepEvent``s field-exactly.
+"""A step record is (pc, word, address, next_pc, syscall): both carriers
+of the commit stream's rows rebuild the live CPU's ``StepEvent``s
+field-exactly.
 
 Registers, access sizes and access directions are derived from the
 instruction word on decode (:func:`repro.machine.cpu.step_event`), so
-the ``.ltrace`` event trace (:class:`repro.trace.record.TraceRecorder`)
-and the wire codec (:func:`repro.serve.client.record_trace`) must both
-reproduce every field of every step the live machine committed, over
-every program family the repo runs.
+the ``.ltrace`` event trace (:func:`repro.trace.record.iter_events`)
+and the wire batches sliced from the same recorder
+(:func:`repro.serve.protocol.decode_batch`) must both reproduce every
+field of every step the live machine committed, over every program
+family the repo runs.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from repro.check.corpus import load_corpus
 from repro.check.generator import generate_program
 from repro.check.workloads import image_program, kv_program, parse_program
 from repro.machine.events import Observer, StepEvent
-from repro.serve.client import TraceRecorder as WireRecorder
 from repro.serve.protocol import decode_batch
 from repro.trace.record import TraceRecorder, iter_events
 from repro.workloads import programs
@@ -57,15 +58,16 @@ def test_every_family_is_covered():
 @pytest.mark.parametrize("name", sorted(FACTORIES))
 def test_both_encodings_rebuild_live_steps(name):
     cpu = FACTORIES[name]()
-    live, recorder, wire = _StepLog(), TraceRecorder(name=name), WireRecorder()
-    for observer in (live, recorder, wire):
+    live, recorder = _StepLog(), TraceRecorder(name=name)
+    for observer in (live, recorder):
         cpu.attach(observer)
     cpu.run(200_000)
     assert cpu.halted and live.steps, name
     columnar = [event for event in iter_events(recorder.to_bytes())
                 if isinstance(event, StepEvent)]
     assert columnar == live.steps
-    served = [payload for kind, payload in
-              decode_batch(json.loads(json.dumps(wire.events)))
+    served = [payload for start in range(0, len(recorder), 512)
+              for kind, payload in decode_batch(
+                  json.loads(json.dumps(recorder[start:start + 512])))
               if kind == "step"]
     assert served == live.steps

@@ -53,13 +53,13 @@ from repro.trace.format import (
 )
 from repro.trace.record import (
     EVENT_KIND,
-    STEP_DTYPE,
     TraceRecorder,
     access_window,
     iter_events,
     replay_events,
 )
 from repro.trace.replay import replay_columnar
+from repro.trace.rows import STEP_FIELDS, STEP_ROW
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_WINDOW = GOLDEN_DIR / "gcc_w2000_s0.ltrace"
 EXPECTED = json.loads((GOLDEN_DIR / "expected.json").read_text())
@@ -109,10 +109,11 @@ def _forge_step(recorder, instruction, address):
     raw word) and address."""
     word = (instruction if isinstance(instruction, int)
             else instruction_word(instruction))
-    step = list(recorder._steps[0])
-    step[STEP_DTYPE.names.index("word")] = word
-    step[STEP_DTYPE.names.index("address")] = address
-    recorder._steps[0] = tuple(step)
+    steps = recorder._sections[0]
+    step = dict(zip((name for name, _ in STEP_FIELDS),
+                    STEP_ROW.unpack_from(steps)))
+    step.update(word=word, address=address)
+    STEP_ROW.pack_into(steps, 0, *step.values())
 
 
 class TestEventConformance:
