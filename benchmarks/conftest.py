@@ -11,16 +11,19 @@ non-integer value fails fast with the variable's name):
 * ``REPRO_BENCH_TRACE_WINDOW`` — memory-access window for the cache
   simulations (default 150 K instructions).
 * ``REPRO_BENCH_WORKERS`` — worker processes for the runner-backed
-  table benchmarks (default 1: in-process execution).
+  table and figure benchmarks (default 1: in-process execution).
 * ``REPRO_BENCH_CACHE_DIR`` — result/trace cache directory (default
   ``benchmarks/.cache``; delete it or run ``repro-run --clear-cache
   --cache-dir benchmarks/.cache`` to force recomputation).
 
-Workload generation goes through :class:`repro.runner.TraceCache`, and
-the table benchmarks go through the :class:`repro.runner.Runner` job
-engine, so one generation pass feeds every consumer (the tables, the
-figures, the ``repro-run`` CLI) and a re-run recomputes only cells
-whose spec changed.
+Every table and figure benchmark takes its numbers from
+:func:`run_jobs`: the :class:`repro.runner.Runner` job snapshots that
+``repro-run <id>`` renders too, so a benchmark and the CLI cannot
+disagree, and a re-run recomputes only cells whose spec changed.  The
+ablations and kernel benchmarks read workloads directly through
+:func:`epoch_stream_for` / :func:`access_trace_for`, which share the
+jobs' :class:`repro.runner.TraceCache`, so one generation pass feeds
+every consumer.
 
 Rendered tables are also written to ``benchmarks/out/`` so they survive
 pytest's output capture.
@@ -105,8 +108,9 @@ def access_trace_for(name: str):
 def run_jobs(kind: str, names: Sequence[str]) -> Dict[str, StatsSnapshot]:
     """Run one ``kind`` job per benchmark through the shared runner.
 
-    Returns ``{benchmark name: snapshot}``; raises if any job failed so
-    a benchmark never silently asserts against missing data.
+    Returns ``{benchmark name: snapshot}`` in ``names`` order; raises
+    if any job failed so a benchmark never silently asserts against
+    missing data.
     """
     specs = [
         JobSpec.make(
@@ -122,9 +126,12 @@ def run_jobs(kind: str, names: Sequence[str]) -> Dict[str, StatsSnapshot]:
     }
     if failed:
         raise RuntimeError(f"runner jobs failed: {failed}")
-    return {
-        result.spec.workload: result.snapshot for result in results.values()
-    }
+    return {spec.workload: results[spec.job_id].snapshot for spec in specs}
+
+
+def metric(snapshots: Dict[str, StatsSnapshot], name: str) -> Dict[str, float]:
+    """``{benchmark name: its snapshot's value of metric name}``."""
+    return {workload: snap.get(name) for workload, snap in snapshots.items()}
 
 
 def spec_names():
@@ -141,15 +148,3 @@ def emit(artifact_name: str, text: str) -> None:
     print(text)
     _OUT_DIR.mkdir(exist_ok=True)
     (_OUT_DIR / f"{artifact_name}.txt").write_text(text + "\n")
-
-
-@pytest.fixture(scope="session")
-def bench_scales():
-    """Expose the active scales to benchmarks (and their reports)."""
-    return {"epoch_scale": EPOCH_SCALE, "trace_window": TRACE_WINDOW}
-
-
-@pytest.fixture(scope="session")
-def bench_runner():
-    """The shared runner (its registry exposes cache/job counters)."""
-    return _RUNNER

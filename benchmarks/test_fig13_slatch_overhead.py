@@ -1,54 +1,32 @@
 """Figure 13: S-LATCH vs always-on software DIFT overhead over native.
 
-Runs the Section 6.1 performance model (mode-switching over the epoch
-stream, hardware-mode rates measured from the access trace) for every
-workload, and checks the paper's stated aggregates.
+Runs one ``slatch`` job per workload through the shared
+:mod:`repro.runner` engine: the Section 6.1 performance model
+(mode-switching over the epoch stream, hardware-mode rates measured
+from the access trace).  The figure is the registry's rows over those
+jobs' ``slatch.model.*`` gauges, and the assertions check the paper's
+stated aggregates.
 """
 
 import numpy as np
 
-from conftest import (
-    access_trace_for,
-    emit,
-    epoch_stream_for,
-    network_names,
-    spec_names,
-)
+from conftest import emit, metric, network_names, run_jobs, spec_names
 from repro.report.artefacts import ARTEFACTS
-from repro.report.paper_data import SLATCH_AGGREGATES
-from repro.slatch import measure_hw_rates, simulate_slatch
-from repro.workloads import get_profile
 
 
 def regenerate_fig13():
-    reports = {}
-    for name in spec_names() + network_names():
-        profile = get_profile(name)
-        rates = measure_hw_rates(access_trace_for(name))
-        reports[name] = simulate_slatch(
-            profile, epoch_stream_for(name), rates
-        )
-    return reports
+    return run_jobs("slatch", spec_names() + network_names())
 
 
 def test_fig13_slatch_overhead(benchmark):
-    reports = benchmark.pedantic(regenerate_fig13, rounds=1, iterations=1)
-    rows = [
-        [
-            name,
-            report.libdft_only_overhead,
-            report.overhead,
-            report.speedup_vs_libdft,
-            100 * report.sw_fraction,
-        ]
-        for name, report in reports.items()
-    ]
-    emit("fig13", ARTEFACTS["fig13"].format(rows))
+    snapshots = benchmark.pedantic(regenerate_fig13, rounds=1, iterations=1)
+    fig13 = ARTEFACTS["fig13"]
+    emit("fig13", fig13.render(snapshots))
+    overhead = metric(snapshots, "slatch.model.overhead")
+    speedup = metric(snapshots, "slatch.model.speedup_vs_libdft")
 
-    spec_overheads = np.array([reports[n].overhead for n in spec_names()])
-    spec_speedups = np.array(
-        [reports[n].speedup_vs_libdft for n in spec_names()]
-    )
+    spec_overheads = np.array([overhead[n] for n in spec_names()])
+    spec_speedups = np.array([speedup[n] for n in spec_names()])
 
     # Paper: 12 of 20 SPEC benchmarks below 50% overhead.
     assert (spec_overheads < 0.5).sum() >= 11
@@ -60,16 +38,18 @@ def test_fig13_slatch_overhead(benchmark):
     harmonic = len(spec_overheads) / np.sum(1.0 / (1.0 + spec_overheads)) - 1
     assert 0.2 < harmonic < 1.2
     # Web clients accelerate by ~10x (paper: "more than 10X").
-    assert reports["curl"].speedup_vs_libdft > 5
-    assert reports["wget"].speedup_vs_libdft > 5
+    assert speedup["curl"] > 5
+    assert speedup["wget"] > 5
     # Apache trust policies: speedup grows with the trusted share
     # (paper: up to 3.25x at apache-75 vs 1.47x at baseline apache).
     apache_speedups = [
-        reports[name].speedup_vs_libdft
+        speedup[name]
         for name in ("apache", "apache-25", "apache-50", "apache-75")
     ]
     assert apache_speedups == sorted(apache_speedups)
     assert apache_speedups[-1] > 1.8
     # S-LATCH never loses to always-on software DIFT.
-    for name, report in reports.items():
-        assert report.overhead <= report.libdft_only_overhead + 1e-9, name
+    for name, libdft_overhead, slatch_overhead, *_ in fig13.rows(
+        snapshots, fig13.paper
+    ):
+        assert slatch_overhead <= libdft_overhead + 1e-9, name

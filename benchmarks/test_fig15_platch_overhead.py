@@ -1,50 +1,51 @@
 """Figure 15: P-LATCH performance overheads relative to native execution.
 
-Applies the paper's analytical model (LBA overheads localised to
-taint-active 1000-instruction windows) for both the simple and the
-optimised LBA baselines, plus the discrete 2-core queue simulation that
-demonstrates the stall mechanism.
+The paper's analytical model (LBA overheads localised to taint-active
+1000-instruction windows), for both the simple and the optimised LBA
+baselines, comes from one ``epochs`` job per workload on the shared
+:mod:`repro.runner` engine (its ``platch.*`` gauges).  Beside it runs
+the discrete 2-core queue simulation that demonstrates the stall
+mechanism, over the same cached epoch stream the job reads; no job
+computes that column.
 """
 
 import numpy as np
 
-from conftest import emit, epoch_stream_for, network_names, spec_names
-from repro.platch import (
-    LBA_OPTIMIZED,
-    LBA_SIMPLE,
-    TwoCoreQueueSimulator,
-    analytic_platch,
+from conftest import (
+    emit,
+    epoch_stream_for,
+    metric,
+    network_names,
+    run_jobs,
+    spec_names,
 )
+from repro.platch import LBA_SIMPLE, TwoCoreQueueSimulator
 from repro.report import format_table
 from repro.report.artefacts import ARTEFACTS
 from repro.report.paper_data import PLATCH_AGGREGATES
 
 
 def regenerate_fig15():
-    rows = {}
-    for name in spec_names() + network_names():
-        stream = epoch_stream_for(name)
-        simple = analytic_platch(stream, LBA_SIMPLE)
-        optimized = analytic_platch(stream, LBA_OPTIMIZED)
-        queue = TwoCoreQueueSimulator(LBA_SIMPLE, filtered=True).run(stream)
-        rows[name] = (simple, optimized, queue)
-    return rows
+    names = spec_names() + network_names()
+    queues = {
+        name: TwoCoreQueueSimulator(LBA_SIMPLE, filtered=True).run(
+            epoch_stream_for(name)
+        )
+        for name in names
+    }
+    return run_jobs("epochs", names), queues
 
 
 def test_fig15_platch_overhead(benchmark):
-    rows = benchmark.pedantic(regenerate_fig15, rounds=1, iterations=1)
-    table = [
-        [
-            name,
-            100 * simple.monitored_fraction,
-            simple.overhead,
-            optimized.overhead,
-            queue.overhead,
-        ]
-        for name, (simple, optimized, queue) in rows.items()
-    ]
+    snapshots, queues = benchmark.pedantic(
+        regenerate_fig15, rounds=1, iterations=1
+    )
     # The registry's columns plus the discrete queue simulation's.
     fig15 = ARTEFACTS["fig15"]
+    table = [
+        [*row, queues[row[0]].overhead]
+        for row in fig15.rows(snapshots, fig15.paper)
+    ]
     emit(
         "fig15",
         format_table(
@@ -53,7 +54,8 @@ def test_fig15_platch_overhead(benchmark):
         ),
     )
 
-    simple_overheads = {n: r[0].overhead for n, r in rows.items()}
+    simple_overheads = metric(snapshots, "platch.simple.overhead")
+    optimized_overheads = metric(snapshots, "platch.optimized.overhead")
     # Everyone beats the always-on baselines by a wide margin.
     for name, overhead in simple_overheads.items():
         assert overhead < PLATCH_AGGREGATES["baseline_simple_overhead"], name
@@ -66,10 +68,10 @@ def test_fig15_platch_overhead(benchmark):
     overall_mean = np.mean(list(simple_overheads.values()))
     assert overall_mean < 1.0
     # Optimized baseline scales everything down proportionally.
-    for name, (simple, optimized, _) in rows.items():
-        if simple.overhead > 0:
-            ratio = simple.overhead / optimized.overhead
+    for name, simple in simple_overheads.items():
+        if simple > 0:
+            ratio = simple / optimized_overheads[name]
             assert abs(ratio - 3.38 / 0.36) < 1e-6, name
     # The queue simulation agrees that filtering eliminates stalls for
     # quiet workloads.
-    assert rows["bzip2"][2].overhead < 0.01
+    assert queues["bzip2"].overhead < 0.01

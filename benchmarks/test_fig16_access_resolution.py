@@ -1,29 +1,31 @@
 """Figure 16: % of memory accesses handled by each taint-caching level.
 
 For every workload, the share of accesses resolved by the TLB taint
-bits, by the CTC, and by the precise taint cache.
+bits, by the CTC, and by the precise taint cache: the
+``hlatch.resolved.*`` gauges of the same ``hlatch`` jobs that Tables 6
+and 7 run on the shared :mod:`repro.runner` engine.
 """
 
-from conftest import access_trace_for, emit, network_names, spec_names
-from repro.hlatch import run_hlatch
+from conftest import emit, network_names, run_jobs, spec_names
 from repro.report.artefacts import ARTEFACTS
+
+LEVELS = ("tlb", "ctc", "precise")
 
 
 def regenerate_fig16():
-    splits = {}
-    for name in spec_names() + network_names():
-        report = run_hlatch(access_trace_for(name))
-        splits[name] = report.resolution_split()
-    return splits
+    return run_jobs("hlatch", spec_names() + network_names())
 
 
 def test_fig16_access_resolution(benchmark):
-    splits = benchmark.pedantic(regenerate_fig16, rounds=1, iterations=1)
-    rows = [
-        [name, 100 * s["tlb"], 100 * s["ctc"], 100 * s["precise"]]
-        for name, s in splits.items()
-    ]
-    emit("fig16", ARTEFACTS["fig16"].format(rows))
+    snapshots = benchmark.pedantic(regenerate_fig16, rounds=1, iterations=1)
+    emit("fig16", ARTEFACTS["fig16"].render(snapshots))
+    splits = {
+        name: {
+            level: snapshot.get(f"hlatch.resolved.{level}")
+            for level in LEVELS
+        }
+        for name, snapshot in snapshots.items()
+    }
     # "In most programs, the TLB deflected more than 90% of memory
     # accesses."
     over_90 = sum(1 for s in splits.values() if s["tlb"] > 0.9)

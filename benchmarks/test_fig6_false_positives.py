@@ -3,13 +3,12 @@
 For each benchmark and taint-domain size, the multiplier by which coarse
 tainting inflates the set of memory elements reported tainted relative
 to byte-precise taint (1.0 = exact; the paper plots values against
-domain sizes up to 4 KiB page granularity).
+domain sizes up to 4 KiB page granularity).  One ``fp_sweep`` job per
+workload runs on the shared :mod:`repro.runner` engine; the series are
+the registry's rows over those jobs' ``fp.multiplier.<size>`` gauges.
 """
 
-import math
-
-from conftest import access_trace_for, emit, network_names, spec_names
-from repro.analysis import FIG6_DOMAIN_SIZES, false_positive_sweep
+from conftest import emit, network_names, run_jobs, spec_names
 from repro.report.artefacts import ARTEFACTS
 
 #: The paper notes these benchmarks show few or no false positives
@@ -18,19 +17,14 @@ PAGE_ALIGNED = {"bzip2", "gobmk", "lbm"}
 
 
 def regenerate_fig6():
-    series = {}
-    for name in spec_names() + network_names():
-        sweep = false_positive_sweep(access_trace_for(name))
-        series[name] = {
-            f"{size}B": value for size, value in sweep.items()
-            if not math.isnan(value)
-        }
-    return series
+    return run_jobs("fp_sweep", spec_names() + network_names())
 
 
 def test_fig6_false_positives(benchmark):
-    series = benchmark.pedantic(regenerate_fig6, rounds=1, iterations=1)
-    emit("fig6", ARTEFACTS["fig6"].format(series))
+    snapshots = benchmark.pedantic(regenerate_fig6, rounds=1, iterations=1)
+    fig6 = ARTEFACTS["fig6"]
+    emit("fig6", fig6.render(snapshots))
+    series = fig6.rows(snapshots, fig6.paper)
     # Page-aligned taint: no false positives at any granularity.
     for name in PAGE_ALIGNED:
         for value in series[name].values():

@@ -22,10 +22,7 @@ def test_table3_page_taint_spec(benchmark):
     snapshots, measured = benchmark.pedantic(
         regenerate_table3, rounds=1, iterations=1
     )
-    emit(
-        "table3",
-        ARTEFACTS["table3"].render({n: snapshots[n] for n in spec_names()}),
-    )
+    emit("table3", ARTEFACTS["table3"].render(snapshots))
     # "For 17 out of 20 benchmarks, more than 90% of the accessed pages
     # were completely free of taint."  (perlbench sits right on the
     # boundary at 10.84% in the paper's own table, so the threshold is

@@ -21,10 +21,7 @@ def test_table4_page_taint_network(benchmark):
     snapshots, measured = benchmark.pedantic(
         regenerate_table4, rounds=1, iterations=1
     )
-    emit(
-        "table4",
-        ARTEFACTS["table4"].render({n: snapshots[n] for n in network_names()}),
-    )
+    emit("table4", ARTEFACTS["table4"].render(snapshots))
     # Tainted pages occupy a minority of memory in all cases; apache the
     # highest, and roughly constant across trust policies (Section 3.3.1).
     for name in network_names():

@@ -10,7 +10,7 @@ cached alongside every other consumer's.
 
 import numpy as np
 
-from conftest import emit, run_jobs, spec_names
+from conftest import emit, metric, run_jobs, spec_names
 from repro.report.artefacts import ARTEFACTS
 
 
@@ -20,18 +20,10 @@ def regenerate_table6():
 
 def test_table6_hlatch_spec(benchmark):
     snapshots = benchmark.pedantic(regenerate_table6, rounds=1, iterations=1)
-    emit(
-        "table6",
-        ARTEFACTS["table6"].render({n: snapshots[n] for n in spec_names()}),
-    )
+    emit("table6", ARTEFACTS["table6"].render(snapshots))
 
-    combined = {
-        n: snapshots[n].get("hlatch.combined_miss_percent")
-        for n in spec_names()
-    }
-    avoided = {
-        n: snapshots[n].get("hlatch.avoided_percent") for n in spec_names()
-    }
+    combined = metric(snapshots, "hlatch.combined_miss_percent")
+    avoided = metric(snapshots, "hlatch.avoided_percent")
     # "This value did not exceed 1% for any SPEC benchmark, except astar
     # and sphinx" — allow the calibrated reproduction a slightly wider
     # band for the other poor-locality benchmarks.

@@ -18,7 +18,7 @@ from typing import Dict, Sequence
 import numpy as np
 
 from repro.kernels.classify import unique_sorted
-from repro.workloads.trace import AccessTrace, PAGE_SIZE, TaintLayout
+from repro.workloads.trace import AccessTrace, TaintLayout
 
 #: The taint-domain sizes swept in Figure 6 (bytes).
 FIG6_DOMAIN_SIZES: Sequence[int] = (8, 16, 32, 64, 128, 256, 1024, 4096)
@@ -105,19 +105,3 @@ def false_positive_sweep(
         size: false_positive_multiplier(trace, size, mode=mode)
         for size in domain_sizes
     }
-
-
-def tainted_byte_density(layout: TaintLayout) -> float:
-    """Tainted bytes as a fraction of the accessed footprint."""
-    footprint = len(layout.accessed_pages) * PAGE_SIZE
-    if footprint == 0:
-        return 0.0
-    return layout.tainted_byte_count() / footprint
-
-
-def domain_coverage(layout: TaintLayout, domain_size: int) -> float:
-    """Fraction of accessed-footprint domains that are coarsely tainted."""
-    total_domains = len(layout.accessed_pages) * (PAGE_SIZE // domain_size)
-    if total_domains == 0:
-        return 0.0
-    return len(layout.tainted_domains(domain_size)) / total_domains

@@ -41,11 +41,3 @@ def epoch_duration_profile(
     if total == 0:
         return {threshold: 0.0 for threshold in thresholds}
     return duration_profile(stream.taint_free_lengths(), total, thresholds)
-
-
-def mean_taint_free_epoch(stream: EpochStream) -> float:
-    """Average taint-free epoch length (supplementary statistic)."""
-    free_lengths = stream.taint_free_lengths()
-    if len(free_lengths) == 0:
-        return 0.0
-    return float(free_lengths.mean())

@@ -103,17 +103,3 @@ class UpdateChain:
         return UpdateResult(
             coarse_bit=coarse_bit, new_tags=new_tags, page_bit=page_bit
         )
-
-
-def word_to_bits(word: int, width: int = DOMAINS_PER_WORD) -> List[bool]:
-    """Unpack an integer tag word into a bit vector."""
-    return [bool(word & (1 << index)) for index in range(width)]
-
-
-def bits_to_word(bits: Sequence[bool]) -> int:
-    """Pack a bit vector back into an integer tag word."""
-    value = 0
-    for index, bit in enumerate(bits):
-        if bit:
-            value |= 1 << index
-    return value

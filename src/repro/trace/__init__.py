@@ -48,8 +48,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "to_bytes", "write_columnar",
     ),
     "repro.trace.record": (
-        "EVENT_KIND", "TraceRecorder", "access_window", "iter_events",
-        "replay_events",
+        "EVENT_KIND", "TraceRecorder", "iter_events", "replay_events",
     ),
     "repro.trace.replay": (
         "ColumnarReplayResult", "ShardPartial", "configs_from_blob",

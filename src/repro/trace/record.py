@@ -176,23 +176,6 @@ def _as_event_file(source) -> ColumnarFile:
     return handle
 
 
-def _opcode_tables():
-    """Per opcode byte: whether it decodes, and its access size (0
-    without a memory operand) and direction."""
-    import numpy as np
-
-    from repro.isa.instructions import LOAD_SIZES, STORE_SIZES, Opcode
-
-    decodes = np.zeros(256, dtype=bool)
-    decodes[[int(opcode) for opcode in Opcode]] = True
-    access_size = np.zeros(256, dtype=np.int64)
-    access_size[list(LOAD_SIZES)] = list(LOAD_SIZES.values())
-    access_size[list(STORE_SIZES)] = list(STORE_SIZES.values())
-    is_store = np.zeros(256, dtype=bool)
-    is_store[list(STORE_SIZES)] = True
-    return decodes, access_size, is_store
-
-
 def _records(handle) -> Tuple[np.ndarray, ...]:
     """``(steps, inputs, outputs)``, once each is a 1-D table of its
     exact record dtype and every step record could have been committed:
@@ -200,7 +183,7 @@ def _records(handle) -> Tuple[np.ndarray, ...]:
     opcode has a memory operand, inside ``[0, 2**32)``."""
     import numpy as np
 
-    from repro.isa.instructions import Opcode
+    from repro.isa.instructions import LOAD_SIZES, STORE_SIZES, Opcode
 
     tables = []
     for name, dtype in record_dtypes().items():
@@ -211,7 +194,10 @@ def _records(handle) -> Tuple[np.ndarray, ...]:
                 f"(shape {table.shape}, dtype {table.dtype})"
             )
         tables.append(table)
-    decodes, access_size, _ = _opcode_tables()
+    decodes = np.zeros(256, dtype=bool)
+    decodes[[int(opcode) for opcode in Opcode]] = True
+    has_operand = np.zeros(256, dtype=bool)
+    has_operand[[*LOAD_SIZES, *STORE_SIZES]] = True
     steps = tables[0]
     opcodes = steps["word"] >> 24
     unknown = ~decodes[opcodes]
@@ -221,7 +207,7 @@ def _records(handle) -> Tuple[np.ndarray, ...]:
             f"step {row}: unknown opcode byte {int(opcodes[row]):#04x}"
         )
     address = steps["address"]
-    bad = ((address >= 0) != (access_size[opcodes] > 0)) | (
+    bad = ((address >= 0) != has_operand[opcodes]) | (
         address < -1) | (address > 0xFFFF_FFFF)
     if bad.any():
         row = int(np.argmax(bad))
@@ -278,17 +264,3 @@ def replay_events(source, *observers: Observer) -> int:
             observer.on_halt(int(halt_step))
     return steps
 
-
-def access_window(source) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The flat ``(addresses, sizes, is_write)`` window of an event trace.
-
-    Vectorised reduction for the sharded check-memory differential: a
-    step has at most one access, so its order matches the scalar
-    ``event.memory_accesses`` walk exactly; size and direction come
-    from the opcode.
-    """
-    steps = _records(_as_event_file(source))[0]
-    accessing = steps[steps["address"] >= 0]
-    opcodes = accessing["word"] >> 24
-    _, access_size, is_store = _opcode_tables()
-    return accessing["address"], access_size[opcodes], is_store[opcodes]

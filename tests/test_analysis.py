@@ -4,15 +4,12 @@ import numpy as np
 import pytest
 
 from repro.analysis.spatial import (
-    domain_coverage,
     false_positive_multiplier,
     false_positive_sweep,
     page_taint_distribution,
-    tainted_byte_density,
 )
 from repro.analysis.temporal import (
     epoch_duration_profile,
-    mean_taint_free_epoch,
     tainted_instruction_fraction,
 )
 from repro.workloads.generator import WorkloadGenerator
@@ -53,11 +50,6 @@ class TestTemporal:
         values = list(profile.values())
         assert values == sorted(values, reverse=True)
 
-    def test_mean_taint_free_epoch(self):
-        s = stream((100, 0), (10, 5), (300, 0))
-        assert mean_taint_free_epoch(s) == pytest.approx(200.0)
-        assert mean_taint_free_epoch(stream((10, 5))) == 0.0
-
 
 class TestSpatialPages:
     def test_page_distribution(self):
@@ -78,11 +70,6 @@ class TestSpatialPages:
         stats = page_taint_distribution(TaintLayout())
         assert stats.pages_accessed == 0
         assert stats.tainted_percent == 0.0
-
-    def test_density_and_coverage(self):
-        layout = TaintLayout(extents=[(0, 1024)], accessed_pages={0})
-        assert tainted_byte_density(layout) == pytest.approx(0.25)
-        assert domain_coverage(layout, 64) == pytest.approx(16 / 64)
 
 
 class TestFalsePositives:

@@ -8,10 +8,8 @@ from repro.core.ctt import CoarseTaintTable
 from repro.core.domains import DomainGeometry
 from repro.core.update_logic import (
     UpdateChain,
-    bits_to_word,
     decode_one_hot,
     masked_or_reduce,
-    word_to_bits,
 )
 from repro.dift.tags import ShadowMemory
 
@@ -29,9 +27,6 @@ class TestPrimitives:
         select = [True, False, False]
         assert not masked_or_reduce([True, False, False], select)
         assert masked_or_reduce([True, True, False], select)
-
-    def test_word_bit_packing_roundtrip(self):
-        assert bits_to_word(word_to_bits(0xDEAD_BEEF)) == 0xDEAD_BEEF
 
 
 class TestChainSemantics:

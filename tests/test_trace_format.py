@@ -54,7 +54,6 @@ from repro.trace.format import (
 from repro.trace.record import (
     EVENT_KIND,
     TraceRecorder,
-    access_window,
     iter_events,
     replay_events,
 )
@@ -144,15 +143,6 @@ class TestEventConformance:
         steps = replay_events(recorder.to_bytes(), replayed)
         assert steps == recorder.step_count
         assert state_signature(replayed) == state_signature(reference)
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_access_window_matches_object_walk(self, seed):
-        cp, recorder, _ = _record(seed)
-        _, collector = run_reference(cp)
-        addresses, sizes, is_write = access_window(recorder.to_bytes())
-        assert addresses.tolist() == collector.addresses
-        assert sizes.tolist() == collector.sizes
-        assert is_write.tolist() == collector.writes
 
     def test_halt_is_replayed(self, tmp_path):
         _, recorder, log = _record(0)
